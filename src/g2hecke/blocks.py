@@ -12,9 +12,12 @@ and returns the row's invariants:
   unramified twist torus (2 / ramification index);
 * presentation data for the block algebra on both sides.
 
-Rows whose measure formula applies are classified through the Plancherel
-pipeline: the weight labels come from ``plancherel.labels(mu(case))`` and the
-Weyl verdict from the unit-circle zeros, never from hand-copied constants.
+All rows live in one ordered table giving each row's descriptor, datum,
+measure case, R(O) for a trivial W_O, and G0-side presentation; one builder
+derives the rest.  Rows whose measure formula applies are classified through
+the Plancherel pipeline: the weight labels come from
+``plancherel.labels(mu(case))`` and the Weyl verdict from the unit-circle
+zeros of the factored measure, never from hand-copied constants.
 The four canonical tables (long/short x depth-zero/positive) are emitted in
 a fixed reading order and are frozen as golden JSON files; rows the tables
 leave undetermined carry a first-class "unknown" R-group state.
@@ -26,18 +29,11 @@ a refusal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .hecke import AffineHeckePresentation, RGroup, WeightFunction, presentations_equal
-from .plancherel import (
-    W_ORDER_2,
-    W_TRIVIAL,
-    PlancherelCase,
-    labels,
-    mu,
-    weyl_from_zeros,
-)
+from .plancherel import W_ORDER_2, W_TRIVIAL, PlancherelCase, labels, mu, weyl_from_zeros
 
 __all__ = [
     "BlockDescriptor",
@@ -155,10 +151,6 @@ def _crossed(r_group: RGroup) -> AffineHeckePresentation:
     return AffineHeckePresentation(1, 1, None, r_group)
 
 
-def _commutative() -> AffineHeckePresentation:
-    return AffineHeckePresentation(1, 1, None, RGroup.trivial())
-
-
 @dataclass(frozen=True)
 class BlockClassification:
     """Table-row invariants of one block."""
@@ -258,270 +250,127 @@ class TableRow:
         }
 
 
-def _classify_from_case(case: PlancherelCase, xnr_order: int, r_if_trivial_w: RGroup, g0_same: bool, g0_pres=None, w_o0=None, r_o0=None) -> BlockClassification:
+def _weyl(p: AffineHeckePresentation) -> str:
+    return W_ORDER_2 if p.weyl_order == 2 else W_TRIVIAL
+
+
+def _classify_row(
+    desc: BlockDescriptor,
+    case_id: Optional[str],
+    r_if_trivial_w: RGroup,
+    h_g0: Optional[AffineHeckePresentation],
+) -> BlockClassification:
     """Build a row's classification through the measure pipeline.
 
     The weight labels and the Weyl verdict are derived from the case formula;
-    when the verdict is order-2 the R-group is trivial (rank-1 constraint),
-    otherwise ``r_if_trivial_w`` is used.  For depth-zero rows (g0_same) the
-    companion data is identical; otherwise it is supplied explicitly.
+    an order-2 verdict gives the noncommutative algebra (with trivial R-group,
+    the rank-1 constraint), otherwise the crossed product with
+    ``r_if_trivial_w``.  W_O and R(O) on each side are read off the
+    presentations; ``h_g0`` None means G0 = G.
     """
-    m = mu(case)
-    verdict = weyl_from_zeros(m)
-    pair = labels(m).pair()
-    if verdict == W_ORDER_2:
-        r_o = RGroup.trivial()
-        h_g = _noncomm(*pair)
-    else:
-        r_o = r_if_trivial_w
-        h_g = _crossed(r_o)
-    if g0_same:
-        w_o0, r_o0, h_g0 = verdict, r_o, h_g
-    else:
-        h_g0 = g0_pres
+    h_g = _crossed(r_if_trivial_w)
+    if case_id is not None:
+        switches = {
+            "omega_ramified": desc.omega_ramified,
+            "sigma_induced": desc.chi_cubic,
+            "chi2chiprime_ramified": desc.chi2chiprime_ramified,
+        }
+        case = replace(
+            PlancherelCase.from_id(case_id, residue_degree=desc.residue_degree),
+            **{k: v for k, v in switches.items() if v is not None},
+        )
+        m = mu(case)
+        if weyl_from_zeros(m) == W_ORDER_2:
+            h_g = _noncomm(*labels(m).pair())
+    h_g0 = h_g if h_g0 is None else h_g0
     return BlockClassification(
-        verdict, r_o, w_o0, r_o0, xnr_order, h_g, h_g0, mu_case=case.case_id
+        _weyl(h_g), h_g.r_group, _weyl(h_g0), h_g0.r_group,
+        2 // desc.ramification_index, h_g, h_g0, mu_case=case_id,
     )
 
 
-def _build_long_depth_zero() -> list:
-    rows = []
-    fam = "long-depth-zero"
-    datum_r0 = "((G,M),(y,iota),(M_{y,0},rho_M))"
-    datum_rne0 = "(((M,G),M),(y,iota),(r,0),(phi,1),(M_{y,0},rho_M))"
+def _dz(root_kind: str, **switches) -> BlockDescriptor:
+    return BlockDescriptor(root_kind, "depth-zero", "G", "unramified", **switches)
 
-    def D(**kw):
-        return BlockDescriptor("long", "depth-zero", "G", "unramified", **kw)
 
-    # four cubic-character rows, then the split "chi not cubic" pair
-    row_defs = [
-        (D(omega_ramified=False, chi_cubic=True, chi2chiprime_ramified=False), "long-I"),
-        (D(omega_ramified=True, chi_cubic=True, chi2chiprime_ramified=False), "long-II"),
-        (D(omega_ramified=False, chi_cubic=True, chi2chiprime_ramified=True), "long-III"),
-        (D(omega_ramified=True, chi_cubic=True, chi2chiprime_ramified=True), "long-IV"),
-        (D(omega_ramified=False, chi_cubic=False), "long-III"),
-        (D(omega_ramified=True, chi_cubic=False), "long-IV"),
+def _edz(root_kind: str, omega_ramified: bool) -> BlockDescriptor:
+    return BlockDescriptor(
+        root_kind, "essentially-depth-zero", "M0=M", "unramified", omega_ramified=omega_ramified
+    )
+
+
+def _pd(root_kind: str, g0_kind: str, l_over_f: str, phi0: str, phi1: bool) -> BlockDescriptor:
+    return BlockDescriptor(
+        root_kind, "positive-depth", g0_kind, l_over_f, phi0_restriction=phi0, phi1_trivial=phi1
+    )
+
+
+_UNKNOWN, _TRIVIAL, _NONTRIVIAL = RGroup.unknown(), RGroup.trivial(), RGroup.nontrivial()
+_C_O = _crossed(_TRIVIAL)  # the commutative algebra C[O]
+_DATUM_R0 = "((G,M),(y,iota),(M_{y,0},rho_M))"
+_DATUM_RNE0 = "(((M,G),M),(y,iota),(r,0),(phi,1),(M_{y,0},rho_M))"
+
+
+def _toral_rows(root_kind: str, l_over_f: str) -> list:
+    """The two C[O] rows over a torus: (M0, G) and the chain (M0, M, G)."""
+    return [
+        (_pd(root_kind, "torus", l_over_f, "other-nontrivial", True), "(M0,G)", None, _TRIVIAL, _C_O),
+        (_pd(root_kind, "chain", l_over_f, "both", False), "(M0,M,G)", None, _TRIVIAL, _C_O),
     ]
-    for i, (desc, case_id) in enumerate(row_defs, start=1):
-        case = PlancherelCase(
-            case_id,
-            omega_ramified=desc.omega_ramified,
-            sigma_induced=desc.chi_cubic,
-            chi2chiprime_ramified=desc.chi2chiprime_ramified,
-            residue_degree=desc.residue_degree,
-            ramification_index=desc.ramification_index,
-        )
-        cls = _classify_from_case(
-            case,
-            xnr_order=2 // desc.ramification_index,
-            r_if_trivial_w=RGroup.unknown(),
-            g0_same=True,
-        )
-        rows.append(TableRow(fam, i, desc, cls, datum_r0))
 
+
+# All rows in reading order: (descriptor, datum, measure case or None for
+# C[O], R(O) when W_O is trivial, G0-side presentation or None when G0 = G).
+# The family comes from the descriptor, the index from the position in it.
+_ROWS = (
+    # long root, depth zero: four cubic-character rows, then "chi not cubic"
+    (_dz("long", omega_ramified=False, chi_cubic=True, chi2chiprime_ramified=False),
+     _DATUM_R0, "long-I", _UNKNOWN, None),
+    (_dz("long", omega_ramified=True, chi_cubic=True, chi2chiprime_ramified=False),
+     _DATUM_R0, "long-II", _UNKNOWN, None),
+    (_dz("long", omega_ramified=False, chi_cubic=True, chi2chiprime_ramified=True),
+     _DATUM_R0, "long-III", _UNKNOWN, None),
+    (_dz("long", omega_ramified=True, chi_cubic=True, chi2chiprime_ramified=True),
+     _DATUM_R0, "long-IV", _UNKNOWN, None),
+    (_dz("long", omega_ramified=False, chi_cubic=False), _DATUM_R0, "long-III", _UNKNOWN, None),
+    (_dz("long", omega_ramified=True, chi_cubic=False), _DATUM_R0, "long-IV", _UNKNOWN, None),
     # r != 0: G0 = M, everything collapses to the translation algebra
-    desc = BlockDescriptor(
-        "long", "essentially-depth-zero", "M0=M", "unramified", omega_ramified=True
-    )
-    cls = BlockClassification(
-        W_TRIVIAL,
-        RGroup.trivial(),
-        W_TRIVIAL,
-        RGroup.trivial(),
-        2,
-        _commutative(),
-        _commutative(),
-    )
-    rows.append(TableRow(fam, 7, desc, cls, datum_rne0))
-    return rows
-
-
-def _build_long_positive() -> list:
-    rows = []
-    fam = "long-positive"
-
-    def D(g0, lf, phi0, phi1):
-        return BlockDescriptor(
-            "long", "positive-depth", g0, lf, phi0_restriction=phi0, phi1_trivial=phi1
-        )
-
-    # T_{beta, pi'} block (ramified torus)
-    desc = D("U_pi(1,1)", "ramified", "sign-character", False)
-    case = PlancherelCase(
-        "long-IV", omega_ramified=True, sigma_induced=False,
-        residue_degree=1, ramification_index=2,
-    )
-    cls = _classify_from_case(
-        case, xnr_order=1, r_if_trivial_w=RGroup.nontrivial(), g0_same=False,
-        g0_pres=_crossed(RGroup.nontrivial()), w_o0=W_TRIVIAL, r_o0=RGroup.nontrivial(),
-    )
-    rows.append(TableRow(fam, 1, desc, cls, "(U_pi'(1,1),G)"))
-
-    rows.append(
-        TableRow(
-            fam, 2, D("torus", "ramified", "other-nontrivial", True),
-            BlockClassification(
-                W_TRIVIAL, RGroup.trivial(), W_TRIVIAL, RGroup.trivial(), 1,
-                _commutative(), _commutative(),
-            ),
-            "(M0,G)",
-        )
-    )
-    rows.append(
-        TableRow(
-            fam, 3, D("chain", "ramified", "both", False),
-            BlockClassification(
-                W_TRIVIAL, RGroup.trivial(), W_TRIVIAL, RGroup.trivial(), 1,
-                _commutative(), _commutative(),
-            ),
-            "(M0,M,G)",
-        )
-    )
-
-    # T_{beta, eps} block (unramified torus)
-    desc = D("U_eps(1,1)", "unramified", "trivial", True)
-    case = PlancherelCase(
-        "long-III", omega_ramified=False, sigma_induced=False,
-        residue_degree=2, ramification_index=1,
-    )
-    cls = _classify_from_case(
-        case, xnr_order=2, r_if_trivial_w=RGroup.trivial(), g0_same=False,
-        g0_pres=_noncomm(1, 1), w_o0=W_ORDER_2, r_o0=RGroup.trivial(),
-    )
-    rows.append(TableRow(fam, 4, desc, cls, "(U_eps(1,1),G)"))
-
-    for i, (g0, phi0, phi1, datum) in enumerate(
-        [("torus", "other-nontrivial", True, "(M0,G)"), ("chain", "both", False, "(M0,M,G)")],
-        start=5,
-    ):
-        rows.append(
-            TableRow(
-                fam, i, D(g0, "unramified", phi0, phi1),
-                BlockClassification(
-                    W_TRIVIAL, RGroup.trivial(), W_TRIVIAL, RGroup.trivial(), 2,
-                    _commutative(), _commutative(),
-                ),
-                datum,
-            )
-        )
-    return rows
-
-
-def _build_short_depth_zero() -> list:
-    rows = []
-    fam = "short-depth-zero"
-    datum_r0 = "((G,M),(y,iota),(M_{y,0},rho_M))"
-    datum_rne0 = "(((M,G),M),(y,iota),(r,0),(phi,1),(M_{y,0},rho_M))"
-
-    for i, omega_ram in enumerate([False, True], start=1):
-        desc = BlockDescriptor(
-            "short", "depth-zero", "G", "unramified", omega_ramified=omega_ram
-        )
-        case = PlancherelCase(
-            "short-I" if not omega_ram else "short-II",
-            omega_ramified=omega_ram,
-            residue_degree=2,
-            ramification_index=1,
-        )
-        cls = _classify_from_case(
-            case, xnr_order=2, r_if_trivial_w=RGroup.unknown(), g0_same=True
-        )
-        rows.append(TableRow(fam, i, desc, cls, datum_r0))
-
-    for i, omega_ram in enumerate([False, True], start=3):
-        desc = BlockDescriptor(
-            "short", "essentially-depth-zero", "M0=M", "unramified", omega_ramified=omega_ram
-        )
-        cls = BlockClassification(
-            W_TRIVIAL, RGroup.trivial(), W_TRIVIAL, RGroup.trivial(), 2,
-            _commutative(), _commutative(),
-        )
-        rows.append(TableRow(fam, i, desc, cls, datum_rne0))
-    return rows
-
-
-def _build_short_positive() -> list:
-    rows = []
-    fam = "short-positive"
-
-    def D(g0, lf, phi0, phi1):
-        return BlockDescriptor(
-            "short", "positive-depth", g0, lf, phi0_restriction=phi0, phi1_trivial=phi1
-        )
-
-    # T_{alpha, pi'} block (ramified torus)
-    desc = D("U_pi(1,1)", "ramified", "trivial", True)
-    case = PlancherelCase("short-I", omega_ramified=False, residue_degree=1, ramification_index=2)
-    cls = _classify_from_case(
-        case, xnr_order=1, r_if_trivial_w=RGroup.trivial(), g0_same=False,
-        g0_pres=_noncomm(1, 1), w_o0=W_ORDER_2, r_o0=RGroup.trivial(),
-    )
-    rows.append(TableRow(fam, 1, desc, cls, "(U_pi'(1,1),G)"))
-
-    desc = D("U_pi(1,1)", "ramified", "sign-character", False)
-    case = PlancherelCase("short-II", omega_ramified=True, residue_degree=1, ramification_index=2)
-    cls = _classify_from_case(
-        case, xnr_order=1, r_if_trivial_w=RGroup.nontrivial(), g0_same=False,
-        g0_pres=_crossed(RGroup.nontrivial()), w_o0=W_TRIVIAL, r_o0=RGroup.nontrivial(),
-    )
-    rows.append(TableRow(fam, 2, desc, cls, "(U_pi'(1,1),G)"))
-
-    for i, (g0, phi0, phi1, datum) in enumerate(
-        [("torus", "other-nontrivial", True, "(M0,G)"), ("chain", "both", False, "(M0,M,G)")],
-        start=3,
-    ):
-        rows.append(
-            TableRow(
-                fam, i, D(g0, "ramified", phi0, phi1),
-                BlockClassification(
-                    W_TRIVIAL, RGroup.trivial(), W_TRIVIAL, RGroup.trivial(), 1,
-                    _commutative(), _commutative(),
-                ),
-                datum,
-            )
-        )
-
-    # T_{alpha, eps} block (unramified torus)
-    desc = D("U_eps(1,1)", "unramified", "trivial", True)
-    case = PlancherelCase("short-I", omega_ramified=False, residue_degree=2, ramification_index=1)
-    cls = _classify_from_case(
-        case, xnr_order=2, r_if_trivial_w=RGroup.trivial(), g0_same=False,
-        g0_pres=_noncomm(1, 1), w_o0=W_ORDER_2, r_o0=RGroup.trivial(),
-    )
-    rows.append(TableRow(fam, 5, desc, cls, "(U_eps(1,1),G)"))
-
-    for i, (g0, phi0, phi1, datum) in enumerate(
-        [("torus", "other-nontrivial", True, "(M0,G)"), ("chain", "both", False, "(M0,M,G)")],
-        start=6,
-    ):
-        rows.append(
-            TableRow(
-                fam, i, D(g0, "unramified", phi0, phi1),
-                BlockClassification(
-                    W_TRIVIAL, RGroup.trivial(), W_TRIVIAL, RGroup.trivial(), 2,
-                    _commutative(), _commutative(),
-                ),
-                datum,
-            )
-        )
-    return rows
-
-
-_BUILDERS = {
-    "long-depth-zero": _build_long_depth_zero,
-    "long-positive": _build_long_positive,
-    "short-depth-zero": _build_short_depth_zero,
-    "short-positive": _build_short_positive,
-}
+    (_edz("long", True), _DATUM_RNE0, None, _TRIVIAL, _C_O),
+    # long root, positive depth: T_{beta,pi'} (ramified torus), then T_{beta,eps}
+    (_pd("long", "U_pi(1,1)", "ramified", "sign-character", False),
+     "(U_pi'(1,1),G)", "long-IV", _NONTRIVIAL, _crossed(_NONTRIVIAL)),
+    *_toral_rows("long", "ramified"),
+    (_pd("long", "U_eps(1,1)", "unramified", "trivial", True),
+     "(U_eps(1,1),G)", "long-III", _TRIVIAL, _noncomm(1, 1)),
+    *_toral_rows("long", "unramified"),
+    # short root, depth zero
+    (_dz("short", omega_ramified=False), _DATUM_R0, "short-I", _UNKNOWN, None),
+    (_dz("short", omega_ramified=True), _DATUM_R0, "short-II", _UNKNOWN, None),
+    (_edz("short", False), _DATUM_RNE0, None, _TRIVIAL, _C_O),
+    (_edz("short", True), _DATUM_RNE0, None, _TRIVIAL, _C_O),
+    # short root, positive depth: T_{alpha,pi'} (ramified torus), then T_{alpha,eps}
+    (_pd("short", "U_pi(1,1)", "ramified", "trivial", True),
+     "(U_pi'(1,1),G)", "short-I", _TRIVIAL, _noncomm(1, 1)),
+    (_pd("short", "U_pi(1,1)", "ramified", "sign-character", False),
+     "(U_pi'(1,1),G)", "short-II", _NONTRIVIAL, _crossed(_NONTRIVIAL)),
+    *_toral_rows("short", "ramified"),
+    (_pd("short", "U_eps(1,1)", "unramified", "trivial", True),
+     "(U_eps(1,1),G)", "short-I", _TRIVIAL, _noncomm(1, 1)),
+    *_toral_rows("short", "unramified"),
+)
 
 _CACHE: dict = {}
 
 
 def table_rows(family: str) -> list:
-    if family not in _BUILDERS:
+    if family not in FAMILIES:
         raise BlocksError(f"unknown family {family!r}; choose from {FAMILIES}")
     if family not in _CACHE:
-        _CACHE[family] = _BUILDERS[family]()
+        specs = [spec for spec in _ROWS if spec[0].family == family]
+        _CACHE[family] = [
+            TableRow(family, i, desc, _classify_row(desc, case_id, r_o, h_g0), datum)
+            for i, (desc, datum, case_id, r_o, h_g0) in enumerate(specs, start=1)
+        ]
     return _CACHE[family]
 
 

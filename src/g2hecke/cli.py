@@ -32,8 +32,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-SCHEMA_VERSION = 1
-
 
 class UsageError(Exception):
     pass
@@ -100,8 +98,21 @@ def _check_hecke(degree_bound: int, seed: int) -> list:
     return results
 
 
+def _oracle_agrees(memo: dict, row) -> bool:
+    """The measure oracle for a row's case, run once per (case, f)."""
+    case_id = row.classification.mu_case
+    if case_id is None:
+        return True
+    key = (case_id, row.descriptor.residue_degree)
+    if key not in memo:
+        case = plancherel.PlancherelCase.from_id(case_id, residue_degree=key[1])
+        memo[key] = plancherel.agrees_with_oracle(plancherel.mu(case))
+    return memo[key]
+
+
 def _check_blocks(allowed) -> list:
     results = []
+    oracle: dict = {}
     for family in blocks.FAMILIES:
         rows = blocks.table_rows(family)
         iso = all(blocks.check_weyl_iso(r.classification) for r in rows)
@@ -111,17 +122,7 @@ def _check_blocks(allowed) -> list:
             for r in rows
             if r.classification.h_g.weights is not None
         )
-        lab = True
-        for r in rows:
-            c = r.classification
-            if c.mu_case is None:
-                continue
-            case = plancherel.PlancherelCase.from_id(
-                c.mu_case, residue_degree=r.descriptor.residue_degree
-            )
-            pipeline = plancherel.labels(plancherel.mu(case)).pair()
-            table = c.h_g.weights.pair() if c.h_g.weights else (0, 0)
-            lab = lab and pipeline == table
+        lab = all(_oracle_agrees(oracle, r) for r in rows)
         results.append(
             {"name": f"blocks/{family}", "ok": iso and red and lus and lab,
              "detail": f"weyl-iso {iso}, ro-reduction {red}, lusztig {lus}, labels {lab}"}
@@ -129,25 +130,30 @@ def _check_blocks(allowed) -> list:
     return results
 
 
-def _check_extquot(max_size: int = 8) -> list:
-    bad = []
-    total = 0
+def _oracle_sweep(max_size: int = 8):
+    """The torsion models of the oracle sweep, as ((n, kind, offset), model)."""
     for n in range(1, max_size + 1):
         kinds = [("trivial", 0), ("identity", 0)]
         kinds += [("inversion", c) for c in range(n)]
         if n % 2 == 0:
             kinds.append(("shift-half", 0))
         for kind, offset in kinds:
-            m = extquot.torsion_model(n, kind, offset=offset)
-            total += 1
-            eq = len(extquot.extended_quotient(m))
-            cp = extquot.crossed_product_irr_count(m)
-            ok = eq == cp
-            if m.gamma is not None:
-                fixed = sum(1 for p in m.points if m.gamma[p] == p)
-                ok = ok and eq == 2 * fixed + (m.size - fixed) // 2
-            if not ok:
-                bad.append((n, kind, offset))
+            yield (n, kind, offset), extquot.torsion_model(n, kind, offset=offset)
+
+
+def _check_extquot(max_size: int = 8) -> list:
+    bad = []
+    total = 0
+    for label, m in _oracle_sweep(max_size):
+        total += 1
+        eq = len(extquot.extended_quotient(m))
+        cp = extquot.crossed_product_irr_count(m)
+        ok = eq == cp
+        if m.gamma is not None:
+            fixed = sum(1 for p in m.points if m.gamma[p] == p)
+            ok = ok and eq == 2 * fixed + (m.size - fixed) // 2
+        if not ok:
+            bad.append(label)
     return [
         {
             "name": "extquot/oracle-sweep",
@@ -250,7 +256,7 @@ def run_check_suite(
         results += _check_matching(torsion_min, torsion_max, seed)
     failures = sum(1 for r in results if not r["ok"])
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": blocks.SCHEMA_VERSION,
         "seed": seed,
         "results": results,
         "failures": failures,
@@ -280,29 +286,22 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _apply_config(args: argparse.Namespace, config: dict):
-    """Config values take precedence over flags."""
-    casts = {
-        "seed": int,
-        "torsion_level": int,
-        "degree_bound": int,
-        "family": str,
-        "format": str,
-        "case": str,
-        "weights": str,
-        "allowed_lusztig": str,
-        "golden_dir": str,
-        "residue_degree": int,
-        "torsion_level": int,
-        "gamma": str,
-        "offset": int,
-        "model": str,
-    }
+def _config_argv(parser: argparse.ArgumentParser, args: argparse.Namespace, config: dict) -> list:
+    """Config entries as ``--key value`` flags of the chosen subcommand.
+
+    They go after the real arguments and argparse keeps the last value, so
+    config wins over flags and each value passes the flag's own validation.
+    Keys that only another subcommand defines are skipped.
+    """
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = {a.dest for p in subparsers.choices.values() for a in p._actions if a.option_strings}
+    out = []
     for key, value in config.items():
-        if key not in casts:
+        if key == "help" or key not in known:
             raise UsageError(f"unknown config key {key!r}")
-        if hasattr(args, key):
-            setattr(args, key, casts[key](value))
+        if key in vars(args):
+            out += [f"--{key.replace('_', '-')}", value]
+    return out
 
 
 def _load_allowed(path: str | None):
@@ -377,7 +376,7 @@ def _cmd_tables(args) -> int:
     families = blocks.FAMILIES if args.family == "all" else (args.family,)
     if args.format == "json":
         doc = {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": blocks.SCHEMA_VERSION,
             "tables": [blocks.emit_table(f) for f in families],
         }
         print(json.dumps(doc, indent=2))
@@ -420,7 +419,7 @@ def _cmd_mu(args) -> int:
 
     a, b = m.extracted()
     doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": blocks.SCHEMA_VERSION,
         "case": args.case,
         "mu_factored": plancherel.render_mu(m),
         "mu_reduced": m.expr.render(),
@@ -453,7 +452,7 @@ def _cmd_hecke(args) -> int:
     )
     report = hecke.verify_relations(pres, args.degree_bound, seed=args.seed)
     if args.format == "json":
-        print(json.dumps({"schema_version": SCHEMA_VERSION, **report.to_json()}, indent=2))
+        print(json.dumps({"schema_version": blocks.SCHEMA_VERSION, **report.to_json()}, indent=2))
     else:
         print(report.summary())
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
@@ -472,7 +471,7 @@ def _cmd_extquot(args) -> int:
     count = len(points)
     oracle = extquot.crossed_product_irr_count(model) if model.cocycles_trivial() else None
     doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": blocks.SCHEMA_VERSION,
         "model": model.to_json(),
         "extended_quotient": [
             {"representative": p.representative, "irrep": p.irrep_label} for p in points
@@ -494,10 +493,11 @@ def _cmd_extquot(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(args, _load_config(args.config))
+            args = parser.parse_args(argv + _config_argv(parser, args, _load_config(args.config)))
         handler = {
             "tables": _cmd_tables,
             "check": _cmd_check,

@@ -193,6 +193,8 @@ class FiniteOrbitModel:
 
     @staticmethod
     def from_json(doc: dict) -> "FiniteOrbitModel":
+        if not isinstance(doc, dict) or "points" not in doc or "translation" not in doc:
+            raise ExtQuotError("a model is a JSON object with 'points' and 'translation'")
         points = doc["points"]
         key = {str(p): p for p in points}
         tr = {key[k]: v for k, v in doc["translation"].items()}

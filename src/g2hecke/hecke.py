@@ -452,6 +452,8 @@ def verify_relations(
     """
     import random
 
+    if degree_bound < 0:
+        raise HeckeError("degree bound must be non-negative")
     mul = multiply_impl or multiply
     checks = []
     b = degree_bound

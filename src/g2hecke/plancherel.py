@@ -8,16 +8,21 @@ say what X means case by case.  Conductor powers and the positive constant in
 front are bundled into one opaque positive symbol c, which never affects
 zeros or labels.
 
-From the factored measure the routine extracts the parameter pair
-(q_alpha, q_alpha*) as integer powers of q, converts it into the weight
-labels
+The measure is kept as its factors (1 +- q^-k X^e), each paired over
+e = 1 and e = -1, and everything is read off them.  The denominator pair
+(1 - q^-a X^+-1) gives q_alpha = q^a and the pair (1 + q^-b X^+-1) gives
+q_alpha* = q^b (an absent pair gives exponent 0); these convert into the
+weight labels
 
     lambda  = log_q(q_alpha * q_alpha*),
-    lambda* = |log_q(q_alpha / q_alpha*)|,
+    lambda* = |log_q(q_alpha / q_alpha*)|.
 
-and reads off the rank-1 Weyl group from the zeros of the measure on the
-unit circle: a zero at X = 1 or X = -1 forces an order-2 group, no zero
-means the group is trivial.
+The numerator factors with no power of q are the zeros on the unit circle:
+(1 - X^+-1) vanishes at X = 1 and (1 + X^+-1) at X = -1, unless the
+denominator carries the same factor.  A zero forces an order-2 rank-1 Weyl
+group, no zero means the group is trivial.  The reduced rational function,
+Silberger's normal form and root stripping are kept as the independent
+oracle for these readings (``agrees_with_oracle``).
 
 Unit values of the relevant characters at uniformizers are restricted to
 {+1, -1}; this covers every implemented case and keeps zero detection exact.
@@ -25,7 +30,7 @@ Unit values of the relevant characters at uniformizers are restricted to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .exactalg import LaurentExpr, RationalExpr, eval_unit_circle_zeros, ring
@@ -42,6 +47,7 @@ __all__ = [
     "mu",
     "labels",
     "weyl_from_zeros",
+    "agrees_with_oracle",
     "solve_matching",
     "silberger_form",
     "render_mu",
@@ -151,22 +157,40 @@ class PlancherelCase:
 
 @dataclass(frozen=True)
 class MuFunction:
-    """The symbolic measure of one case, with its extracted parameters.
+    """The factored measure of one case.
 
-    ``q_alpha_exp`` and ``q_alpha_star_exp`` are the exponents a, b with
-    q_alpha = q^a and q_alpha* = q^b; both lie in {0, 1, 2}.
+    Each factor is a (sign, qexp, xexp) tuple standing for
+    (1 + sign * q^-qexp * X^xexp); the opaque prefactor c is left implicit.
+    Everything else is read off the factors:
+
+    * q_alpha = q^a from the (1 - q^-a X^+-1) denominator pair and
+      q_alpha* = q^b from the (1 + q^-b X^+-1) pair, 0 for an absent pair;
+    * the unit-circle zeros: X = -sign for each numerator factor with
+      qexp 0, minus those of the denominator.
     """
 
     case_id: str
-    expr: RationalExpr
-    q_alpha_exp: int
-    q_alpha_star_exp: int
     substitutions: tuple
-    num_factors: tuple = field(default=())
-    den_factors: tuple = field(default=())
+    num_factors: tuple
+    den_factors: tuple
 
     def extracted(self) -> tuple:
-        return (self.q_alpha_exp, self.q_alpha_star_exp)
+        """The exponents (a, b) with q_alpha = q^a and q_alpha* = q^b."""
+        qexp = {sign: q for sign, q, _ in self.den_factors}
+        return (qexp.get(-1, 0), qexp.get(1, 0))
+
+    def zeros(self) -> set:
+        """The points X = +1 or -1 where the measure vanishes."""
+
+        def units(factors):
+            return {-sign for sign, q, _ in factors if q == 0}
+
+        return units(self.num_factors) - units(self.den_factors)
+
+    @property
+    def expr(self) -> RationalExpr:
+        """The reduced rational function; its gcd runs on every access."""
+        return RationalExpr(*_products(self.num_factors, self.den_factors))
 
 
 def _factor(sign: int, qexp: int, xexp: int) -> LaurentExpr:
@@ -174,82 +198,60 @@ def _factor(sign: int, qexp: int, xexp: int) -> LaurentExpr:
     return MU_RING.one() + MU_RING.monomial({"v": -2 * qexp, "X": xexp}, sign)
 
 
+def _expand(pairs) -> tuple:
+    """Each (sign, qexp) pair as its two factors in X and X^-1."""
+    return tuple((sign, qexp, xexp) for sign, qexp in pairs for xexp in (1, -1))
+
+
+def _products(num_factors, den_factors) -> tuple:
+    """The unreduced numerator c * prod(num) and denominator prod(den)."""
+    num = MU_RING.var("c")
+    for shape in num_factors:
+        num = num * _factor(*shape)
+    den = MU_RING.one()
+    for shape in den_factors:
+        den = den * _factor(*shape)
+    return num, den
+
+
+def _silberger_products(a_exp: int, b_exp: int) -> tuple:
+    return _products(_expand([(-1, 0), (1, 0)]), _expand([(-1, a_exp), (1, b_exp)]))
+
+
 def silberger_form(a_exp: int, b_exp: int) -> RationalExpr:
     """The normal form c * prod(1 +- X^{+-1}) / prod(1 +- q_*^{-1} X^{+-1}).
 
     The first factor pair carries q_alpha = q^a, the second q_alpha* = q^b.
     """
-    one = MU_RING.one()
-    num = one
-    for sign in (-1, 1):
-        for xexp in (1, -1):
-            num = num * _factor(sign, 0, xexp)
-    den = one
-    for sign, qexp in ((-1, a_exp), (1, b_exp)):
-        for xexp in (1, -1):
-            den = den * _factor(sign, qexp, xexp)
-    return RationalExpr(MU_RING.var("c") * num, den)
+    return RationalExpr(*_silberger_products(a_exp, b_exp))
 
 
-_CASE_FACTORS = {
-    # case -> (numerator (sign, qexp, xexp) list, denominator list, substitutions)
-    "long-I": (
-        [(-1, 0, 1), (-1, 0, -1), (1, 0, 1), (1, 0, -1)],
-        None,  # denominator depends on f; filled in mu()
-        ("X = omega(pi_F) q^(-2s)", "X = -chi^2 chi'^(-1)(pi_L) q_L^(-s)"),
-    ),
-    "long-II": (
-        [(-1, 0, 1), (-1, 0, -1)],
-        None,
-        ("X = chi^2 chi'^(-1)(pi_L) q_L^(-s)",),
-    ),
-    "long-III": (
-        [(-1, 0, 1), (-1, 0, -1)],
-        [(-1, 1, 1), (-1, 1, -1)],
-        ("X = omega(pi_F) q^(-2s)",),
-    ),
-    "long-IV": ([], [], ()),
-    "short-I": (
-        [(-1, 0, 1), (-1, 0, -1)],
-        [(-1, 1, 1), (-1, 1, -1)],
-        ("X = omega(pi_F) q^(-2s)",),
-    ),
-    "short-II": ([], [], ()),
+def _case_pairs(case_id: str, f: int) -> tuple:
+    """(numerator pairs, denominator pairs) of one case, as (sign, qexp)."""
+    return {
+        "long-I": ([(-1, 0), (1, 0)], [(-1, 1), (1, f)]),
+        "long-II": ([(-1, 0)], [(-1, f)]),
+        "long-III": ([(-1, 0)], [(-1, 1)]),
+        "long-IV": ([], []),
+        "short-I": ([(-1, 0)], [(-1, 1)]),
+        "short-II": ([], []),
+    }[case_id]
+
+
+_SUBSTITUTIONS = {
+    "long-I": ("X = omega(pi_F) q^(-2s)", "X = -chi^2 chi'^(-1)(pi_L) q_L^(-s)"),
+    "long-II": ("X = chi^2 chi'^(-1)(pi_L) q_L^(-s)",),
+    "long-III": ("X = omega(pi_F) q^(-2s)",),
+    "long-IV": (),
+    "short-I": ("X = omega(pi_F) q^(-2s)",),
+    "short-II": (),
 }
 
 
 def mu(case: PlancherelCase) -> MuFunction:
-    """Assemble the factored measure of one case and extract its parameters."""
-    f = case.residue_degree
-    num_shape, den_shape, subs = _CASE_FACTORS[case.case_id]
-    if case.case_id == "long-I":
-        den_shape = [(-1, 1, 1), (-1, 1, -1), (1, f, 1), (1, f, -1)]
-        extracted = (1, f)
-    elif case.case_id == "long-II":
-        den_shape = [(-1, f, 1), (-1, f, -1)]
-        extracted = (f, 0)
-    elif case.case_id in ("long-III", "short-I"):
-        extracted = (1, 0)
-    else:
-        extracted = (0, 0)
-
-    one = MU_RING.one()
-    num = MU_RING.var("c")
-    for sign, qexp, xexp in num_shape:
-        num = num * _factor(sign, qexp, xexp)
-    den = one
-    for sign, qexp, xexp in den_shape:
-        den = den * _factor(sign, qexp, xexp)
-    expr = RationalExpr(num, den)
-    return MuFunction(
-        case.case_id,
-        expr,
-        extracted[0],
-        extracted[1],
-        subs,
-        tuple(num_shape),
-        tuple(den_shape),
-    )
+    """The factored measure of one case; no rational function is built."""
+    num, den = _case_pairs(case.case_id, case.residue_degree)
+    return MuFunction(case.case_id, _SUBSTITUTIONS[case.case_id], _expand(num), _expand(den))
 
 
 def labels(m: MuFunction) -> WeightFunction:
@@ -262,8 +264,20 @@ def labels(m: MuFunction) -> WeightFunction:
 
 def weyl_from_zeros(m: MuFunction) -> str:
     """Order-2 exactly when the measure vanishes somewhere on the unit circle."""
-    zeros = eval_unit_circle_zeros(m.expr, "X")
-    return W_ORDER_2 if zeros else W_TRIVIAL
+    return W_ORDER_2 if m.zeros() else W_TRIVIAL
+
+
+def agrees_with_oracle(m: MuFunction) -> bool:
+    """Whether the readings off the factors survive the reduced measure.
+
+    The reduced measure must equal Silberger's normal form for the extracted
+    pair, and its unit-circle zeros, found by root stripping, must equal the
+    zeros read off the factors.  Both sides are compared cross-multiplied, so
+    the normal form needs no gcd of its own.
+    """
+    expr = m.expr
+    num, den = _silberger_products(*m.extracted())
+    return expr.num * den == num * expr.den and eval_unit_circle_zeros(expr, "X") == m.zeros()
 
 
 def solve_matching(case: PlancherelCase) -> bool:

@@ -9,14 +9,13 @@ import time
 from importlib import resources
 
 from g2hecke.blocks import FAMILIES, check_ro_reduction, check_weyl_iso, emit_table, table_rows
-from g2hecke.cli import _matching_corpus
+from g2hecke.cli import _matching_corpus, _oracle_sweep
 from g2hecke.extquot import (
     check_property,
     crossed_product_irr_count,
     depth_zero_transfer,
     extended_quotient,
     matching_bijection,
-    torsion_model,
     ExtQuotError,
 )
 from g2hecke.hecke import (
@@ -124,19 +123,13 @@ def test_criterion_5_hecke_relations():
 def test_criterion_6_extended_quotient_oracle():
     t0 = time.monotonic()
     models = 0
-    for n in range(1, 9):
-        kinds = [("trivial", 0), ("identity", 0)]
-        kinds += [("inversion", c) for c in range(n)]
-        if n % 2 == 0:
-            kinds.append(("shift-half", 0))
-        for kind, offset in kinds:
-            m = torsion_model(n, kind, offset=offset)
-            models += 1
-            eq = len(extended_quotient(m))
-            assert eq == crossed_product_irr_count(m), (n, kind, offset)
-            if m.gamma is not None:
-                k = sum(1 for p in m.points if m.gamma[p] == p)
-                assert eq == 2 * k + (m.size - k) // 2, (n, kind, offset)
+    for label, m in _oracle_sweep(8):
+        models += 1
+        eq = len(extended_quotient(m))
+        assert eq == crossed_product_irr_count(m), label
+        if m.gamma is not None:
+            k = sum(1 for p in m.points if m.gamma[p] == p)
+            assert eq == 2 * k + (m.size - k) // 2, label
     _report(6, f"quotient count = crossed-product count on all {models} models", t0, 30.0)
 
 

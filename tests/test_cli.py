@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from g2hecke import blocks, plancherel
 from g2hecke.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -53,6 +54,23 @@ def test_check_green_suite(capsys):
     assert "0 failures" in out
 
 
+@pytest.mark.parametrize(
+    "method,sabotage",
+    [
+        # the labels (a + b, |a - b|) do not see this swap; only the oracle does
+        ("extracted", lambda real, m: real(m)[::-1]),
+        ("zeros", lambda real, m: real(m) - {-1}),
+    ],
+)
+def test_check_blocks_fails_on_sabotaged_reading(monkeypatch, capsys, method, sabotage):
+    real = getattr(plancherel.MuFunction, method)
+    monkeypatch.setattr(plancherel.MuFunction, method, lambda m: sabotage(real, m))
+    monkeypatch.setattr(blocks, "_CACHE", {})
+    code, out, _ = run(capsys, "check", "--part", "blocks")
+    assert code == EXIT_CHECK_FAILED
+    assert "labels False" in out
+
+
 def test_check_fails_on_tampered_golden(tmp_path, capsys):
     src = resources.files("g2hecke").joinpath("data/tables")
     for fam in ("long_depth_zero", "long_positive", "short_depth_zero", "short_positive"):
@@ -84,6 +102,12 @@ def test_hecke_subcommand(capsys):
     assert code == EXIT_USAGE
 
 
+def test_hecke_negative_degree_bound(capsys):
+    code, _, err = run(capsys, "hecke", "--weights", "2,2", "--degree-bound", "-1")
+    assert code == EXIT_USAGE
+    assert "degree bound" in err
+
+
 def test_extquot_subcommand(capsys):
     code, out, _ = run(capsys, "extquot", "--torsion-level", "3", "--gamma", "inversion", "--format", "json")
     assert code == EXIT_OK
@@ -108,6 +132,17 @@ def test_extquot_model_file(tmp_path, capsys):
     assert doc["crossed_product_count"] == 5
 
 
+@pytest.mark.parametrize(
+    "doc", [[0, 1], {"translation": {"0": 0}}, {"points": [0]}], ids=["list", "no-points", "no-translation"]
+)
+def test_extquot_malformed_model_file(tmp_path, capsys, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "extquot", "--model", str(path))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
+
+
 def test_config_file_overrides_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family = short-depth-zero\nformat = json\n")
@@ -128,6 +163,13 @@ def test_config_errors(tmp_path, capsys):
     unknown.write_text("mystery = 1\n")
     code, _, err = run(capsys, "--config", str(unknown), "tables")
     assert code == EXIT_USAGE
+    # config values pass the same type and choice checks as flags
+    for entry, command in (("seed = abc", "check"), ("format = xml", "tables")):
+        invalid = tmp_path / "invalid.cfg"
+        invalid.write_text(entry + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(invalid), command])
+        assert exc.value.code == EXIT_USAGE
 
 
 def test_usage_error_exit_code():

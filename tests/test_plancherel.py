@@ -1,5 +1,6 @@
 import pytest
 
+from g2hecke.blocks import FAMILIES, table_rows
 from g2hecke.exactalg import eval_unit_circle_zeros
 from g2hecke.plancherel import (
     CASE_IDS,
@@ -17,17 +18,39 @@ from g2hecke.plancherel import (
 )
 
 # (case, residue degree f) -> extracted exponents and labels, from the case
-# formulas with q_L = q^f
+# formulas with q_L = q^f; the keys are the pairs the block tables use
 EXPECTED = {
     ("long-I", 2): ((1, 2), (3, 1)),
     ("long-II", 2): ((2, 0), (2, 2)),
     ("long-III", 2): ((1, 0), (1, 1)),
     ("long-IV", 2): ((0, 0), (0, 0)),
+    ("long-IV", 1): ((0, 0), (0, 0)),
     ("short-I", 2): ((1, 0), (1, 1)),
     ("short-II", 2): ((0, 0), (0, 0)),
     ("short-I", 1): ((1, 0), (1, 1)),
     ("short-II", 1): ((0, 0), (0, 0)),
 }
+
+# zeros on the unit circle, the same for both residue degrees: long-I keeps
+# both orbits of numerator factors, the (1 - X)(1 - X^-1) pair gives X = 1
+ZEROS = {
+    "long-I": {1, -1},
+    "long-II": {1},
+    "long-III": {1},
+    "long-IV": set(),
+    "short-I": {1},
+    "short-II": set(),
+}
+
+
+def test_expected_pairs_are_the_table_pairs():
+    used = {
+        (r.classification.mu_case, r.descriptor.residue_degree)
+        for fam in FAMILIES
+        for r in table_rows(fam)
+        if r.classification.mu_case is not None
+    }
+    assert used == set(EXPECTED)
 
 
 @pytest.mark.parametrize("case_id,f", sorted(EXPECTED))
@@ -39,10 +62,9 @@ def test_extraction_and_labels(case_id, f):
 
 
 def test_mu_matches_silberger_normal_form():
-    for case_id in CASE_IDS:
-        m = mu(PlancherelCase.from_id(case_id))
-        a, b = m.extracted()
-        assert m.expr == silberger_form(a, b), case_id
+    for case_id, f in sorted(EXPECTED):
+        m = mu(PlancherelCase.from_id(case_id, residue_degree=f))
+        assert m.expr == silberger_form(*m.extracted()), (case_id, f)
 
 
 def test_mu_symmetric_under_inverting_x():
@@ -71,12 +93,10 @@ def test_weyl_verdict_matches_labels():
 
 
 def test_zero_locations_case_by_case():
-    # long-I keeps both orbits of numerator factors: zeros at +1 and -1
-    assert eval_unit_circle_zeros(mu(PlancherelCase.from_id("long-I")).expr, "X") == {1, -1}
-    # long-II and long-III keep only the (1 - X)(1 - X^-1) pair
-    assert eval_unit_circle_zeros(mu(PlancherelCase.from_id("long-II")).expr, "X") == {1}
-    assert eval_unit_circle_zeros(mu(PlancherelCase.from_id("long-III")).expr, "X") == {1}
-    assert eval_unit_circle_zeros(mu(PlancherelCase.from_id("long-IV")).expr, "X") == set()
+    for case_id, f in sorted(EXPECTED):
+        m = mu(PlancherelCase.from_id(case_id, residue_degree=f))
+        assert eval_unit_circle_zeros(m.expr, "X") == ZEROS[case_id], (case_id, f)
+        assert m.zeros() == ZEROS[case_id], (case_id, f)
 
 
 def test_solve_matching():

@@ -57,8 +57,12 @@ def _check_tables(golden_dir: str | None) -> list:
         if golden_dir is None:
             want = _golden_table(family)
         else:
-            with open(f"{golden_dir}/{family.replace('-', '_')}.json") as f:
-                want = json.load(f)
+            path = f"{golden_dir}/{family.replace('-', '_')}.json"
+            try:
+                with open(path) as f:
+                    want = json.load(f)
+            except (OSError, json.JSONDecodeError) as e:
+                raise UsageError(f"unreadable golden table: {e}")
         ok = emitted == want
         results.append(
             {
@@ -312,7 +316,10 @@ def _load_allowed(path: str | None):
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise UsageError(f"unreadable allowed-pairs file: {e}")
-    return {tuple(p) for p in doc["allowed_pairs"]}
+    pairs = doc.get("allowed_pairs") if isinstance(doc, dict) else None
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise UsageError(f"{path}: expected an object whose 'allowed_pairs' is a list of [lambda, lambda*]")
+    return {tuple(p) for p in pairs}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -499,7 +499,8 @@ def _poly_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
     def primitive(h: dict):
         cont = content(h)
         pp = _poly_div_exact(h, cont)
-        assert pp is not None
+        if pp is None:
+            raise NonExactDivision("the content does not divide the polynomial")
         return cont, pp
 
     cf, pf = primitive(f)
@@ -580,7 +581,8 @@ class RationalExpr:
         if g != {(0,) * ctx.nvars: Fraction(1)}:
             np2 = _poly_div_exact(np_, g)
             dp2 = _poly_div_exact(dp, g)
-            assert np2 is not None and dp2 is not None
+            if np2 is None or dp2 is None:
+                raise NonExactDivision("the gcd does not divide numerator and denominator")
             np_, dp = np2, dp2
         # anchor the denominator at exponent 0 per slot; the numerator absorbs
         # the shift and may legitimately stay Laurent

@@ -197,11 +197,14 @@ class FiniteOrbitModel:
             raise ExtQuotError("a model is a JSON object with 'points' and 'translation'")
         points = doc["points"]
         key = {str(p): p for p in points}
-        tr = {key[k]: v for k, v in doc["translation"].items()}
-        gamma = doc.get("gamma")
-        if gamma is not None:
-            gamma = {key[k]: v for k, v in gamma.items()}
-        cocycles = {key[k]: v for k, v in (doc.get("cocycles") or {}).items()}
+        try:
+            tr = {key[k]: v for k, v in doc["translation"].items()}
+            gamma = doc.get("gamma")
+            if gamma is not None:
+                gamma = {key[k]: v for k, v in gamma.items()}
+            cocycles = {key[k]: v for k, v in (doc.get("cocycles") or {}).items()}
+        except KeyError as e:
+            raise ExtQuotError(f"model names an unknown point {e.args[0]!r}")
         return FiniteOrbitModel(points, tr, gamma, cocycles)
 
     def __repr__(self):

@@ -17,8 +17,15 @@ Multiplication uses three rules:
           (q^lam - 1 + X^{-1} (v^{lam+lam_star} - v^{lam-lam_star}))
           * (theta_x - theta_{s(x)}) / (1 - X^{-2}),
 
-  where X = theta_1 and the displayed quotient is an exact Laurent
-  polynomial; a non-exact division here is an implementation bug and raises.
+  where X = theta_1.  The quotient has the closed form
+
+      (theta_{-y} - theta_y) / (1 - X^{-2}) = -sgn(y) sum_{k<|y|} theta_{|y|-2k},
+
+  which the relation harness checks against exact division in ``exactalg``.
+
+The product works on flat (x, w, v-exponent) -> coefficient terms, with int
+coefficients unless a caller supplied a Fraction, and builds one Laurent
+coefficient per output basis vector at the end.
 
 Presentations of general rank are representable as data but multiplication
 for a finite part of order > 2 is deliberately rejected rather than half
@@ -33,7 +40,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable, Mapping
 
-from .exactalg import LaurentExpr, NonExactDivision, exact_div, ring
+from .exactalg import LaurentExpr, exact_div, ring
+from .rootdata import affine_mul
 
 __all__ = [
     "WeightFunction",
@@ -60,7 +68,6 @@ class HeckeError(ValueError):
 
 # one shared coefficient ring: v with q = v^2, X the rank-1 lattice variable
 COEFF_RING = ring(["v", "X"], {"v": "q"})
-_V = COEFF_RING.var("v")
 _X = COEFF_RING.var("X")
 _ONE = COEFF_RING.one()
 
@@ -75,7 +82,7 @@ class WeightFunction:
     def __post_init__(self):
         if len(self.lam) != len(self.lam_star):
             raise HeckeError("lam and lam_star must label the same roots")
-        if any(x < 0 for x in self.lam + self.lam_star):
+        if any(not isinstance(x, int) or x < 0 for x in self.lam + self.lam_star):
             raise HeckeError("weight labels must be nonnegative integers")
 
     @staticmethod
@@ -282,44 +289,40 @@ def one(pres: AffineHeckePresentation) -> HeckeElement:
     return basis_element(pres, 0, 0)
 
 
-def _structure_constants(pres: AffineHeckePresentation, rule_sign: int):
-    """(q^lam, commutation coefficient g) for the order-2 presentation.
+def _commutation_quotient(y: int) -> list:
+    """(theta_{-y} - theta_y) / (1 - X^{-2}) as (exponent, sign) pairs.
 
-    g = q^lam - 1 + X^{-1} (v^{lam+lam_star} - v^{lam-lam_star}); when the
-    labels have equal parity every v-exponent in sight is even, which is
-    asserted because downstream tables rely on integral q-powers.
+    The quotient is -sgn(y) * sum_{k < |y|} theta_{|y| - 2k}, empty at y = 0.
+    """
+    sign = -1 if y > 0 else 1
+    return [(abs(y) - 2 * k, sign) for k in range(abs(y))]
+
+
+def _structure_constants(pres: AffineHeckePresentation, rule_sign: int) -> list:
+    """The commutation coefficient g as (X-shift, v-exponent, sign) triples.
+
+    g = q^lam - 1 + X^{-1} (v^{lam+lam_star} - v^{lam-lam_star}); a pair of
+    terms that cancels (lam = 0 or lam_star = 0) is left out.
     ``rule_sign = -1`` deliberately flips the sign of the X-exponent, which
-    destroys consistency with the quadratic relation whenever lam_star > 0;
-    it exists only as a negative control for the verification harness.
+    destroys consistency with the quadratic relation whenever lam_star > 0; it
+    exists only as a negative control for the verification harness.
     """
     lam, lam_star = pres.weights.pair()
-    q_lam = COEFF_RING.monomial({"v": 2 * lam})
-    g = (
-        q_lam
-        - _ONE
-        + (_X ** (-rule_sign)) * (COEFF_RING.monomial({"v": lam + lam_star}) - COEFF_RING.monomial({"v": lam - lam_star}))
-    )
-    if (lam + lam_star) % 2 == 0:
-        bad = [e for e in g.terms if e[COEFF_RING.index["v"]] % 2]
-        assert not bad, "odd power of v in structure constants with even labels"
-    return q_lam, g
+    g = []
+    if lam:
+        g += [(0, 2 * lam, 1), (0, 0, -1)]
+    if lam_star:
+        g += [(-rule_sign, lam + lam_star, 1), (-rule_sign, lam - lam_star, -1)]
+    return g
 
 
-def _theta_poly(x: int) -> LaurentExpr:
-    return COEFF_RING.monomial({"X": x})
-
-
-def _split_theta_poly(p: LaurentExpr) -> dict:
-    """Decompose a Laurent polynomial in (v, X) as sum_k c_k(v) * theta_k."""
-    xi = COEFF_RING.index["X"]
-    out: dict = {}
-    for e, c in p.terms.items():
-        k = e[xi]
-        e0 = list(e)
-        e0[xi] = 0
-        cur = out.get(k, COEFF_RING.zero())
-        out[k] = cur + LaurentExpr(COEFF_RING, {tuple(e0): c})
-    return {k: c for k, c in out.items() if not c.is_zero()}
+def _flat_terms(h: HeckeElement) -> list:
+    """(x, w, v-exponent, coefficient) terms; integral coefficients become int."""
+    return [
+        (x, w, ev, c.numerator if c.denominator == 1 else c)
+        for (x, w), coeff in h.terms.items()
+        for (ev, _), c in coeff.terms.items()
+    ]
 
 
 def _multiply(a: HeckeElement, b: HeckeElement, rule_sign: int = 1) -> HeckeElement:
@@ -328,55 +331,38 @@ def _multiply(a: HeckeElement, b: HeckeElement, rule_sign: int = 1) -> HeckeElem
     pres = a.pres
     if pres.lattice_rank != 1:
         raise HeckeError("multiplication is implemented for rank-1 lattices only")
-    if pres.weyl_order > 2:
-        raise HeckeError("finite Weyl parts of order > 2 are rejected")
+    g, two_lam = [], 0
+    if pres.weyl_order == 2:
+        g, two_lam = _structure_constants(pres, rule_sign), 2 * pres.weights.pair()[0]
     out: dict = {}
 
-    def add(x: int, w: int, c: LaurentExpr):
-        if c.is_zero():
-            return
-        k = (x, w)
-        s = out.get(k, COEFF_RING.zero()) + c
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
+    def add(x: int, w: int, e: int, c):
+        out[x, w, e] = out.get((x, w, e), 0) + c
 
-    if pres.weyl_order == 1:
-        for (x, _), ca in a.terms.items():
-            for (y, _), cb in b.terms.items():
-                add(x + y, 0, ca * cb)
-        return HeckeElement(pres, out)
-
-    q_lam, g = _structure_constants(pres, rule_sign)
-
-    for (x, w), ca in a.terms.items():
-        for (y, u), cb in b.terms.items():
-            c = ca * cb
+    right = _flat_terms(b)
+    for x, w, e1, c1 in _flat_terms(a):
+        for y, u, e2, c2 in right:
+            c, e = c1 * c2, e1 + e2
             if w == 0:
-                add(x + y, u, c)
+                add(x + y, u, e, c)
                 continue
-            # T_s theta_y = theta_{-y} T_s - g * (theta_{-y} - theta_y)/(1 - X^-2)
-            correction = COEFF_RING.zero()
-            if y != 0:
-                diff = _theta_poly(-y) - _theta_poly(y)
-                quot = exact_div(diff, _ONE - _theta_poly(-2))
-                correction = g * quot
-            # theta_x T_s theta_y T_u = theta_{x-y} T_s T_u - theta_x*correction*T_u
-            lead = _theta_poly(x - y)
+            # theta_x T_s theta_y T_u = theta_{x-y} T_s T_u - theta_x g Q(y) T_u
             if u == 0:
-                for k, cv in _split_theta_poly(lead).items():
-                    add(k, 1, c * cv)
+                add(x - y, 1, e, c)
             else:
                 # T_s T_s = (q^lam - 1) T_s + q^lam
-                for k, cv in _split_theta_poly(lead).items():
-                    add(k, 1, c * cv * (q_lam - _ONE))
-                    add(k, 0, c * cv * q_lam)
-            if not correction.is_zero():
-                corr = _theta_poly(x) * correction
-                for k, cv in _split_theta_poly(corr).items():
-                    add(k, u, -c * cv)
-    return HeckeElement(pres, out)
+                add(x - y, 1, e + two_lam, c)
+                add(x - y, 1, e, -c)
+                add(x - y, 0, e + two_lam, c)
+            quotient = _commutation_quotient(y)
+            for shift, ge, gs in g:
+                for k, ks in quotient:
+                    add(x + shift + k, u, e + ge, -c * gs * ks)
+    coeffs: dict = {}
+    for (x, w, e), c in out.items():
+        if c:
+            coeffs.setdefault((x, w), {})[e, 0] = Fraction(c)
+    return HeckeElement(pres, {k: LaurentExpr(COEFF_RING, t) for k, t in coeffs.items()})
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -426,12 +412,6 @@ class RelationReport:
                 {"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks
             ],
         }
-
-
-def _group_algebra_product(t1: tuple, t2: tuple) -> tuple:
-    """Multiplication in Z rtimes {+-1}: the q -> 1 degeneration oracle."""
-    (x, w), (y, u) = t1, t2
-    return (x + (y if w == 0 else -y), (w + u) % 2)
 
 
 def verify_relations(
@@ -513,18 +493,18 @@ def verify_relations(
             break
     checks.append(CheckResult("associativity", ok, detail))
 
-    # 4. exactness of the commutation quotient
+    # 4. the closed-form commutation quotient against exact division
     ok = True
     detail = f"x in [-{b}, {b}]"
     if pres.weyl_order == 2:
         for x in range(-b, b + 1):
-            if x == 0:
-                continue
-            try:
-                exact_div(_theta_poly(-x) - _theta_poly(x), _ONE - _theta_poly(-2))
-            except NonExactDivision:
+            closed = sum(
+                (COEFF_RING.monomial({"X": k}, sign) for k, sign in _commutation_quotient(x)),
+                COEFF_RING.zero(),
+            )
+            if closed != exact_div(_X ** -x - _X ** x, _ONE - _X ** -2):
                 ok = False
-                detail = f"non-polynomial quotient at x = {x}"
+                detail = f"closed-form quotient differs from exact division at x = {x}"
                 break
     checks.append(CheckResult("bernstein-exact-division", ok, detail))
 
@@ -549,8 +529,8 @@ def verify_relations(
     for (x, w) in basis:
         for (y, u) in basis:
             got = mul(elem(x, w), elem(y, u)).specialize_v(1)
-            want_key = _group_algebra_product((x, w), (y, u))
-            want = {want_key: _ONE}
+            n, sign = affine_mul((x, 1 - 2 * w), (y, 1 - 2 * u))
+            want = {(n, (1 - sign) // 2): _ONE}
             got = {k: c for k, c in got.items() if not c.is_zero()}
             if got != want:
                 ok = False

@@ -81,6 +81,10 @@ def test_check_fails_on_tampered_golden(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "--part", "tables", "--golden-dir", str(tmp_path))
     assert code == EXIT_CHECK_FAILED
     assert "FAIL" in out
+    (tmp_path / "short_positive.json").unlink()
+    code, _, err = run(capsys, "check", "--part", "tables", "--golden-dir", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
 
 
 def test_mu_text(capsys):
@@ -133,7 +137,16 @@ def test_extquot_model_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "doc", [[0, 1], {"translation": {"0": 0}}, {"points": [0]}], ids=["list", "no-points", "no-translation"]
+    "doc",
+    [
+        [0, 1],
+        {"translation": {"0": 0}},
+        {"points": [0]},
+        {"points": [0], "translation": {"5": 0}},
+        {"points": [0], "translation": {"0": 0}, "gamma": {"5": 0}},
+        {"points": [0], "translation": {"0": 0}, "cocycles": {"5": 1}},
+    ],
+    ids=["list", "no-points", "no-translation", "unknown-key", "unknown-gamma-key", "unknown-cocycle-key"],
 )
 def test_extquot_malformed_model_file(tmp_path, capsys, doc):
     path = tmp_path / "model.json"
@@ -200,3 +213,8 @@ def test_allowed_lusztig_override(tmp_path, capsys):
     )
     assert code == EXIT_CHECK_FAILED
     assert "lusztig False" in out
+    for malformed in ({"pairs": [[9, 9]]}, {"allowed_pairs": [1, 2]}):
+        allowed.write_text(json.dumps(malformed))
+        code, _, err = run(capsys, "check", "--part", "blocks", "--allowed-lusztig", str(allowed))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:")

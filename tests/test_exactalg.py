@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from g2hecke import exactalg
 from g2hecke.exactalg import (
     NonExactDivision,
     RationalExpr,
@@ -146,6 +147,25 @@ def test_exact_division():
     assert exact_div(X ** -2 - X ** 2, one - X ** -2) == -(X ** 2) - one
     with pytest.raises(NonExactDivision):
         exact_div(one - X, one + X)
+
+
+@pytest.mark.parametrize("depth, match", [(0, "gcd"), (1, "content")], ids=["reduction", "content"])
+def test_gcd_that_does_not_divide_raises(monkeypatch, depth, match):
+    # depth 0: RationalExpr gets the non-divisor; depth 1: the content inside the gcd does
+    honest = exactalg._poly_gcd
+    calls = []
+
+    def non_divisor(f, g, slot, nvars):
+        calls.append(slot)
+        if len(calls) <= depth:
+            return honest(f, g, slot, nvars)
+        return {(1, 0): Fraction(1), (0, 0): Fraction(3)}
+
+    monkeypatch.setattr(exactalg, "_poly_gcd", non_divisor)
+    R = make_ring()
+    v, X, one = R.var("v"), R.var("X"), R.one()
+    with pytest.raises(NonExactDivision, match=match):
+        RationalExpr(v * X + one, v * X - one)
 
 
 def _silberger(R, a, b):

@@ -1,11 +1,15 @@
 import functools
+import random
+from fractions import Fraction
 
 import pytest
 
-from g2hecke.exactalg import exact_div, ring
+from g2hecke import hecke
+from g2hecke.exactalg import exact_div
 from g2hecke.hecke import (
     COEFF_RING,
     AffineHeckePresentation,
+    HeckeElement,
     HeckeError,
     RGroup,
     WeightFunction,
@@ -32,6 +36,13 @@ def qpow(k):
     return COEFF_RING.monomial({"v": 2 * k})
 
 
+def commutation_coefficient(lam, lam_star):
+    """g = q^lam - 1 + X^-1 (v^(lam+lam*) - v^(lam-lam*)), built in the (v, X) ring."""
+    R = COEFF_RING
+    diff = R.monomial({"v": lam + lam_star}) - R.monomial({"v": lam - lam_star})
+    return qpow(lam) - R.one() + R.var("X") ** -1 * diff
+
+
 def test_quadratic_product_lambda_3():
     p = pres(3, 1)
     got = multiply(t_basis(p, 1), t_basis(p, 1))
@@ -44,19 +55,19 @@ def test_quadratic_product_lambda_0_group_algebra():
     assert multiply(t_basis(p, 1), t_basis(p, 1)) == one(p)
 
 
-def test_theta_commutation_matches_independent_expansion():
+@pytest.mark.parametrize("y", [1, -1, 2, -2, 3, -3])
+@pytest.mark.parametrize("pair", TABLE_PAIRS)
+def test_theta_commutation_matches_independent_expansion(pair, y):
     # oracle: assemble the commutation coefficient directly in the (v, X) ring
     # and push a generator through, without using the product routine
-    p = pres(1, 1)
-    x = theta(p, 1)
+    p = pres(*pair)
     Ts = t_basis(p, 1)
-    commutator = multiply(x, Ts) - multiply(Ts, theta(p, -1))
+    commutator = multiply(theta(p, y), Ts) - multiply(Ts, theta(p, -y))
 
     R = COEFF_RING
     X, one_ = R.var("X"), R.one()
-    g = qpow(1) - one_ + (X ** -1) * (qpow(1) - one_)
-    quot = exact_div(X - X ** -1, one_ - X ** -2)
-    expected_poly = g * quot
+    quot = exact_div(X ** y - X ** -y, one_ - X ** -2)
+    expected_poly = commutation_coefficient(*pair) * quot
     expected = {}
     xi = R.index["X"]
     for e, c in expected_poly.terms.items():
@@ -65,6 +76,89 @@ def test_theta_commutation_matches_independent_expansion():
         e0[xi] = 0
         expected[(k, 0)] = expected.get((k, 0), R.zero()) + R.monomial(tuple(e0), c)
     assert commutator.terms == {k: v for k, v in expected.items() if not v.is_zero()}
+
+
+def basic_representation(p):
+    """The action of p on Laurent polynomials in X, built on exactalg.
+
+    theta_x multiplies by X^x and T_s f = q^lam s(f) + g (f - s(f)) / (1 - X^-2),
+    where s inverts X.
+    """
+    lam, lam_star = p.weights.pair()
+    X, one_ = COEFF_RING.var("X"), COEFF_RING.one()
+    g = commutation_coefficient(lam, lam_star)
+
+    def act(h, f):
+        sf = f.invert_variable("X")
+        t_f = qpow(lam) * sf + g * exact_div(f - sf, one_ - X ** -2)
+        out = COEFF_RING.zero()
+        for (x, w), c in h.terms.items():
+            out = out + c * X ** x * (t_f if w else f)
+        return out
+
+    return act
+
+
+def first_representation_mismatch(p, mul, products=60, seed=0):
+    """First seeded (a, b, f) with rep(mul(a, b)) f != rep(a) rep(b) f, or None.
+
+    Every operator commutes with the symmetric Laurent polynomials, over which
+    the Laurent polynomials are free on {1, X}, so f runs over those two.
+    """
+    rng = random.Random(seed)
+    act = basic_representation(p)
+
+    def random_element():
+        e = HeckeElement(p, {})
+        for _ in range(rng.randint(1, 2)):
+            scalar = rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-3, 5)])
+            coeff = COEFF_RING.monomial({"v": rng.randint(-2, 2)}, scalar)
+            e = e + basis_element(p, rng.randint(-3, 3), rng.choice((0, 1)), coeff)
+        return e
+
+    for _ in range(products):
+        a, b = random_element(), random_element()
+        ab = mul(a, b)
+        for f in (COEFF_RING.one(), COEFF_RING.var("X")):
+            if act(ab, f) != act(a, act(b, f)):
+                return a, b, f
+    return None
+
+
+def with_lambda_star(lam_star):
+    """A product that multiplies with the wrong lam_star and relabels the result."""
+
+    def mul(a, b):
+        wrong = pres(a.pres.weights.pair()[0], lam_star)
+        product = multiply(HeckeElement(wrong, a.terms), HeckeElement(wrong, b.terms))
+        return HeckeElement(a.pres, product.terms)
+
+    return mul
+
+
+@pytest.mark.parametrize("pair", TABLE_PAIRS)
+def test_products_match_basic_representation(pair):
+    assert first_representation_mismatch(pres(*pair), multiply) is None
+
+
+@pytest.mark.parametrize(
+    "pair, mul",
+    [
+        ((1, 1), functools.partial(_multiply, rule_sign=-1)),
+        ((2, 2), functools.partial(_multiply, rule_sign=-1)),
+        ((3, 1), functools.partial(_multiply, rule_sign=-1)),
+        ((3, 1), with_lambda_star(2)),
+        ((3, 1), with_lambda_star(3)),
+        ((1, 1), with_lambda_star(0)),
+        ((2, 2), with_lambda_star(0)),
+    ],
+    ids=[
+        "rule-sign-1-1", "rule-sign-2-2", "rule-sign-3-1",
+        "3-2-as-3-1", "3-3-as-3-1", "1-0-as-1-1", "2-0-as-2-2",
+    ],
+)
+def test_basic_representation_catches_wrong_products(pair, mul):
+    assert first_representation_mismatch(pres(*pair), mul) is not None
 
 
 def test_length_additive_t_products():
@@ -85,6 +179,13 @@ def test_verify_relations_reports_sabotage():
     rep = verify_relations(pres(1, 1), 2, multiply_impl=sabotaged)
     assert not rep.ok
     assert any(c.name == "associativity" for c in rep.failures)
+
+
+def test_verify_relations_reports_sabotaged_quotient(monkeypatch):
+    honest = hecke._commutation_quotient
+    monkeypatch.setattr(hecke, "_commutation_quotient", lambda y: honest(y)[1:])
+    rep = verify_relations(pres(3, 1), 2)
+    assert "bernstein-exact-division" in {c.name for c in rep.failures}
 
 
 def test_q_to_one_specialization_is_group_algebra():
@@ -112,6 +213,8 @@ def test_presentation_invariants():
         AffineHeckePresentation(1, 2, None, RGroup.trivial())
     with pytest.raises(HeckeError):
         WeightFunction.rank_one(-1, 0)
+    with pytest.raises(HeckeError):
+        WeightFunction.rank_one(1.5, 0.5)
     with pytest.raises(HeckeError):
         RGroup("nontrivial", None)
 

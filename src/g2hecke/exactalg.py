@@ -196,10 +196,6 @@ class LaurentExpr:
         exps = [e[i] for e in self.terms]
         return (min(exps), max(exps))
 
-    def exponents_of(self, name: str) -> set:
-        i = self.ring.index[name]
-        return {e[i] for e in self.terms}
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):

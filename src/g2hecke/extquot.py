@@ -143,10 +143,6 @@ class FiniteOrbitModel:
         return len(self.points)
 
     @property
-    def has_symmetry(self) -> bool:
-        return self.gamma is not None and not _is_identity(self.gamma)
-
-    @property
     def gamma_order(self) -> int:
         return 2 if self.gamma is not None else 1
 
@@ -157,10 +153,6 @@ class FiniteOrbitModel:
         if self.gamma is None:
             return 1
         return 2 if self.gamma[p] == p else 1
-
-    def cocycle_value(self, p) -> int:
-        """k(s, s) of the normalized table at a stabilized point; 1 if trivial."""
-        return self.cocycles.get(p, 1)
 
     def cocycles_trivial(self) -> bool:
         return all(v == 1 for v in self.cocycles.values())
@@ -196,6 +188,12 @@ class FiniteOrbitModel:
         if not isinstance(doc, dict) or "points" not in doc or "translation" not in doc:
             raise ExtQuotError("a model is a JSON object with 'points' and 'translation'")
         points = doc["points"]
+        if not isinstance(points, list) or any(isinstance(p, (list, dict)) for p in points):
+            raise ExtQuotError("'points' must be a list of JSON scalars")
+        if not isinstance(doc["translation"], dict) or any(
+            not isinstance(doc.get(k), (dict, type(None))) for k in ("gamma", "cocycles")
+        ):
+            raise ExtQuotError("'translation' must be an object, 'gamma' and 'cocycles' objects or null")
         key = {str(p): p for p in points}
         try:
             tr = {key[k]: v for k, v in doc["translation"].items()}

@@ -5,7 +5,7 @@ lands in: a rank-1 lattice (written additively, generator 1), a finite Weyl
 part of order at most 2 acting by negation, and a pair of nonnegative integer
 labels (lam, lam_star) on the affine reflections.  Elements are finite sums
 of basis vectors theta_x * T_w with exact Laurent coefficients in v, where
-v^2 = q.
+v^2 = q, stored flat as (x, w, v-exponent) -> int or Fraction.
 
 Multiplication uses three rules:
 
@@ -23,9 +23,11 @@ Multiplication uses three rules:
 
   which the relation harness checks against exact division in ``exactalg``.
 
-The product works on flat (x, w, v-exponent) -> coefficient terms, with int
-coefficients unless a caller supplied a Fraction, and builds one Laurent
-coefficient per output basis vector at the end.
+The product works directly on that flat storage; coefficients stay int
+unless a caller supplied a Fraction.  The relation harness also checks the
+quadratic relation (T_s1 + 1)(T_s1 - q^lam_star) = 0 of the second affine
+reflection T_s1 = v^{lam+lam_star} theta_1 T_s^{-1}, which is where a wrong
+lam_star shows.
 
 Presentations of general rank are representable as data but multiplication
 for a finite part of order > 2 is deliberately rejected rather than half
@@ -66,7 +68,8 @@ class HeckeError(ValueError):
     pass
 
 
-# one shared coefficient ring: v with q = v^2, X the rank-1 lattice variable
+# (v, X) with q = v^2 and X the rank-1 lattice variable: for rendering
+# coefficients and for the exact-division oracle of the commutation quotient
 COEFF_RING = ring(["v", "X"], {"v": "q"})
 _X = COEFF_RING.var("X")
 _ONE = COEFF_RING.one()
@@ -187,27 +190,27 @@ def presentations_equal(a: AffineHeckePresentation, b: AffineHeckePresentation) 
 
 
 class HeckeElement:
-    """A finite sum of theta_x T_w with Laurent coefficients in v.
+    """A finite sum of c * v^e * theta_x * T_w with exact scalars c.
 
-    ``terms`` maps (x, w) to a coefficient, where x is an integer lattice
-    point and w is 0 (identity) or 1 (the reflection).  Coefficients are
-    stored in the shared (v, X) ring with X-degree 0.
+    ``terms`` maps (x, w, e) to a nonzero ``int`` or ``Fraction`` c, where x
+    is an integer lattice point, w is 0 (identity) or 1 (the reflection) and
+    e is the exponent of v.  This is the format the product computes in.
     """
 
     __slots__ = ("pres", "terms")
 
-    def __init__(self, pres: AffineHeckePresentation, terms: Mapping[tuple, LaurentExpr]):
+    def __init__(self, pres: AffineHeckePresentation, terms: Mapping[tuple, int | Fraction]):
         clean = {}
-        for (x, w), c in terms.items():
-            if c.is_zero():
+        for (x, w, e), c in terms.items():
+            if not isinstance(c, (int, Fraction)):
+                raise HeckeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
+            if not c:
                 continue
             if w not in (0, 1):
                 raise HeckeError("Weyl component must be 0 or 1")
             if w == 1 and pres.weyl_order == 1:
                 raise HeckeError("no reflection basis vector over a trivial finite part")
-            if any(e[COEFF_RING.index["X"]] for e in c.terms):
-                raise HeckeError("coefficients must not involve the lattice variable")
-            clean[(x, w)] = c
+            clean[x, w, e] = c
         self.pres = pres
         self.terms = clean
 
@@ -218,11 +221,7 @@ class HeckeElement:
         _check_pres(self, other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, COEFF_RING.zero()) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            out[k] = out.get(k, 0) + c
         return HeckeElement(self.pres, out)
 
     def __neg__(self):
@@ -232,13 +231,12 @@ class HeckeElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentExpr)):
-            c = other if isinstance(other, LaurentExpr) else COEFF_RING.const(other)
-            return HeckeElement(self.pres, {k: v * c for k, v in self.terms.items()})
+        if isinstance(other, (int, Fraction)):
+            return HeckeElement(self.pres, {k: c * other for k, c in self.terms.items()})
         return multiply(self, other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentExpr)):
+        if isinstance(other, (int, Fraction)):
             return self.__mul__(other)
         return NotImplemented
 
@@ -248,17 +246,24 @@ class HeckeElement:
         return presentations_equal(self.pres, other.pres) and self.terms == other.terms
 
     def specialize_v(self, value) -> dict:
-        """Coefficients with v evaluated exactly (used by the q -> 1 check)."""
-        return {k: c.substitute("v", value) for k, c in self.terms.items()}
+        """Nonzero coefficients of theta_x T_w with v set to an exact nonzero value."""
+        out: dict = {}
+        value = Fraction(value)
+        for (x, w, e), c in self.terms.items():
+            power = value ** e  # integral powers stay int, so int sums stay int
+            out[x, w] = out.get((x, w), 0) + c * (power.numerator if power.denominator == 1 else power)
+        return {k: c for k, c in out.items() if c}
 
     def render(self) -> str:
         if not self.terms:
             return "0"
+        coeffs: dict = {}
+        for (x, w, e), c in self.terms.items():
+            coeffs.setdefault((x, w), {})[e, 0] = Fraction(c)
         parts = []
-        for (x, w) in sorted(self.terms):
-            c = self.terms[(x, w)]
+        for (x, w) in sorted(coeffs):
             tw = "T[0]" if w else "T[]"
-            cs = c.render()
+            cs = LaurentExpr(COEFF_RING, coeffs[x, w]).render()
             head = "" if cs == "1" else (f"({cs})*" if ("+" in cs or " - " in cs or "/" in cs) else f"{cs}*")
             parts.append(f"{head}theta[{x}]*{tw}")
         return " + ".join(parts)
@@ -273,8 +278,7 @@ def _check_pres(a: HeckeElement, b: HeckeElement):
 
 
 def basis_element(pres: AffineHeckePresentation, x: int, w: int, coeff=1) -> HeckeElement:
-    c = coeff if isinstance(coeff, LaurentExpr) else COEFF_RING.const(coeff)
-    return HeckeElement(pres, {(x, w): c})
+    return HeckeElement(pres, {(x, w, 0): coeff})
 
 
 def theta(pres: AffineHeckePresentation, x: int) -> HeckeElement:
@@ -298,50 +302,38 @@ def _commutation_quotient(y: int) -> list:
     return [(abs(y) - 2 * k, sign) for k in range(abs(y))]
 
 
-def _structure_constants(pres: AffineHeckePresentation, rule_sign: int) -> list:
+def _structure_constants(pres: AffineHeckePresentation) -> list:
     """The commutation coefficient g as (X-shift, v-exponent, sign) triples.
 
     g = q^lam - 1 + X^{-1} (v^{lam+lam_star} - v^{lam-lam_star}); a pair of
     terms that cancels (lam = 0 or lam_star = 0) is left out.
-    ``rule_sign = -1`` deliberately flips the sign of the X-exponent, which
-    destroys consistency with the quadratic relation whenever lam_star > 0; it
-    exists only as a negative control for the verification harness.
     """
     lam, lam_star = pres.weights.pair()
     g = []
     if lam:
         g += [(0, 2 * lam, 1), (0, 0, -1)]
     if lam_star:
-        g += [(-rule_sign, lam + lam_star, 1), (-rule_sign, lam - lam_star, -1)]
+        g += [(-1, lam + lam_star, 1), (-1, lam - lam_star, -1)]
     return g
 
 
-def _flat_terms(h: HeckeElement) -> list:
-    """(x, w, v-exponent, coefficient) terms; integral coefficients become int."""
-    return [
-        (x, w, ev, c.numerator if c.denominator == 1 else c)
-        for (x, w), coeff in h.terms.items()
-        for (ev, _), c in coeff.terms.items()
-    ]
-
-
-def _multiply(a: HeckeElement, b: HeckeElement, rule_sign: int = 1) -> HeckeElement:
-    """Product in the theta-T basis; ``rule_sign`` exists for negative controls."""
+def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
+    """Product of two elements over the same presentation, in the theta-T basis."""
     _check_pres(a, b)
     pres = a.pres
     if pres.lattice_rank != 1:
         raise HeckeError("multiplication is implemented for rank-1 lattices only")
     g, two_lam = [], 0
     if pres.weyl_order == 2:
-        g, two_lam = _structure_constants(pres, rule_sign), 2 * pres.weights.pair()[0]
+        g, two_lam = _structure_constants(pres), 2 * pres.weights.pair()[0]
     out: dict = {}
 
     def add(x: int, w: int, e: int, c):
         out[x, w, e] = out.get((x, w, e), 0) + c
 
-    right = _flat_terms(b)
-    for x, w, e1, c1 in _flat_terms(a):
-        for y, u, e2, c2 in right:
+    right = b.terms.items()
+    for (x, w, e1), c1 in a.terms.items():
+        for (y, u, e2), c2 in right:
             c, e = c1 * c2, e1 + e2
             if w == 0:
                 add(x + y, u, e, c)
@@ -358,16 +350,7 @@ def _multiply(a: HeckeElement, b: HeckeElement, rule_sign: int = 1) -> HeckeElem
             for shift, ge, gs in g:
                 for k, ks in quotient:
                     add(x + shift + k, u, e + ge, -c * gs * ks)
-    coeffs: dict = {}
-    for (x, w, e), c in out.items():
-        if c:
-            coeffs.setdefault((x, w), {})[e, 0] = Fraction(c)
-    return HeckeElement(pres, {k: LaurentExpr(COEFF_RING, t) for k, t in coeffs.items()})
-
-
-def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product of two elements over the same presentation."""
-    return _multiply(a, b, 1)
+    return HeckeElement(pres, out)
 
 
 # ---------------------------------------------------------------------------
@@ -423,38 +406,47 @@ def verify_relations(
 ) -> RelationReport:
     """Run the consistency suite on one presentation; failures are reported.
 
-    Checks: the quadratic relation, length-additive T-products, associativity
-    on an exhaustive core plus a deterministic sample of triples, exactness of
-    the commutation quotient up to ``degree_bound``, centrality of symmetric
-    lattice elements, and the q -> 1 group-algebra degeneration.
-    ``multiply_impl`` substitutes the product rule, which lets tests inject a
-    sabotaged rule as a negative control.
+    Checks: the quadratic relations of T_s (label lam) and of
+    T_s1 = v^{lam+lam_star} theta_1 T_s^{-1} (label lam_star), length-additive
+    T-products, associativity on an exhaustive core plus a deterministic
+    sample of triples, exactness of the commutation quotient up to
+    ``degree_bound`` (at least 1), centrality of symmetric lattice elements,
+    and the q -> 1 group-algebra degeneration.  Test elements are built flat,
+    as (x, w, v-exponent) -> coefficient.  ``multiply_impl`` substitutes the
+    product rule, which lets tests inject a sabotaged rule as a negative
+    control.
     """
     import random
 
-    if degree_bound < 0:
-        raise HeckeError("degree bound must be non-negative")
+    if degree_bound < 1:
+        raise HeckeError("degree bound must be at least 1")
     mul = multiply_impl or multiply
     checks = []
     b = degree_bound
 
-    def elem(x, w):
-        return basis_element(pres, x, w)
+    def elem(x, w, e=0, c=1):
+        return HeckeElement(pres, {(x, w, e): c})
 
     ws = (0, 1) if pres.weyl_order == 2 else (0,)
     basis = [(x, w) for x in range(-b, b + 1) for w in ws]
 
-    # 1. quadratic relation
+    # 1. quadratic relations of T_s0 = T_s and T_s1 = v^(lam+lam*) theta_1 T_s0^-1;
+    # terms are added one by one because they share keys at lam = 0
     if pres.weyl_order == 2:
-        lam, _ = pres.weights.pair()
-        q_lam = COEFF_RING.monomial({"v": 2 * lam})
-        lhs = mul(t_basis(pres, 1), t_basis(pres, 1))
-        rhs = t_basis(pres, 1) * (q_lam - _ONE) + one(pres) * q_lam
+        lam, lam_star = pres.weights.pair()
+        t0 = elem(0, 1)
+        rhs = elem(0, 1, 2 * lam) + elem(0, 1, 0, -1) + elem(0, 0, 2 * lam)
+        checks.append(CheckResult("quadratic", mul(t0, t0) == rhs, f"(T+1)(T-q^{lam}) = 0"))
+        # T_s0^-1 = q^-lam T_s0 - (1 - q^-lam)
+        t0_inv = elem(0, 1, -2 * lam) + elem(0, 0, 0, -1) + elem(0, 0, -2 * lam)
+        t1 = mul(elem(1, 0, lam + lam_star), t0_inv)
+        lhs = mul(t1 + elem(0, 0), t1 - elem(0, 0, 2 * lam_star))
         checks.append(
-            CheckResult("quadratic", lhs == rhs, f"(T+1)(T-q^{lam}) = 0")
+            CheckResult("quadratic-s1", lhs.is_zero(), f"(T1+1)(T1-q^{lam_star}) = 0")
         )
     else:
         checks.append(CheckResult("quadratic", True, "trivial finite part"))
+        checks.append(CheckResult("quadratic-s1", True, "trivial finite part"))
 
     # 2. length-additive T-products
     ok = True
@@ -478,8 +470,8 @@ def verify_relations(
     def random_element():
         e = elem(rng.randint(-b, b), rng.choice(ws))
         if rng.random() < 0.5:
-            coeff = COEFF_RING.monomial({"v": rng.randint(-2, 2)}, rng.randint(-3, 3))
-            e = e + basis_element(pres, rng.randint(-b, b), rng.choice(ws), coeff)
+            ve, c = rng.randint(-2, 2), rng.randint(-3, 3)
+            e = e + elem(rng.randint(-b, b), rng.choice(ws), ve, c)
         return e
 
     while len(triples) < max(associativity_samples, len(core) ** 3):
@@ -530,9 +522,7 @@ def verify_relations(
         for (y, u) in basis:
             got = mul(elem(x, w), elem(y, u)).specialize_v(1)
             n, sign = affine_mul((x, 1 - 2 * w), (y, 1 - 2 * u))
-            want = {(n, (1 - sign) // 2): _ONE}
-            got = {k: c for k, c in got.items() if not c.is_zero()}
-            if got != want:
+            if got != {(n, (1 - sign) // 2): 1}:
                 ok = False
                 detail = f"q->1 failed on {(x, w)}*{(y, u)}"
                 break

@@ -107,9 +107,12 @@ def test_hecke_subcommand(capsys):
 
 
 def test_hecke_negative_degree_bound(capsys):
-    code, _, err = run(capsys, "hecke", "--weights", "2,2", "--degree-bound", "-1")
-    assert code == EXIT_USAGE
-    assert "degree bound" in err
+    # bound 0 would leave the centrality check empty, so it is rejected too
+    for bound in ("-1", "0"):
+        for argv in (("hecke", "--weights", "2,2"), ("check", "--part", "hecke")):
+            code, _, err = run(capsys, *argv, "--degree-bound", bound)
+            assert code == EXIT_USAGE
+            assert "degree bound" in err
 
 
 def test_extquot_subcommand(capsys):
@@ -145,8 +148,14 @@ def test_extquot_model_file(tmp_path, capsys):
         {"points": [0], "translation": {"5": 0}},
         {"points": [0], "translation": {"0": 0}, "gamma": {"5": 0}},
         {"points": [0], "translation": {"0": 0}, "cocycles": {"5": 1}},
+        {"points": 5, "translation": {}},
+        {"points": [0, 1], "translation": [1, 0]},
+        {"points": [[0]], "translation": {"[0]": [0]}},
     ],
-    ids=["list", "no-points", "no-translation", "unknown-key", "unknown-gamma-key", "unknown-cocycle-key"],
+    ids=[
+        "list", "no-points", "no-translation", "unknown-key", "unknown-gamma-key", "unknown-cocycle-key",
+        "points-not-list", "translation-not-object", "unhashable-point",
+    ],
 )
 def test_extquot_malformed_model_file(tmp_path, capsys, doc):
     path = tmp_path / "model.json"

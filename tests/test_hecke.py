@@ -1,4 +1,3 @@
-import functools
 import random
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from g2hecke.hecke import (
     HeckeError,
     RGroup,
     WeightFunction,
-    _multiply,
     basis_element,
     check_lusztig,
     default_lusztig_allowed,
@@ -46,8 +44,7 @@ def commutation_coefficient(lam, lam_star):
 def test_quadratic_product_lambda_3():
     p = pres(3, 1)
     got = multiply(t_basis(p, 1), t_basis(p, 1))
-    want = t_basis(p, 1) * (qpow(3) - COEFF_RING.one()) + one(p) * qpow(3)
-    assert got == want
+    assert got == HeckeElement(p, {(0, 1, 6): 1, (0, 1, 0): -1, (0, 0, 6): 1})
 
 
 def test_quadratic_product_lambda_0_group_algebra():
@@ -68,14 +65,8 @@ def test_theta_commutation_matches_independent_expansion(pair, y):
     X, one_ = R.var("X"), R.one()
     quot = exact_div(X ** y - X ** -y, one_ - X ** -2)
     expected_poly = commutation_coefficient(*pair) * quot
-    expected = {}
-    xi = R.index["X"]
-    for e, c in expected_poly.terms.items():
-        k = e[xi]
-        e0 = list(e)
-        e0[xi] = 0
-        expected[(k, 0)] = expected.get((k, 0), R.zero()) + R.monomial(tuple(e0), c)
-    assert commutator.terms == {k: v for k, v in expected.items() if not v.is_zero()}
+    vi, xi = R.index["v"], R.index["X"]
+    assert commutator.terms == {(e[xi], 0, e[vi]): c for e, c in expected_poly.terms.items()}
 
 
 def basic_representation(p):
@@ -92,8 +83,8 @@ def basic_representation(p):
         sf = f.invert_variable("X")
         t_f = qpow(lam) * sf + g * exact_div(f - sf, one_ - X ** -2)
         out = COEFF_RING.zero()
-        for (x, w), c in h.terms.items():
-            out = out + c * X ** x * (t_f if w else f)
+        for (x, w, e), c in h.terms.items():
+            out = out + COEFF_RING.monomial({"v": e, "X": x}, c) * (t_f if w else f)
         return out
 
     return act
@@ -112,8 +103,8 @@ def first_representation_mismatch(p, mul, products=60, seed=0):
         e = HeckeElement(p, {})
         for _ in range(rng.randint(1, 2)):
             scalar = rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-3, 5)])
-            coeff = COEFF_RING.monomial({"v": rng.randint(-2, 2)}, scalar)
-            e = e + basis_element(p, rng.randint(-3, 3), rng.choice((0, 1)), coeff)
+            ve = rng.randint(-2, 2)
+            e = e + HeckeElement(p, {(rng.randint(-3, 3), rng.choice((0, 1)), ve): scalar})
         return e
 
     for _ in range(products):
@@ -136,17 +127,27 @@ def with_lambda_star(lam_star):
     return mul
 
 
-@pytest.mark.parametrize("pair", TABLE_PAIRS)
-def test_products_match_basic_representation(pair):
-    assert first_representation_mismatch(pres(*pair), multiply) is None
+def negate_rule_sign(monkeypatch):
+    """Flip the sign of the X-shift of every structure-constant triple."""
+    honest = hecke._structure_constants
+    monkeypatch.setattr(
+        hecke, "_structure_constants", lambda p: [(-s, e, sign) for s, e, sign in honest(p)]
+    )
 
 
-@pytest.mark.parametrize(
+def rule_sign_flipped(a, b):
+    """The product with the X-shifts of the commutation coefficient negated."""
+    with pytest.MonkeyPatch.context() as mp:
+        negate_rule_sign(mp)
+        return multiply(a, b)
+
+
+WRONG_PRODUCTS = pytest.mark.parametrize(
     "pair, mul",
     [
-        ((1, 1), functools.partial(_multiply, rule_sign=-1)),
-        ((2, 2), functools.partial(_multiply, rule_sign=-1)),
-        ((3, 1), functools.partial(_multiply, rule_sign=-1)),
+        ((1, 1), rule_sign_flipped),
+        ((2, 2), rule_sign_flipped),
+        ((3, 1), rule_sign_flipped),
         ((3, 1), with_lambda_star(2)),
         ((3, 1), with_lambda_star(3)),
         ((1, 1), with_lambda_star(0)),
@@ -157,8 +158,23 @@ def test_products_match_basic_representation(pair):
         "3-2-as-3-1", "3-3-as-3-1", "1-0-as-1-1", "2-0-as-2-2",
     ],
 )
+
+
+@pytest.mark.parametrize("pair", TABLE_PAIRS)
+def test_products_match_basic_representation(pair):
+    assert first_representation_mismatch(pres(*pair), multiply) is None
+
+
+@WRONG_PRODUCTS
 def test_basic_representation_catches_wrong_products(pair, mul):
     assert first_representation_mismatch(pres(*pair), mul) is not None
+
+
+@WRONG_PRODUCTS
+def test_verify_relations_sees_wrong_products(pair, mul):
+    # the T_s1 quadratic relation is where a wrong lam_star shows
+    rep = verify_relations(pres(*pair), 1, multiply_impl=mul)
+    assert "quadratic-s1" in {c.name for c in rep.failures}
 
 
 def test_length_additive_t_products():
@@ -174,9 +190,9 @@ def test_verify_relations_all_pairs(pair):
     assert rep.ok, rep.summary()
 
 
-def test_verify_relations_reports_sabotage():
-    sabotaged = functools.partial(_multiply, rule_sign=-1)
-    rep = verify_relations(pres(1, 1), 2, multiply_impl=sabotaged)
+def test_verify_relations_reports_sabotage(monkeypatch):
+    negate_rule_sign(monkeypatch)
+    rep = verify_relations(pres(1, 1), 2)
     assert not rep.ok
     assert any(c.name == "associativity" for c in rep.failures)
 
@@ -193,9 +209,25 @@ def test_q_to_one_specialization_is_group_algebra():
     for x, w in [(2, 1), (-1, 0), (0, 1)]:
         for y, u in [(1, 1), (3, 0)]:
             prod = multiply(basis_element(p, x, w), basis_element(p, y, u))
-            specialized = {k: c for k, c in prod.specialize_v(1).items() if not c.is_zero()}
             y_moved = y if w == 0 else -y
-            assert specialized == {(x + y_moved, (w + u) % 2): COEFF_RING.one()}
+            assert prod.specialize_v(1) == {(x + y_moved, (w + u) % 2): 1}
+
+
+def test_specialize_v_leaves_out_cancelled_coefficients():
+    p = pres(1, 1)
+    h = HeckeElement(p, {(0, 1, 2): 1, (0, 1, 0): -1, (1, 0, -1): Fraction(1, 2)})
+    assert h.specialize_v(1) == {(1, 0): Fraction(1, 2)}
+    assert h.specialize_v(2) == {(0, 1): 3, (1, 0): Fraction(1, 4)}
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(0, 0, 0): 0.5}, {(0, 2, 0): 1}],
+    ids=["float-coefficient", "w-2"],
+)
+def test_element_rejects_bad_terms(terms):
+    with pytest.raises(HeckeError):
+        HeckeElement(pres(1, 1), terms)
 
 
 def test_rank_restrictions():

@@ -1,6 +1,7 @@
 """Rules that hold for the package source as a whole."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "g2hecke").glob("*.py"))
@@ -16,3 +17,14 @@ def test_invariants_are_raised_errors_not_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/g2hecke: {found}"
+
+
+def test_every_exported_name_resolves():
+    # a deleted function must not stay behind in an __all__ list
+    missing = []
+    for path in SOURCES:
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module("g2hecke" if path.stem == "__init__" else f"g2hecke.{path.stem}")
+        missing += [f"{path.name}:{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"names in __all__ that do not resolve: {missing}"

@@ -16,7 +16,9 @@ Two conventions matter for the rest of the package:
   the base variable.
 * Rational functions are stored reduced (multivariate gcd removed, common
   monomial factors cleared) with a monic denominator under the lex order,
-  which makes equality a dictionary comparison.
+  which makes equality a dictionary comparison.  Monomials are units of the
+  Laurent ring, so the gcd strips the monomial content of each variable
+  before it runs a pseudo-remainder sequence in that variable.
 
 Roots of unity never appear as floats: all implemented cases only need units
 of order 1 or 2, which are the rational constants +1 and -1.
@@ -471,11 +473,30 @@ def _monic(f: dict) -> dict:
     return {e: c / lc for e, c in f.items()}
 
 
+def _shift_slot(f: dict, slot: int, d: int) -> dict:
+    """f times x_slot^d."""
+    if not d:
+        return f
+    out = {}
+    for e, c in f.items():
+        e2 = list(e)
+        e2[slot] += d
+        out[tuple(e2)] = c
+    return out
+
+
 def _poly_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
     """Multivariate gcd over Q via primitive pseudo-remainder sequences.
 
     Recursion is on variable slots; the result is monic under lex order.
-    Intended for the small expressions this package produces.
+    At each slot the lowest power of x_slot is divided out of both inputs
+    first, since gcd(x^a f, x^b g) = x^min(a, b) gcd(f, g) for f, g prime to
+    x: in the Laurent ring monomials are units, so a pseudo-remainder
+    sequence run against monomial content would be spent on nothing.
+    Primitive parts are made monic, since the gcd is defined up to a
+    rational factor; otherwise the rational coefficients grow at every
+    pseudo-division.  Intended for the small expressions this package
+    produces.
     """
     if not f:
         return _monic(g)
@@ -483,6 +504,11 @@ def _poly_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
         return _monic(f)
     if slot >= nvars:
         return {(0,) * nvars: Fraction(1)}
+    lo_f = min(e[slot] for e in f)
+    lo_g = min(e[slot] for e in g)
+    if lo_f or lo_g:
+        inner = _poly_gcd(_shift_slot(f, slot, -lo_f), _shift_slot(g, slot, -lo_g), slot, nvars)
+        return _shift_slot(inner, slot, min(lo_f, lo_g))
     if not any(e[slot] for e in f) and not any(e[slot] for e in g):
         return _poly_gcd(f, g, slot + 1, nvars)
 
@@ -497,7 +523,7 @@ def _poly_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
         pp = _poly_div_exact(h, cont)
         if pp is None:
             raise NonExactDivision("the content does not divide the polynomial")
-        return cont, pp
+        return cont, _monic(pp)
 
     cf, pf = primitive(f)
     cg, pg = primitive(g)
@@ -684,15 +710,28 @@ class RationalExpr:
 # ---------------------------------------------------------------------------
 
 
-def _strip_unit_monomial_roots(f: LaurentExpr, var: str, aux_bound: int = 12):
+def _vanishes_at(f: LaurentExpr, slot: int, sign: int, exps: tuple) -> bool:
+    """Whether f is zero after x_slot -> sign * x^exps, in one pass over its terms."""
+    out: dict = {}
+    for e, c in f.terms.items():
+        k = e[slot]
+        key = tuple(0 if i == slot else a + k * m for i, (a, m) in enumerate(zip(e, exps)))
+        out[key] = out.get(key, 0) + (-c if sign < 0 and k % 2 else c)
+    return not any(out.values())
+
+
+def _strip_unit_monomial_roots(f: LaurentExpr, var: str):
     """Factor ``f`` completely as a monomial times prod (var - s*m).
 
     Only roots of the form s*m with s = +-1 and m a Laurent monomial in the
-    other variables (bounded exponents) are attempted; that is exactly the
-    factored shape of the case formulas.  Returns a list of
-    (sign, exponent-vector) roots with multiplicity.  Raises ShapeError if a
-    positive-degree remainder in ``var`` has no such root or the leftover
-    constant is not a single term.
+    other variables are attempted; that is exactly the factored shape of the
+    case formulas.  The Newton polytope of a product is the Minkowski sum of
+    the factors' polytopes, so |exponent of m| in each slot is at most the
+    exponent width (max - min) of the remaining expression there, and the
+    candidates are bounded by it.  Returns a list of (sign, exponent-vector)
+    roots with multiplicity.  Raises ShapeError if a positive-degree
+    remainder in ``var`` has no such root or the leftover constant is not a
+    single term.
     """
     ctx = f.ring
     slot = ctx.index[var]
@@ -703,9 +742,9 @@ def _strip_unit_monomial_roots(f: LaurentExpr, var: str, aux_bound: int = 12):
     def candidate_monos(expr: LaurentExpr):
         spans = []
         for i in other:
-            exps = [e[i] for e in expr.terms]
-            span = max(abs(min(exps)), abs(max(exps)), 1)
-            spans.append(min(span, aux_bound))
+            lo, hi = expr.degree_span(ctx.names[i])
+            spans.append(hi - lo)
+
         def rec(j):
             if j == len(other):
                 yield ()
@@ -726,8 +765,7 @@ def _strip_unit_monomial_roots(f: LaurentExpr, var: str, aux_bound: int = 12):
             for i, m in zip(other, mono):
                 exps[i] = m
             for sign in (1, -1):
-                value = ctx.monomial(tuple(exps), sign)
-                if current.substitute(var, value).is_zero():
+                if _vanishes_at(current, slot, sign, exps):
                     found = (sign, tuple(exps))
                     break
             if found:

@@ -15,7 +15,7 @@ Two independent counts of the same quantity are provided:
   stabilizer algebra);
 * :func:`crossed_product_irr_count` builds the crossed product of functions
   on the points with the symmetry group and computes the dimension of its
-  center by exact linear algebra.
+  center from the rank of a graph incidence matrix, by union-find.
 
 For a semisimple algebra the center dimension is the number of simple
 modules, so the two routes must agree; the closed form 2k + m (k fixed
@@ -29,7 +29,6 @@ been checked, and always verified to be bijections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 __all__ = [
@@ -260,8 +259,16 @@ def crossed_product_irr_count(m: FiniteOrbitModel) -> int:
     """Number of simple modules of Fun(X) x| Gamma, via the center dimension.
 
     The algebra has basis e_x u_g with product
-    (e_x u_g)(e_y u_h) = [x = g(y)] e_x u_{gh}; the center is computed as the
-    kernel of the commutator map with all basis elements, over the rationals.
+    (e_x u_g)(e_y u_h) = [x = g(y)] e_x u_{gh}; the center is the kernel of
+    the commutator map z -> (z*b - b*z) over all basis elements b.  For a
+    fixed b, each coordinate of z*b - b*z involves at most one coefficient of
+    z from each side, so every nonzero row of that system is e_i - e_j or
+    +-e_i.  Over the rationals such a system is the incidence matrix of a
+    graph on the basis plus one ground vertex (e_i read as e_i - e_ground),
+    whose rank is the number of vertices minus the number of components.
+    The center dimension is therefore the number of components without the
+    ground vertex, which union-find counts directly.  A row of any other
+    shape raises :class:`ExtQuotError`.
     """
     if not m.cocycles_trivial():
         raise ExtQuotError("the crossed-product oracle is stated for trivial cocycles")
@@ -280,37 +287,41 @@ def crossed_product_irr_count(m: FiniteOrbitModel) -> int:
             return None
         return (x, (g + h) % 2 if len(group) == 2 else 0)
 
-    # rows of the linear system: for every basis element b, z*b - b*z = 0
-    rows = []
-    for b in basis:
-        row_block = [[Fraction(0)] * dim for _ in range(dim)]
-        for a in basis:
-            left = mult(a, b)
-            if left is not None:
-                row_block[index[left]][index[a]] += 1
-            right = mult(b, a)
-            if right is not None:
-                row_block[index[right]][index[a]] -= 1
-        rows.extend(r for r in row_block if any(r))
+    parent = list(range(dim + 1))  # vertex dim is the ground
 
-    # rank by Gaussian elimination; center dim = dim - rank
-    reduced = [list(r) for r in rows]
-    r = 0
-    for c in range(dim):
-        sel = next((i for i in range(r, len(reduced)) if reduced[i][c] != 0), None)
-        if sel is None:
-            continue
-        reduced[r], reduced[sel] = reduced[sel], reduced[r]
-        pv = reduced[r][c]
-        reduced[r] = [x / pv for x in reduced[r]]
-        for i in range(len(reduced)):
-            if i != r and reduced[i][c] != 0:
-                f = reduced[i][c]
-                reduced[i] = [x - f * y for x, y in zip(reduced[i], reduced[r])]
-        r += 1
-        if r == len(reduced):
-            break
-    return dim - r
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for b in basis:
+        y, h = b
+        # z*b - b*z, one sparse row per output basis element: a*b is nonzero
+        # only for a = e_{g(y)} u_g, and b*a only for a = e_{h(y)} u_g
+        rows: dict = {}
+        for g in group:
+            left, right = (act(g, y), g), (act(h, y), g)
+            for out, a, sign in ((mult(left, b), left, 1), (mult(b, right), right, -1)):
+                row = rows.setdefault(index[out], {})
+                c = row.get(index[a], 0) + sign
+                if c:
+                    row[index[a]] = c
+                else:
+                    del row[index[a]]
+        for row in rows.values():
+            if not row:
+                continue
+            coeffs = sorted(row.values())
+            if coeffs == [-1, 1]:
+                i, j = row
+            elif coeffs in ([-1], [1]):
+                i, j = next(iter(row)), dim
+            else:
+                raise ExtQuotError(f"commutator row {row} is not an incidence row")
+            parent[find(i)] = find(j)
+    ground = find(dim)
+    return len({find(i) for i in range(dim)} - {ground})
 
 
 # ---------------------------------------------------------------------------

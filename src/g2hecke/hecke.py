@@ -397,6 +397,11 @@ class RelationReport:
         }
 
 
+# the q -> 1 check multiplies all basis pairs up to the degree bound, so the
+# work of verify_relations grows about cubically in it
+MAX_DEGREE_BOUND = 32
+
+
 def verify_relations(
     pres: AffineHeckePresentation,
     degree_bound: int = 3,
@@ -410,16 +415,16 @@ def verify_relations(
     T_s1 = v^{lam+lam_star} theta_1 T_s^{-1} (label lam_star), length-additive
     T-products, associativity on an exhaustive core plus a deterministic
     sample of triples, exactness of the commutation quotient up to
-    ``degree_bound`` (at least 1), centrality of symmetric lattice elements,
-    and the q -> 1 group-algebra degeneration.  Test elements are built flat,
-    as (x, w, v-exponent) -> coefficient.  ``multiply_impl`` substitutes the
-    product rule, which lets tests inject a sabotaged rule as a negative
-    control.
+    ``degree_bound`` (1 to ``MAX_DEGREE_BOUND``, else :class:`HeckeError`),
+    centrality of symmetric lattice elements, and the q -> 1 group-algebra
+    degeneration.  Test elements are built flat, as (x, w, v-exponent) ->
+    coefficient.  ``multiply_impl`` substitutes the product rule, which lets
+    tests inject a sabotaged rule as a negative control.
     """
     import random
 
-    if degree_bound < 1:
-        raise HeckeError("degree bound must be at least 1")
+    if not 1 <= degree_bound <= MAX_DEGREE_BOUND:
+        raise HeckeError(f"degree bound must be between 1 and {MAX_DEGREE_BOUND}")
     mul = multiply_impl or multiply
     checks = []
     b = degree_bound

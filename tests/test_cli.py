@@ -115,6 +115,13 @@ def test_hecke_negative_degree_bound(capsys):
             assert "degree bound" in err
 
 
+def test_degree_bound_above_cap(capsys):
+    for argv in (("hecke", "--weights", "2,2"), ("check", "--part", "hecke")):
+        code, _, err = run(capsys, *argv, "--degree-bound", "33")
+        assert code == EXIT_USAGE
+        assert "32" in err
+
+
 def test_extquot_subcommand(capsys):
     code, out, _ = run(capsys, "extquot", "--torsion-level", "3", "--gamma", "inversion", "--format", "json")
     assert code == EXIT_OK

@@ -138,6 +138,12 @@ def test_canonicalization_is_idempotent():
         r = RationalExpr(f, g)
         again = RationalExpr(r.num, r.den)
         assert again.num == r.num and again.den == r.den
+        # monomials are units: shifting either side only scales by m1/m2
+        m1 = R.monomial(tuple(rng.randint(-4, 4) for _ in range(R.nvars)), rng.randint(1, 3))
+        m2 = R.monomial(tuple(rng.randint(-4, 4) for _ in range(R.nvars)), rng.randint(-3, -1))
+        shifted = RationalExpr(m1 * f, m2 * g)
+        scaled = r * RationalExpr(m1, m2)
+        assert shifted.num == scaled.num and shifted.den == scaled.den
 
 
 def test_exact_division():
@@ -166,6 +172,24 @@ def test_gcd_that_does_not_divide_raises(monkeypatch, depth, match):
     v, X, one = R.var("v"), R.var("X"), R.one()
     with pytest.raises(NonExactDivision, match=match):
         RationalExpr(v * X + one, v * X - one)
+
+
+def test_gcd_work_on_the_long_i_measure(monkeypatch):
+    # the unreduced long-I numerator carries a v^12 X^2 monomial factor; a
+    # gcd that pseudo-divides against it instead of stripping it makes
+    # about 5,000 calls here
+    from g2hecke.plancherel import PlancherelCase, mu
+
+    honest = exactalg._poly_gcd
+    calls = []
+
+    def counting(f, g, slot, nvars):
+        calls.append(slot)
+        return honest(f, g, slot, nvars)
+
+    monkeypatch.setattr(exactalg, "_poly_gcd", counting)
+    mu(PlancherelCase.from_id("long-I", 2)).expr
+    assert 0 < len(calls) <= 500
 
 
 def _silberger(R, a, b):

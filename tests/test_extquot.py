@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from g2hecke.cli import _oracle_sweep
 from g2hecke.extquot import (
     ExtQuotError,
     FiniteOrbitModel,
@@ -58,6 +60,70 @@ def test_exhaustive_sweep_oracle_equality_and_closed_form():
             k = sum(1 for p in m.points if m.gamma[p] == p)
             free = (m.size - k) // 2
             assert eq == 2 * k + free, m
+
+
+def dense_center_dim(m):
+    """Center dimension of Fun(X) x| Gamma by dense Gaussian elimination.
+
+    The reference for the union-find count: the kernel of z -> z*b - b*z
+    over every basis element b, with the full dim x dim system over Q.
+    """
+    group = [0] if m.gamma is None else [0, 1]
+
+    def act(g, x):
+        return x if g == 0 else m.gamma[x]
+
+    basis = [(x, g) for x in m.points for g in group]
+    index = {b: i for i, b in enumerate(basis)}
+    dim = len(basis)
+
+    def mult(a, b):
+        (x, g), (y, h) = a, b
+        if x != act(g, y):
+            return None
+        return (x, (g + h) % 2 if len(group) == 2 else 0)
+
+    rows = []
+    for b in basis:
+        row_block = [[Fraction(0)] * dim for _ in range(dim)]
+        for a in basis:
+            left = mult(a, b)
+            if left is not None:
+                row_block[index[left]][index[a]] += 1
+            right = mult(b, a)
+            if right is not None:
+                row_block[index[right]][index[a]] -= 1
+        rows.extend(r for r in row_block if any(r))
+
+    r = 0
+    for c in range(dim):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return dim - r
+
+
+def test_crossed_product_count_matches_dense_rank():
+    for label, m in _oracle_sweep(12):
+        assert crossed_product_irr_count(m) == dense_center_dim(m), label
+
+
+def test_crossed_product_count_scales():
+    # 800 basis elements; the dense elimination above grows as their cube
+    m = torsion_model(400, "inversion", offset=2)
+    fixed = sum(1 for p in m.points if m.gamma[p] == p)
+    assert fixed == 2
+    assert crossed_product_irr_count(m) == 2 * fixed + (400 - fixed) // 2
 
 
 def test_output_independent_of_point_ordering():

@@ -99,6 +99,15 @@ def test_zero_locations_case_by_case():
         assert m.zeros() == ZEROS[case_id], (case_id, f)
 
 
+def test_silberger_zeros_on_a_wide_parameter_grid():
+    # q^-7 = v^-14 is past any fixed cap on root exponents; the candidates
+    # must follow the exponent width of the expression
+    for a in range(9):
+        for b in range(9):
+            expected = ({1} if a > 0 else set()) | ({-1} if b > 0 else set())
+            assert eval_unit_circle_zeros(silberger_form(a, b), "X") == expected, (a, b)
+
+
 def test_solve_matching():
     good = PlancherelCase.from_id("long-I", omega_unit=1, chi_unit=-1)
     assert solve_matching(good)

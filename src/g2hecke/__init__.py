@@ -5,7 +5,7 @@ Modules:
 * ``exactalg``   - Laurent polynomials and rational functions over Q,
   canonical forms, the parse/print grammar, unit-circle zero detection;
 * ``rootdata``   - based root data, the G2 datum, Weyl closure, bad primes,
-  the rank-1 affine Weyl group;
+  the product of the rank-1 affine Weyl group;
 * ``hecke``      - rank-1 affine Hecke algebras with unequal labels, the
   relation-verification harness, the weight-label membership check;
 * ``plancherel`` - the six case formulas for the Plancherel measure, label

@@ -22,9 +22,9 @@ The four canonical tables (long/short x depth-zero/positive) are emitted in
 a fixed reading order and are frozen as golden JSON files; rows the tables
 leave undetermined carry a first-class "unknown" R-group state.
 
-The classification assumes the residual characteristic is not 2 or 3; no
-prime arithmetic happens here, callers that cannot grant the assumption get
-a refusal.
+The classification assumes the residual characteristic is not a bad prime
+of G2 (``rootdata.bad_primes``); callers that cannot grant the assumption
+get a refusal.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import Optional
 
 from .hecke import AffineHeckePresentation, RGroup, WeightFunction, presentations_equal
 from .plancherel import W_ORDER_2, W_TRIVIAL, PlancherelCase, labels, mu, weyl_from_zeros
+from .rootdata import bad_primes, g2_datum
 
 __all__ = [
     "BlockDescriptor",
@@ -387,13 +388,12 @@ def emit_table(family: str) -> dict:
 def classify(d: BlockDescriptor, assume_good_residual_char: bool = True) -> BlockClassification:
     """The unique table row matching the descriptor.
 
-    The table data is only valid away from residual characteristic 2 and 3;
+    The table data is only valid away from the bad primes of G2;
     passing ``assume_good_residual_char=False`` refuses instead of answering.
     """
     if not assume_good_residual_char:
-        raise BlocksError(
-            "classification data assumes residual characteristic not in {2, 3}"
-        )
+        bad = ", ".join(str(p) for p in sorted(bad_primes(g2_datum())))
+        raise BlocksError(f"classification data assumes residual characteristic not in {{{bad}}}")
     matches = [r for r in table_rows(d.family) if r.matches(d)]
     if not matches:
         raise BlocksError(f"descriptor matches no table row: {d}")

@@ -57,12 +57,7 @@ def _check_tables(golden_dir: str | None) -> list:
         if golden_dir is None:
             want = _golden_table(family)
         else:
-            path = f"{golden_dir}/{family.replace('-', '_')}.json"
-            try:
-                with open(path) as f:
-                    want = json.load(f)
-            except (OSError, json.JSONDecodeError) as e:
-                raise UsageError(f"unreadable golden table: {e}")
+            want = _read_json(f"{golden_dir}/{family.replace('-', '_')}.json", "golden table")
         ok = emitted == want
         results.append(
             {
@@ -276,7 +271,7 @@ def _load_config(path: str) -> dict:
     """Single table-like text format: one ``key = value`` per line."""
     out = {}
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             for lineno, raw in enumerate(f, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -285,9 +280,18 @@ def _load_config(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = (s.strip() for s in line.split("=", 1))
                 out[key.replace("-", "_")] = value
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"unreadable config file: {e}")
     return out
+
+
+def _read_json(path: str, what: str):
+    """The JSON document in a user-named file; any failure is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, ValueError) as e:  # ValueError covers bad JSON and bad UTF-8
+        raise UsageError(f"unreadable {what}: {e}")
 
 
 def _config_argv(parser: argparse.ArgumentParser, args: argparse.Namespace, config: dict) -> list:
@@ -311,14 +315,14 @@ def _config_argv(parser: argparse.ArgumentParser, args: argparse.Namespace, conf
 def _load_allowed(path: str | None):
     if path is None:
         return None
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise UsageError(f"unreadable allowed-pairs file: {e}")
+    doc = _read_json(path, "allowed-pairs file")
     pairs = doc.get("allowed_pairs") if isinstance(doc, dict) else None
-    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-        raise UsageError(f"{path}: expected an object whose 'allowed_pairs' is a list of [lambda, lambda*]")
+    # type() and not isinstance(), which would let JSON true and false through
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(x) is int and x >= 0 for x in p) for p in pairs
+    ):
+        raise UsageError(f"{path}: expected an object whose 'allowed_pairs' is a list of [lambda, lambda*] "
+                         "of nonnegative integers")
     return {tuple(p) for p in pairs}
 
 
@@ -467,11 +471,7 @@ def _cmd_hecke(args) -> int:
 
 def _cmd_extquot(args) -> int:
     if args.model is not None:
-        try:
-            with open(args.model) as f:
-                model = extquot.FiniteOrbitModel.from_json(json.load(f))
-        except (OSError, json.JSONDecodeError) as e:
-            raise UsageError(f"unreadable model file: {e}")
+        model = extquot.FiniteOrbitModel.from_json(_read_json(args.model, "model file"))
     else:
         model = extquot.torsion_model(args.torsion_level, args.gamma, offset=args.offset)
     points = extquot.extended_quotient(model)

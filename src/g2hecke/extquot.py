@@ -53,6 +53,13 @@ def _is_identity(perm: Mapping) -> bool:
     return all(v == k for k, v in perm.items())
 
 
+def _permutes(perm: Mapping, points: set) -> bool:
+    try:
+        return set(perm) == points and set(perm.values()) == points
+    except TypeError:  # an unhashable value is not a point
+        return False
+
+
 @dataclass(frozen=True)
 class ExtQuotPoint:
     """One point of an extended quotient: orbit representative + character index.
@@ -89,6 +96,10 @@ class FiniteOrbitModel:
             raise ExtQuotError("points must be distinct")
         if not self.points:
             raise ExtQuotError("a model needs at least one point")
+        try:
+            sorted(self.points)  # orbit representatives are minimal labels
+        except TypeError:
+            raise ExtQuotError("point labels must be comparable with each other")
         self.translation = dict(translation)
         self.gamma = dict(gamma) if gamma is not None else None
         self.cocycles = dict(cocycles or {})
@@ -99,7 +110,7 @@ class FiniteOrbitModel:
     def _validate(self):
         pts = set(self.points)
         tr = self.translation
-        if set(tr) != pts or set(tr.values()) != pts:
+        if not _permutes(tr, pts):
             raise ExtQuotError("translation must permute the points")
         # simple transitivity of a cyclic group = the generator is one n-cycle
         x = self.points[0]
@@ -115,7 +126,7 @@ class FiniteOrbitModel:
             raise ExtQuotError("translation generator must act as a single cycle")
         if self.gamma is not None:
             g = self.gamma
-            if set(g) != pts or set(g.values()) != pts:
+            if not _permutes(g, pts):
                 raise ExtQuotError("gamma must permute the points")
             if not _is_identity({p: g[g[p]] for p in self.points}):
                 raise ExtQuotError("gamma must be an involution")

@@ -2,13 +2,14 @@
 
 Roots are integer vectors in the basis of simple roots, the symmetric pairing
 is a Gram matrix on that basis, and coroot pairings come out of the usual
-formula <x, g^> = 2(x|g)/(g|g).  Only small finite systems are exercised
-(G2, A1, rank-1 subdata of G2), so everything is explicit integer matrices
-with a Cartan-type tag used solely for the bad-prime table.
+formula <x, g^> = 2(x|g)/(g|g).  Only small finite systems are exercised, so
+everything is explicit integer matrices with a Cartan-type tag used solely
+for the bad-prime table.  The bad primes of G2 are where the block tables
+stop holding.
 
 The affine Weyl group of a rank-1 datum is carried as pairs
-(translation, sign): no alcove combinatorics, just generators, the length
-function and the weight function needed by the Hecke layer.
+(translation, sign) under their product; the q -> 1 check of the Hecke
+layer compares against it.
 """
 
 from __future__ import annotations
@@ -22,18 +23,9 @@ __all__ = [
     "WeylElement",
     "RootDatumError",
     "g2_datum",
-    "a1_datum",
-    "empty_datum",
-    "rank_one_subdatum",
     "bad_primes",
     "generate_weyl",
     "affine_mul",
-    "affine_inverse",
-    "affine_length",
-    "affine_weight",
-    "AFFINE_IDENTITY",
-    "AFFINE_S0",
-    "AFFINE_S1",
 ]
 
 
@@ -42,10 +34,6 @@ class RootDatumError(ValueError):
 
 
 Vec = tuple
-
-
-def _dot(row: Sequence, vec: Sequence) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(row, vec)), Fraction(0))
 
 
 def _mat_vec(mat: Sequence[Sequence], vec: Sequence) -> Vec:
@@ -138,16 +126,10 @@ class BasedRootDatum:
         return tuple(tuple(cols[j][i] for j in range(self.rank)) for i in range(self.rank))
 
     def simple_reflections(self) -> tuple:
-        if "simple_indices" in self.metadata:
-            idx = self.metadata["simple_indices"]
-            gens = [self.positive_roots[i] for i in idx]
-        else:
-            gens = [s for s in self.simple if s in self.roots]
-        return tuple(self.reflection_matrix(g) for g in gens)
+        return tuple(self.reflection_matrix(g) for g in self.simple_root_vectors())
 
     def simple_root_vectors(self) -> tuple:
-        if "simple_indices" in self.metadata:
-            return tuple(self.positive_roots[i] for i in self.metadata["simple_indices"])
+        """The basis vectors that are roots."""
         return tuple(s for s in self.simple if s in self.roots)
 
     # -- invariants ----------------------------------------------------------
@@ -157,49 +139,19 @@ class BasedRootDatum:
         for g in self.roots:
             if self.coroot_pairing(g, g) != 2:
                 raise RootDatumError(f"<a, a^> != 2 for root {g}")
-        for d in self.simple_root_vectors():
-            if d not in self.positive_roots:
-                raise RootDatumError("simple roots must be positive")
         for m in self.simple_reflections():
             for r in self.roots:
                 if _mat_vec(m, r) not in root_set:
                     raise RootDatumError("simple reflection does not permute the roots")
+        # every simple root is a basis vector, so the coefficients of a
+        # positive root in the simple roots are its coordinates
         simple = self.simple_root_vectors()
         for r in self.positive_roots:
-            coeffs = self._express_in(simple, r)
-            if coeffs is None or any(c < 0 or c.denominator != 1 for c in coeffs):
-                raise RootDatumError(
-                    f"positive root {r} is not a nonnegative integer combination of the basis"
-                )
-
-    def _express_in(self, basis: Sequence[Vec], target: Vec):
-        # solve basis * c = target by Gaussian elimination over Q
-        n = self.rank
-        k = len(basis)
-        rows = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-        piv = 0
-        for col in range(k):
-            sel = next((r for r in range(piv, n) if rows[r][col] != 0), None)
-            if sel is None:
-                continue
-            rows[piv], rows[sel] = rows[sel], rows[piv]
-            f = rows[piv][col]
-            rows[piv] = [x / f for x in rows[piv]]
-            for r in range(n):
-                if r != piv and rows[r][col] != 0:
-                    g = rows[r][col]
-                    rows[r] = [x - g * y for x, y in zip(rows[r], rows[piv])]
-            piv += 1
-        sol = [Fraction(0)] * k
-        piv = 0
-        for col in range(k):
-            if piv < n and rows[piv][col] == 1 and all(rows[piv][c] == 0 for c in range(col)):
-                sol[col] = rows[piv][-1]
-                piv += 1
-        for i in range(n):
-            if sum(Fraction(basis[j][i]) * sol[j] for j in range(k)) != target[i]:
-                return None
-        return sol
+            for c, e in zip(r, self.simple):
+                if c < 0 or Fraction(c).denominator != 1 or (c != 0 and e not in simple):
+                    raise RootDatumError(
+                        f"positive root {r} is not a nonnegative integer combination of the basis"
+                    )
 
     def to_json(self) -> dict:
         return {
@@ -237,34 +189,6 @@ def g2_datum() -> BasedRootDatum:
     )
 
 
-def a1_datum() -> BasedRootDatum:
-    return BasedRootDatum(("alpha",), [(1,)], [[2]], "A1")
-
-
-def empty_datum(rank: int = 1, labels: Sequence[str] | None = None) -> BasedRootDatum:
-    labels = tuple(labels or tuple(f"x{i}" for i in range(rank)))
-    gram = _identity(rank)
-    return BasedRootDatum(labels, [], gram, "empty")
-
-
-def rank_one_subdatum(d: BasedRootDatum, root: Sequence) -> BasedRootDatum:
-    """The rank-1 datum {root, -root} inside the ambient lattice of ``d``.
-
-    This is the Sigma_O of a maximal-Levi block; its Weyl group has order 2.
-    """
-    root = tuple(root)
-    if root not in d.roots:
-        raise RootDatumError(f"{root} is not a root of {d.cartan_type}")
-    pos = root if root in d.positive_roots else tuple(-x for x in root)
-    return BasedRootDatum(
-        d.basis_labels,
-        [pos],
-        d.gram,
-        "A1",
-        {"ambient": d.cartan_type, "simple_indices": [0]},
-    )
-
-
 _BAD_PRIMES = {
     "A": set(),
     "B": {2},
@@ -275,7 +199,6 @@ _BAD_PRIMES = {
     "E6": {2, 3},
     "E7": {2, 3},
     "E8": {2, 3, 5},
-    "empty": set(),
 }
 
 
@@ -319,39 +242,9 @@ def generate_weyl(d: BasedRootDatum, max_elements: int = 10000) -> list:
 # Rank-1 affine Weyl group: pairs (translation, sign)
 # ---------------------------------------------------------------------------
 
-# element (n, s) acts on the line by x -> s*x + n; s0 = (0,-1), s1 = (1,-1)
-AFFINE_IDENTITY = (0, 1)
-AFFINE_S0 = (0, -1)
-AFFINE_S1 = (1, -1)
-
 
 def affine_mul(a: tuple, b: tuple) -> tuple:
+    """Product of pairs (n, s) acting by x -> s*x + n; s0 = (0, -1), s1 = (1, -1)."""
     n1, s1 = a
     n2, s2 = b
     return (n1 + s1 * n2, s1 * s2)
-
-
-def affine_inverse(a: tuple) -> tuple:
-    n, s = a
-    return (-s * n, s)
-
-
-def affine_length(a: tuple) -> int:
-    n, s = a
-    if s == 1:
-        return 2 * abs(n)
-    return abs(2 * n - 1)
-
-
-def affine_weight(a: tuple, lam: int, lam_star: int) -> int:
-    """Additive weight with value lam on s0 and lam_star on s1.
-
-    Counts of each generator in any reduced word are determined by the element
-    (the two generators alternate), so this is well-defined.
-    """
-    n, s = a
-    if s == 1:
-        return abs(n) * (lam + lam_star)
-    if n >= 1:
-        return n * lam_star + (n - 1) * lam
-    return (1 - n) * lam + (-n) * lam_star

@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from g2hecke import blocks, rootdata
 from g2hecke.blocks import (
     FAMILIES,
     BlockClassification,
@@ -201,10 +202,25 @@ def test_classify_rejects_incoherent_descriptor():
         )
 
 
-def test_classify_requires_good_residual_characteristic():
+def test_classify_requires_good_residual_characteristic(monkeypatch):
     d = BlockDescriptor("short", "depth-zero", "G", "unramified", omega_ramified=False)
-    with pytest.raises(BlocksError):
+    with pytest.raises(BlocksError) as exc:
         classify(d, assume_good_residual_char=False)
+    assert str(exc.value) == "classification data assumes residual characteristic not in {2, 3}"
+    # the refused characteristics are read off the G2 datum
+    monkeypatch.setattr(blocks, "bad_primes", lambda datum: {2, 3, 5})
+    with pytest.raises(BlocksError) as exc:
+        classify(d, assume_good_residual_char=False)
+    assert str(exc.value).endswith("not in {2, 3, 5}")
+    # and only the refusal builds the datum: a cold table build needs none
+
+    def no_datum(*args, **kwargs):
+        raise AssertionError("a root datum was built")
+
+    monkeypatch.setattr(rootdata.BasedRootDatum, "__init__", no_datum)
+    monkeypatch.setattr(blocks, "_CACHE", {})
+    for family in FAMILIES:
+        assert emit_table(family) == golden(family)
 
 
 def test_both_phi0_rows_match_any_restriction():

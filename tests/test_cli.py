@@ -158,10 +158,14 @@ def test_extquot_model_file(tmp_path, capsys):
         {"points": 5, "translation": {}},
         {"points": [0, 1], "translation": [1, 0]},
         {"points": [[0]], "translation": {"[0]": [0]}},
+        {"points": [1, 2], "translation": {"1": 2, "2": [1]}},
+        {"points": [0], "translation": {"0": 0}, "gamma": {"0": {}}},
+        {"points": [1, "a"], "translation": {"1": "a", "a": 1}},
     ],
     ids=[
         "list", "no-points", "no-translation", "unknown-key", "unknown-gamma-key", "unknown-cocycle-key",
-        "points-not-list", "translation-not-object", "unhashable-point",
+        "points-not-list", "translation-not-object", "unhashable-point", "unhashable-translation-value",
+        "unhashable-gamma-value", "unordered-points",
     ],
 )
 def test_extquot_malformed_model_file(tmp_path, capsys, doc):
@@ -170,6 +174,24 @@ def test_extquot_malformed_model_file(tmp_path, capsys, doc):
     code, _, err = run(capsys, "extquot", "--model", str(path))
     assert code == EXIT_USAGE
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--config", "{file}", "tables"],
+        ["extquot", "--model", "{file}"],
+        ["check", "--part", "blocks", "--allowed-lusztig", "{file}"],
+        ["check", "--part", "tables", "--golden-dir", "{dir}"],
+    ],
+    ids=["config", "model", "allowed-lusztig", "golden-dir"],
+)
+def test_input_file_not_utf8(tmp_path, capsys, argv):
+    bad = tmp_path / "long_depth_zero.json"
+    bad.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, *(a.format(file=bad, dir=tmp_path) for a in argv))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: unreadable") and err.count("\n") == 1
 
 
 def test_config_file_overrides_flags(tmp_path, capsys):
@@ -229,7 +251,14 @@ def test_allowed_lusztig_override(tmp_path, capsys):
     )
     assert code == EXIT_CHECK_FAILED
     assert "lusztig False" in out
-    for malformed in ({"pairs": [[9, 9]]}, {"allowed_pairs": [1, 2]}):
+    for malformed in (
+        {"pairs": [[9, 9]]},
+        {"allowed_pairs": [1, 2]},
+        {"allowed_pairs": [[1, [2]]]},
+        {"allowed_pairs": [["a", "b"]]},
+        {"allowed_pairs": [[True, 1]]},
+        {"allowed_pairs": [[-1, 1]]},
+    ):
         allowed.write_text(json.dumps(malformed))
         code, _, err = run(capsys, "check", "--part", "blocks", "--allowed-lusztig", str(allowed))
         assert code == EXIT_USAGE

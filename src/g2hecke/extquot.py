@@ -92,7 +92,11 @@ class FiniteOrbitModel:
         cocycles: Optional[Mapping] = None,
     ):
         self.points = tuple(points)
-        if len(set(self.points)) != len(self.points):
+        try:
+            distinct = len(set(self.points)) == len(self.points)
+        except TypeError:  # an unhashable label is not a point
+            raise ExtQuotError("point labels must be hashable")
+        if not distinct:
             raise ExtQuotError("points must be distinct")
         if not self.points:
             raise ExtQuotError("a model needs at least one point")

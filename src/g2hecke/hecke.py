@@ -202,8 +202,10 @@ class HeckeElement:
     def __init__(self, pres: AffineHeckePresentation, terms: Mapping[tuple, int | Fraction]):
         clean = {}
         for (x, w, e), c in terms.items():
-            if not isinstance(c, (int, Fraction)):
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                 raise HeckeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
+            if any(type(k) is not int for k in (x, w, e)):
+                raise HeckeError("lattice point, Weyl component and v-exponent must be integers")
             if not c:
                 continue
             if w not in (0, 1):
@@ -243,15 +245,20 @@ class HeckeElement:
     def __eq__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        return presentations_equal(self.pres, other.pres) and self.terms == other.terms
+        same = self.pres is other.pres or presentations_equal(self.pres, other.pres)
+        return same and self.terms == other.terms
 
     def specialize_v(self, value) -> dict:
         """Nonzero coefficients of theta_x T_w with v set to an exact nonzero value."""
-        out: dict = {}
         value = Fraction(value)
+        if not value:
+            raise HeckeError("v must be specialized to a nonzero value")
+        # one power per distinct exponent; integral powers stay int, so int sums stay int
+        powers = {e: value ** e for e in {e for (_, _, e) in self.terms}}
+        powers = {e: p.numerator if p.denominator == 1 else p for e, p in powers.items()}
+        out: dict = {}
         for (x, w, e), c in self.terms.items():
-            power = value ** e  # integral powers stay int, so int sums stay int
-            out[x, w] = out.get((x, w), 0) + c * (power.numerator if power.denominator == 1 else power)
+            out[x, w] = out.get((x, w), 0) + c * powers[e]
         return {k: c for k, c in out.items() if c}
 
     def render(self) -> str:
@@ -273,7 +280,7 @@ class HeckeElement:
 
 
 def _check_pres(a: HeckeElement, b: HeckeElement):
-    if not presentations_equal(a.pres, b.pres):
+    if a.pres is not b.pres and not presentations_equal(a.pres, b.pres):
         raise HeckeError("elements live over different presentations")
 
 
@@ -326,31 +333,33 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     g, two_lam = [], 0
     if pres.weyl_order == 2:
         g, two_lam = _structure_constants(pres), 2 * pres.weights.pair()[0]
+    # T_s T_u as (w, v-shift, sign): T_s T_s = (q^lam - 1) T_s + q^lam
+    ts_times = {0: [(1, 0, 1)], 1: [(1, two_lam, 1), (1, 0, -1), (0, two_lam, 1)]}
+    corrections: dict = {}  # -g Q(y) as (X-shift, v-shift, sign), per distinct y
     out: dict = {}
-
-    def add(x: int, w: int, e: int, c):
-        out[x, w, e] = out.get((x, w, e), 0) + c
-
+    get = out.get
     right = b.terms.items()
     for (x, w, e1), c1 in a.terms.items():
         for (y, u, e2), c2 in right:
             c, e = c1 * c2, e1 + e2
             if w == 0:
-                add(x + y, u, e, c)
+                key = x + y, u, e
+                out[key] = get(key, 0) + c
                 continue
             # theta_x T_s theta_y T_u = theta_{x-y} T_s T_u - theta_x g Q(y) T_u
-            if u == 0:
-                add(x - y, 1, e, c)
-            else:
-                # T_s T_s = (q^lam - 1) T_s + q^lam
-                add(x - y, 1, e + two_lam, c)
-                add(x - y, 1, e, -c)
-                add(x - y, 0, e + two_lam, c)
-            quotient = _commutation_quotient(y)
-            for shift, ge, gs in g:
-                for k, ks in quotient:
-                    add(x + shift + k, u, e + ge, -c * gs * ks)
-    return HeckeElement(pres, out)
+            for wu, de, sign in ts_times[u]:
+                key = x - y, wu, e + de
+                out[key] = get(key, 0) + sign * c
+            if y not in corrections:
+                quotient = _commutation_quotient(y)
+                corrections[y] = [(s + k, ge, -gs * ks) for s, ge, gs in g for k, ks in quotient]
+            for dx, de, sign in corrections[y]:
+                key = x + dx, u, e + de
+                out[key] = get(key, 0) + sign * c
+    # the operands were validated when built, so the product needs no second check
+    product = HeckeElement.__new__(HeckeElement)
+    product.pres, product.terms = pres, {k: c for k, c in out.items() if c}
+    return product
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +426,8 @@ def verify_relations(
     sample of triples, exactness of the commutation quotient up to
     ``degree_bound`` (1 to ``MAX_DEGREE_BOUND``, else :class:`HeckeError`),
     centrality of symmetric lattice elements, and the q -> 1 group-algebra
-    degeneration.  Test elements are built flat, as (x, w, v-exponent) ->
-    coefficient.
+    degeneration.  Each triple is evaluated both ways; the core triples share
+    their factors, so each core product is formed once.
     """
     import random
 
@@ -431,7 +440,7 @@ def verify_relations(
         return HeckeElement(pres, {(x, w, e): c})
 
     ws = (0, 1) if pres.weyl_order == 2 else (0,)
-    basis = [(x, w) for x in range(-b, b + 1) for w in ws]
+    basis = {(x, w): elem(x, w) for x in range(-b, b + 1) for w in ws}
 
     # 1. quadratic relations of T_s0 = T_s and T_s1 = v^(lam+lam*) theta_1 T_s0^-1;
     # terms are added one by one because they share keys at lam = 0
@@ -467,8 +476,10 @@ def verify_relations(
     # 3. associativity: exhaustive core + deterministic sample, including
     # products of two-term elements so the correction terms interact
     rng = random.Random(seed)
-    core = [(x, w) for x in (-1, 0, 1) for w in ws]
-    triples = [(elem(*p), elem(*q), elem(*r)) for p in core for q in core for r in core]
+    core = [elem(x, w) for x in (-1, 0, 1) for w in ws]
+    # the core triples share their factors, so each core product is formed once
+    cp = {(i, j): multiply(p, q) for i, p in enumerate(core) for j, q in enumerate(core)}
+    triples = [(core[i], core[j], r, cp[i, j], cp[j, k]) for i, j in cp for k, r in enumerate(core)]
 
     def random_element():
         e = elem(rng.randint(-b, b), rng.choice(ws))
@@ -478,11 +489,12 @@ def verify_relations(
         return e
 
     while len(triples) < max(ASSOCIATIVITY_SAMPLES, len(core) ** 3):
-        triples.append((random_element(), random_element(), random_element()))
+        pe, qe, re_ = random_element(), random_element(), random_element()
+        triples.append((pe, qe, re_, multiply(pe, qe), multiply(qe, re_)))
     ok = True
     detail = f"{len(triples)} triples"
-    for (pe, qe, re_) in triples:
-        if multiply(multiply(pe, qe), re_) != multiply(pe, multiply(qe, re_)):
+    for (pe, qe, re_, pq, qr) in triples:
+        if multiply(pq, re_) != multiply(pe, qr):
             ok = False
             detail = f"associativity failed on {pe!r}, {qe!r}, {re_!r}"
             break
@@ -521,9 +533,9 @@ def verify_relations(
     # 6. q -> 1 degeneration to the group algebra of the affine Weyl group
     ok = True
     detail = ""
-    for (x, w) in basis:
-        for (y, u) in basis:
-            got = multiply(elem(x, w), elem(y, u)).specialize_v(1)
+    for (x, w), left in basis.items():
+        for (y, u), right in basis.items():
+            got = multiply(left, right).specialize_v(1)
             n, sign = affine_mul((x, 1 - 2 * w), (y, 1 - 2 * u))
             if got != {(n, (1 - sign) // 2): 1}:
                 ok = False

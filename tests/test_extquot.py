@@ -159,6 +159,17 @@ def test_model_validation():
         FiniteOrbitModel([0, 1], {0: 1, 1: 0}, {0: 0, 1: 1}, cocycles={0: 5})
 
 
+@pytest.mark.parametrize(
+    "points, translation",
+    [([[0]], {}), ([0, {1: 1}], {0: 0}), ([0, 0], {0: 0}), ([0, "a"], {0: "a", "a": 0})],
+    ids=["list-label", "dict-label", "repeated", "unordered"],
+)
+def test_model_rejects_bad_point_labels(points, translation):
+    # the library constructor refuses these like from_json does, without a raw TypeError
+    with pytest.raises(ExtQuotError):
+        FiniteOrbitModel(points, translation)
+
+
 def test_twisted_table_still_gives_two_characters():
     m = FiniteOrbitModel(
         [0, 1, 2], {0: 1, 1: 2, 2: 0}, {0: 0, 1: 2, 2: 1}, cocycles={0: -1}

@@ -198,6 +198,32 @@ def test_verify_relations_reports_sabotage(monkeypatch):
     assert any(c.name == "associativity" for c in rep.failures)
 
 
+def test_product_uses_the_one_closed_form(monkeypatch):
+    # negate every sign of the closed form; a product carrying its own copy of
+    # it would pass both checks
+    honest = hecke._commutation_quotient
+    monkeypatch.setattr(hecke, "_commutation_quotient", lambda y: [(k, -s) for k, s in honest(y)])
+    assert first_representation_mismatch(pres(3, 1), multiply) is not None
+    rep = verify_relations(pres(3, 1), 3)
+    assert "bernstein-exact-division" in {c.name for c in rep.failures}
+
+
+@pytest.mark.parametrize("pair", TABLE_PAIRS)
+def test_verify_relations_forms_core_products_once(monkeypatch, pair):
+    # 216 core triples evaluated both ways took 1,214 products; sharing the
+    # 36 distinct core products p*q brings that to 818
+    calls = []
+    honest = hecke.multiply
+
+    def counted(a, b):
+        calls.append(1)
+        return honest(a, b)
+
+    monkeypatch.setattr(hecke, "multiply", counted)
+    assert verify_relations(pres(*pair), 3).ok
+    assert len(calls) <= 820
+
+
 def test_verify_relations_reports_sabotaged_quotient(monkeypatch):
     honest = hecke._commutation_quotient
     monkeypatch.setattr(hecke, "_commutation_quotient", lambda y: honest(y)[1:])
@@ -219,12 +245,38 @@ def test_specialize_v_leaves_out_cancelled_coefficients():
     h = HeckeElement(p, {(0, 1, 2): 1, (0, 1, 0): -1, (1, 0, -1): Fraction(1, 2)})
     assert h.specialize_v(1) == {(1, 0): Fraction(1, 2)}
     assert h.specialize_v(2) == {(0, 1): 3, (1, 0): Fraction(1, 4)}
+    assert h.specialize_v(Fraction(1, 2)) == {(0, 1): Fraction(-3, 4), (1, 0): 1}
+    # repeated exponents over different basis vectors, one of them cancelling
+    r = HeckeElement(p, {(0, 0, 2): 3, (1, 1, 2): -1, (1, 1, 0): 4, (2, 0, 2): 5, (2, 0, -2): -80})
+    assert r.specialize_v(2) == {(0, 0): 12}
+    half = {(0, 0): Fraction(3, 4), (1, 1): Fraction(15, 4), (2, 0): Fraction(-1275, 4)}
+    assert r.specialize_v(Fraction(-1, 2)) == half
+    assert all(type(c) is int for c in r.specialize_v(-2).values())
+
+
+def test_specialize_v_at_zero_is_an_error():
+    h = HeckeElement(pres(1, 1), {(0, 0, 0): 1, (1, 0, -1): 2})
+    for zero in (0, Fraction(0)):
+        with pytest.raises(HeckeError):
+            h.specialize_v(zero)
 
 
 @pytest.mark.parametrize(
     "terms",
-    [{(0, 0, 0): 0.5}, {(0, 2, 0): 1}],
-    ids=["float-coefficient", "w-2"],
+    [
+        {(0, 0, 0): 0.5},
+        {(0, 2, 0): 1},
+        {(0.5, 0, 0): 1},
+        {(0, 0, 1.5): 1},
+        {(True, 0, 0): 1},
+        {(0, 0, 0): True},
+        {(Fraction(1), 0, 0): 1},
+        {(0, True, 0): 1},
+    ],
+    ids=[
+        "float-coefficient", "w-2", "float-lattice-point", "float-v-exponent",
+        "bool-lattice-point", "bool-coefficient", "fraction-lattice-point", "bool-weyl-component",
+    ],
 )
 def test_element_rejects_bad_terms(terms):
     with pytest.raises(HeckeError):

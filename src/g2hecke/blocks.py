@@ -29,9 +29,7 @@ get a refusal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
-
+from ._record import record, replace
 from .hecke import AffineHeckePresentation, RGroup, WeightFunction, presentations_equal
 from .plancherel import W_ORDER_2, W_TRIVIAL, PlancherelCase, labels, mu, weyl_from_zeros
 from .rootdata import bad_primes, g2_datum
@@ -63,7 +61,7 @@ class BlocksError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BlockDescriptor:
     """Descriptor of one block, mirroring the table columns.
 
@@ -79,11 +77,11 @@ class BlockDescriptor:
     depth_class: str  # "depth-zero" | "essentially-depth-zero" | "positive-depth"
     g0_kind: str  # "G" | "M0=M" | "U_eps(1,1)" | "U_pi(1,1)" | "torus" | "chain"
     L_over_F: str  # "ramified" | "unramified"
-    omega_ramified: Optional[bool] = None
-    chi_cubic: Optional[bool] = None
-    chi2chiprime_ramified: Optional[bool] = None
-    phi0_restriction: Optional[str] = None
-    phi1_trivial: Optional[bool] = None
+    omega_ramified: bool | None = None
+    chi_cubic: bool | None = None
+    chi2chiprime_ramified: bool | None = None
+    phi0_restriction: str | None = None
+    phi1_trivial: bool | None = None
 
     def __post_init__(self):
         if self.root_kind not in ("long", "short"):
@@ -152,7 +150,7 @@ def _crossed(r_group: RGroup) -> AffineHeckePresentation:
     return AffineHeckePresentation(1, 1, None, r_group)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BlockClassification:
     """Table-row invariants of one block."""
 
@@ -163,7 +161,7 @@ class BlockClassification:
     xnr_order: int
     h_g: AffineHeckePresentation
     h_g0: AffineHeckePresentation
-    mu_case: Optional[str] = None
+    mu_case: str | None = None
 
     def __post_init__(self):
         if self.w_o == W_ORDER_2 and self.r_o.state != "trivial":
@@ -214,7 +212,7 @@ def check_ro_reduction(c: BlockClassification) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TableRow:
     family: str
     index: int
@@ -257,9 +255,9 @@ def _weyl(p: AffineHeckePresentation) -> str:
 
 def _classify_row(
     desc: BlockDescriptor,
-    case_id: Optional[str],
+    case_id: str | None,
     r_if_trivial_w: RGroup,
-    h_g0: Optional[AffineHeckePresentation],
+    h_g0: AffineHeckePresentation | None,
 ) -> BlockClassification:
     """Build a row's classification through the measure pipeline.
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 
 from . import blocks, extquot, hecke, plancherel
 
@@ -43,6 +42,8 @@ class UsageError(Exception):
 
 
 def _golden_table(family: str) -> dict:
+    from importlib import resources
+
     path = resources.files("g2hecke").joinpath(
         f"data/tables/{family.replace('-', '_')}.json"
     )

@@ -26,8 +26,8 @@ of order 1 or 2, which are the rational constants +1 and -1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
 
 __all__ = [
     "RingContext",
@@ -53,9 +53,6 @@ class NonExactDivision(ArithmeticError):
 
 class ShapeError(ValueError):
     """Raised when an expression is not of the factored shape an operation needs."""
-
-
-Scalar = Union[int, Fraction]
 
 
 def _as_fraction(c) -> Fraction:
@@ -103,7 +100,7 @@ class RingContext:
     def one(self) -> "LaurentExpr":
         return self.const(1)
 
-    def const(self, c: Scalar) -> "LaurentExpr":
+    def const(self, c: int | Fraction) -> "LaurentExpr":
         c = _as_fraction(c)
         if c == 0:
             return self.zero()
@@ -119,7 +116,9 @@ class RingContext:
         exps[self.index[name]] = power
         return LaurentExpr(self, {tuple(exps): Fraction(1)})
 
-    def monomial(self, exponents: Mapping[str, int] | Iterable[int], coeff: Scalar = 1) -> "LaurentExpr":
+    def monomial(
+        self, exponents: Mapping[str, int] | Iterable[int], coeff: int | Fraction = 1
+    ) -> "LaurentExpr":
         if isinstance(exponents, Mapping):
             exps = [0] * self.nvars
             for name, e in exponents.items():

@@ -28,8 +28,9 @@ been checked, and always verified to be bijections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from collections.abc import Mapping, Sequence
+
+from ._record import record
 
 __all__ = [
     "FiniteOrbitModel",
@@ -60,7 +61,7 @@ def _permutes(perm: Mapping, points: set) -> bool:
         return False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExtQuotPoint:
     """One point of an extended quotient: orbit representative + character index.
 
@@ -88,8 +89,8 @@ class FiniteOrbitModel:
         self,
         points: Sequence,
         translation: Mapping,
-        gamma: Optional[Mapping] = None,
-        cocycles: Optional[Mapping] = None,
+        gamma: Mapping | None = None,
+        cocycles: Mapping | None = None,
     ):
         self.points = tuple(points)
         try:
@@ -344,11 +345,11 @@ def crossed_product_irr_count(m: FiniteOrbitModel) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record()
 class PropertyVerdict:
     ok: bool
     reason: str = ""
-    witness: Optional[tuple] = None
+    witness: tuple | None = None
 
     def __bool__(self):
         return self.ok

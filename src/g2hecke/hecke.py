@@ -37,11 +37,10 @@ implemented.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from importlib import resources
-from typing import Mapping
 
+from ._record import record
 from .exactalg import LaurentExpr, exact_div, ring
 from .rootdata import affine_mul
 
@@ -75,7 +74,7 @@ _X = COEFF_RING.var("X")
 _ONE = COEFF_RING.one()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WeightFunction:
     """Labels lam, lam_star on the simple affine reflections, per simple root."""
 
@@ -101,7 +100,7 @@ class WeightFunction:
         return {"lambda": list(self.lam), "lambda_star": list(self.lam_star)}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RGroup:
     """Tri-state R-group descriptor; order is known only off the unknown state."""
 
@@ -134,7 +133,7 @@ class RGroup:
         return {"state": self.state, "order": self.order}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AffineHeckePresentation:
     """Presentation data of the block algebra.
 
@@ -201,7 +200,11 @@ class HeckeElement:
 
     def __init__(self, pres: AffineHeckePresentation, terms: Mapping[tuple, int | Fraction]):
         clean = {}
-        for (x, w, e), c in terms.items():
+        for key, c in terms.items():
+            try:
+                x, w, e = key
+            except (TypeError, ValueError):
+                raise HeckeError(f"term keys must be (x, w, e) triples, not {key!r}") from None
             if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                 raise HeckeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
             if any(type(k) is not int for k in (x, w, e)):
@@ -367,14 +370,14 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record()
 class CheckResult:
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
+@record()
 class RelationReport:
     presentation: AffineHeckePresentation
     checks: list
@@ -555,6 +558,8 @@ def verify_relations(
 
 def default_lusztig_allowed() -> set:
     """Label pairs shipped as data; every table row lands in this set."""
+    from importlib import resources
+
     path = resources.files("g2hecke").joinpath("data/lusztig_allowed.json")
     with path.open() as f:
         data = json.load(f)

@@ -30,9 +30,7 @@ Unit values of the relevant characters at uniformizers are restricted to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
+from ._record import record
 from .exactalg import LaurentExpr, RationalExpr, eval_unit_circle_zeros, ring
 from .hecke import WeightFunction
 
@@ -67,7 +65,7 @@ W_ORDER_2 = "order-2"
 MU_RING = ring(["v", "X", "c"], {"v": "q"})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PlancherelCase:
     """Descriptor for one case formula.
 
@@ -80,8 +78,8 @@ class PlancherelCase:
 
     case_id: str
     omega_ramified: bool
-    sigma_induced: Optional[bool] = None  # sigma = sigma(tau) for the long root
-    chi2chiprime_ramified: Optional[bool] = None
+    sigma_induced: bool | None = None  # sigma = sigma(tau) for the long root
+    chi2chiprime_ramified: bool | None = None
     residue_degree: int = 2
     ramification_index: int = 1
     omega_unit: int = 1
@@ -155,7 +153,7 @@ class PlancherelCase:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MuFunction:
     """The factored measure of one case.
 

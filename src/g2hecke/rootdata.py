@@ -14,9 +14,10 @@ layer compares against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
+
+from ._record import record
 
 __all__ = [
     "BasedRootDatum",
@@ -51,7 +52,7 @@ def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WeylElement:
     """A Weyl group element: a reduced word in simple reflections and its matrix."""
 

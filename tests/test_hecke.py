@@ -272,10 +272,13 @@ def test_specialize_v_at_zero_is_an_error():
         {(0, 0, 0): True},
         {(Fraction(1), 0, 0): 1},
         {(0, True, 0): 1},
+        {(0, 0): 1},
+        {5: 1},
     ],
     ids=[
         "float-coefficient", "w-2", "float-lattice-point", "float-v-exponent",
         "bool-lattice-point", "bool-coefficient", "fraction-lattice-point", "bool-weyl-component",
+        "short-key", "non-tuple-key",
     ],
 )
 def test_element_rejects_bad_terms(terms):

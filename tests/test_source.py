@@ -2,9 +2,13 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "g2hecke").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "g2hecke").glob("*.py"))
 
 
 def test_invariants_are_raised_errors_not_asserts():
@@ -28,3 +32,15 @@ def test_every_exported_name_resolves():
         module = importlib.import_module("g2hecke" if path.stem == "__init__" else f"g2hecke.{path.stem}")
         missing += [f"{path.name}:{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, f"names in __all__ that do not resolve: {missing}"
+
+
+def test_import_path_stays_lean():
+    # every CLI command is a fresh process, so what `import g2hecke` pulls in
+    # is paid on each one; -S keeps site hooks from loading these first
+    heavy = ["dataclasses", "inspect", "typing", "importlib.resources", "argparse", "random"]
+    code = f"import sys, g2hecke; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]", f"import g2hecke loads {out.stdout.strip()}"

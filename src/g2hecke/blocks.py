@@ -4,7 +4,9 @@ A block descriptor records which maximal Levi the block sits on (long or
 short simple root), the depth class of its inducing datum, the twisted Levi
 G0 underneath it, and the ramification switches that drive the measure
 formulas.  ``classify`` maps a descriptor to the unique table row it matches
-and returns the row's invariants:
+and returns the row's invariants.  A descriptor matches a row when it equals
+the row's descriptor, except that a row whose phi_0 restriction is "both"
+takes any given phi_0 restriction.  The invariants are:
 
 * the rank-1 Weyl group W_O and the twisting group R(O), for the block and
   for its depth-zero companion on G0;
@@ -177,10 +179,8 @@ class BlockClassification:
         def pres_json(p: AffineHeckePresentation, kind: str) -> dict:
             out = {"kind": kind}
             if p.weyl_order == 2:
-                lam, lam_star = p.weights.pair()
-                out["lambda"] = lam
-                out["lambda_star"] = lam_star
-                out["params"] = [f"q^{lam}" if lam != 1 else "q", f"q^{lam_star}" if lam_star != 1 else "q"]
+                out["lambda"], out["lambda_star"] = p.weights.pair()
+                out["params"] = _q_params(p)
             else:
                 out["r_group"] = p.r_group.state
             return out
@@ -195,6 +195,11 @@ class BlockClassification:
             "H_G0": pres_json(self.h_g0, self.h_kind("G0")),
             "mu_case": self.mu_case,
         }
+
+
+def _q_params(p: AffineHeckePresentation) -> list:
+    """The parameters q^lam, q^lam_star of a noncommutative presentation."""
+    return ["q" if k == 1 else f"q^{k}" for k in p.weights.pair()]
 
 
 def check_weyl_iso(c: BlockClassification) -> bool:
@@ -221,23 +226,10 @@ class TableRow:
     datum_display: str
 
     def matches(self, d: BlockDescriptor) -> bool:
-        a, b = self.descriptor, d
-        if (a.root_kind, a.depth_class, a.g0_kind, a.L_over_F) != (
-            b.root_kind,
-            b.depth_class,
-            b.g0_kind,
-            b.L_over_F,
-        ):
-            return False
-        for field_name in ("omega_ramified", "chi_cubic", "chi2chiprime_ramified", "phi1_trivial"):
-            av, bv = getattr(a, field_name), getattr(b, field_name)
-            if av is not None and bv is not None and av != bv:
-                return False
-            if (av is None) != (bv is None):
-                return False
-        if a.phi0_restriction == "both":
-            return b.phi0_restriction is not None
-        return a.phi0_restriction == b.phi0_restriction
+        """Descriptor equality; a row whose phi_0 restriction is "both" takes any."""
+        if self.descriptor.phi0_restriction == "both" and d.phi0_restriction is not None:
+            d = replace(d, phi0_restriction="both")
+        return d == self.descriptor
 
     def to_json(self) -> dict:
         return {
@@ -409,9 +401,7 @@ def _h_display(c: BlockClassification, side: str) -> str:
     kind = c.h_kind(side)
     p = c.h_g if side == "G" else c.h_g0
     if kind == NONCOMM:
-        lam, lam_star = p.weights.pair()
-        ps = ("q" if lam == 1 else f"q^{lam}", "q" if lam_star == 1 else f"q^{lam_star}")
-        return f"non-comm, {ps[0]}, {ps[1]}"
+        return ", ".join(["non-comm", *_q_params(p)])
     if kind == CROSSED:
         return "C[R(O)] x| C[O]"
     return "C[O]"
@@ -422,38 +412,27 @@ def _state_display(s: str) -> str:
 
 
 def render_text_table(family: str) -> str:
-    rows = table_rows(family)
     depth_zero = family.endswith("depth-zero")
     if depth_zero:
-        headers = ["#", "r", "omega", "chi^2chi'^-1", "R(O)", "R(O^0)", "L/F",
-                   "#X_nr", "W_O", "W_O^0", "H(G,rho)", "H(G^0,rho^0)"]
+        headers = ["#", "r", "omega", "chi^2chi'^-1"]
     else:
-        headers = ["#", "M^0", "phi_0|Z", "phi_1", "vec G", "R(O)", "R(O^0)", "L/F",
-                   "#X_nr", "W_O", "W_O^0", "H(G,rho)", "H(G^0,rho^0)"]
+        headers = ["#", "M^0", "phi_0|Z", "phi_1", "vec G"]
+    headers += ["R(O)", "R(O^0)", "L/F", "#X_nr", "W_O", "W_O^0", "H(G,rho)", "H(G^0,rho^0)"]
     lines = [headers]
-    for r in rows:
+    w = lambda s: "!= 1" if s == W_ORDER_2 else "= 1"
+    for r in table_rows(family):
         d, c = r.descriptor, r.classification
-        w = lambda s: "!= 1" if s == W_ORDER_2 else "= 1"
         if depth_zero:
             chi = "N/A"
             if d.chi_cubic is True:
                 chi = ("ramified" if d.chi2chiprime_ramified else "unramified") + ", chi cubic"
             elif d.chi_cubic is False:
                 chi = "chi not cubic"
-            lines.append([
-                str(r.index),
+            head = [
                 "r = 0" if d.depth_class == "depth-zero" else "r != 0",
                 "!= 1" if d.omega_ramified else "= 1",
                 chi,
-                _state_display(c.r_o.state),
-                _state_display(c.r_o0.state),
-                d.L_over_F,
-                str(c.xnr_order),
-                w(c.w_o),
-                w(c.w_o0),
-                _h_display(c, "G"),
-                _h_display(c, "G0"),
-            ])
+            ]
         else:
             torus = ("T_beta," if d.root_kind == "long" else "T_alpha,") + (
                 "pi'" if d.L_over_F == "ramified" else "eps"
@@ -464,21 +443,19 @@ def render_text_table(family: str) -> str:
                 "other-nontrivial": "!= 1, != sign",
                 "both": "both",
             }[d.phi0_restriction]
-            lines.append([
-                str(r.index),
-                torus,
-                phi0,
-                "= 1" if d.phi1_trivial else "!= 1",
-                r.datum_display,
-                _state_display(c.r_o.state),
-                _state_display(c.r_o0.state),
-                d.L_over_F,
-                str(c.xnr_order),
-                w(c.w_o),
-                w(c.w_o0),
-                _h_display(c, "G"),
-                _h_display(c, "G0"),
-            ])
+            head = [torus, phi0, "= 1" if d.phi1_trivial else "!= 1", r.datum_display]
+        lines.append([
+            str(r.index),
+            *head,
+            _state_display(c.r_o.state),
+            _state_display(c.r_o0.state),
+            d.L_over_F,
+            str(c.xnr_order),
+            w(c.w_o),
+            w(c.w_o0),
+            _h_display(c, "G"),
+            _h_display(c, "G0"),
+        ])
     widths = [max(len(row[i]) for row in lines) for i in range(len(headers))]
     out = []
     for j, row in enumerate(lines):

@@ -205,14 +205,7 @@ class LaurentExpr:
         if isinstance(other, RationalExpr):
             return RationalExpr(self, self.ring.one()) + other
         _check_same_ring(self, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentExpr(self.ring, out)
+        return LaurentExpr(self.ring, _poly_add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -236,16 +229,7 @@ class LaurentExpr:
         if isinstance(other, RationalExpr):
             return RationalExpr(self, self.ring.one()) * other
         _check_same_ring(self, other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentExpr(self.ring, out)
+        return LaurentExpr(self.ring, _poly_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -402,10 +386,10 @@ def _term_mul(terms: dict, e0: tuple, c0: Fraction) -> dict:
     return {tuple(a + b for a, b in zip(e, e0)): c * c0 for e, c in terms.items()}
 
 
-def _poly_sub(a: dict, b: dict) -> dict:
+def _poly_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, Fraction(0)) - c
+        s = out.get(e, Fraction(0)) + c
         if s:
             out[e] = s
         else:
@@ -444,7 +428,7 @@ def _poly_div_exact(f: dict, g: dict):
             return None
         qc = r[re] / gc
         q[qe] = q.get(qe, Fraction(0)) + qc
-        r = _poly_sub(r, _term_mul(g, qe, qc))
+        r = _poly_add(r, _term_mul(g, qe, -qc))
     return {e: c for e, c in q.items() if c}
 
 
@@ -541,7 +525,7 @@ def _poly_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
         lc_a = _coeff_in(a, slot, da)
         shift = [0] * nvars
         shift[slot] = da - db
-        r = _poly_sub(_poly_mul(lc_b, a), _poly_mul(_term_mul(lc_a, tuple(shift), Fraction(1)), b))
+        r = _poly_add(_poly_mul(lc_b, a), _poly_mul(_term_mul(lc_a, tuple(shift), Fraction(-1)), b))
         if r:
             _, r = primitive(r)
         a, b = b, r

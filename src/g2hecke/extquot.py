@@ -21,9 +21,14 @@ For a semisimple algebra the center dimension is the number of simple
 modules, so the two routes must agree; the closed form 2k + m (k fixed
 points, m free orbits) pins both down for order-2 actions.
 
-Transfers between two models (the group/Galois matching and the depth-zero
-reduction) are built orbitwise from a point map after its equivariance has
-been checked, and always verified to be bijections.
+The two transfers between models, the group/Galois matching
+(:func:`matching_bijection`) and the depth-zero reduction
+(:func:`depth_zero_transfer`), share one pairing: after
+:func:`check_property` has accepted the point map and both cocycle families
+are trivial, each point (rep, i) of the source extended quotient goes to
+(min of the image orbit of rep, i).  The two differ only in their refusal
+messages.  Every pairing is verified to be a bijection onto the target's
+extended quotient.
 """
 
 from __future__ import annotations
@@ -355,14 +360,6 @@ class PropertyVerdict:
         return self.ok
 
 
-def _check_point_map(m1: FiniteOrbitModel, m2: FiniteOrbitModel, point_map: Mapping) -> PropertyVerdict:
-    if set(point_map) != set(m1.points) or set(point_map.values()) != set(m2.points):
-        return PropertyVerdict(False, "map is not a bijection of point sets")
-    if m1.size != m2.size:
-        return PropertyVerdict(False, "models have different sizes")
-    return PropertyVerdict(True)
-
-
 def check_property(
     m_group: FiniteOrbitModel, m_galois: FiniteOrbitModel, point_map: Mapping
 ) -> PropertyVerdict:
@@ -373,9 +370,10 @@ def check_property(
     the symmetry actions through the unique isomorphism of the two order-2
     groups.  The verdict carries the first violated pair.
     """
-    basic = _check_point_map(m_group, m_galois, point_map)
-    if not basic:
-        return basic
+    if set(point_map) != set(m_group.points) or set(point_map.values()) != set(m_galois.points):
+        return PropertyVerdict(False, "map is not a bijection of point sets")
+    if m_group.size != m_galois.size:
+        return PropertyVerdict(False, "models have different sizes")
     if m_group.gamma_order != m_galois.gamma_order:
         return PropertyVerdict(False, "symmetry groups have different orders")
     t1, t2 = m_group.translation, m_galois.translation
@@ -394,30 +392,29 @@ def check_property(
     return PropertyVerdict(True)
 
 
-def _transport(
-    m1: FiniteOrbitModel, m2: FiniteOrbitModel, point_map: Mapping
+def _pair(
+    m1: FiniteOrbitModel, m2: FiniteOrbitModel, point_map: Mapping, refusal: str, twisted: str
 ) -> list:
-    """Orbitwise pairing of extended-quotient points along an equivariant map."""
+    """Pair each extended-quotient point of m1 with its image along the map.
+
+    The point (rep, i) goes to (min of the image orbit of rep, i).  An
+    equivariant bijection sends fixed points to fixed points and free orbits
+    to free orbits, so the image exists; that the images are distinct and
+    exhaust the extended quotient of m2 is still verified.
+    """
+    verdict = check_property(m1, m2, point_map)
+    if not verdict:
+        raise ExtQuotError(f"{refusal}: {verdict.reason}")
+    if not (m1.cocycles_trivial() and m2.cocycles_trivial()):
+        raise ExtQuotError(f"cocycle {twisted} beyond trivial tables is not defined")
     pairs = []
-    for rep, _ in m1.orbits():
-        image_orbit = {point_map[rep], m2.gamma_image(point_map[rep])}
-        rep2 = min(image_orbit)
-        chars = 2 if m1.stabilizer_order(rep) == 2 else 1
-        for idx in range(chars):
-            pairs.append((ExtQuotPoint(rep, idx), ExtQuotPoint(rep2, idx)))
-    return pairs
-
-
-def _verify_bijection(pairs: list, src: list, dst: list):
-    if sorted((p.representative, p.irrep_label) for p, _ in pairs) != sorted(
-        (p.representative, p.irrep_label) for p in src
-    ):
-        raise ExtQuotError("transfer does not cover the source")
-    image = [(q.representative, q.irrep_label) for _, q in pairs]
-    if len(set(image)) != len(image) or sorted(image) != sorted(
-        (p.representative, p.irrep_label) for p in dst
-    ):
+    for p in extended_quotient(m1):
+        y = point_map[p.representative]
+        pairs.append((p, ExtQuotPoint(min(y, m2.gamma_image(y)), p.irrep_label)))
+    images = {q for _, q in pairs}
+    if len(images) != len(pairs) or images != set(extended_quotient(m2)):
         raise ExtQuotError("transfer is not a bijection onto the target")
+    return pairs
 
 
 def matching_bijection(
@@ -429,17 +426,7 @@ def matching_bijection(
     model carries a nontrivial cocycle table: no recipe ships for matching
     twisted families.
     """
-    verdict = check_property(m_group, m_galois, point_map)
-    if not verdict:
-        raise ExtQuotError(f"refusing to construct the matching: {verdict.reason}")
-    if not (m_group.cocycles_trivial() and m_galois.cocycles_trivial()):
-        raise ExtQuotError("cocycle matching beyond trivial tables is not defined")
-    for p in m_group.points:
-        if m_group.stabilizer_order(p) != m_galois.stabilizer_order(point_map[p]):
-            raise ExtQuotError("stabilizer orders do not match along the map")
-    pairs = _transport(m_group, m_galois, point_map)
-    _verify_bijection(pairs, extended_quotient(m_group), extended_quotient(m_galois))
-    return pairs
+    return _pair(m_group, m_galois, point_map, "refusing to construct the matching", "matching")
 
 
 def depth_zero_transfer(
@@ -451,11 +438,4 @@ def depth_zero_transfer(
     along the map (trivially, for the tables that ship).  The result pairs
     each quotient point with its image and is verified to be a bijection.
     """
-    verdict = check_property(m_g, m_g0, point_map)
-    if not verdict:
-        raise ExtQuotError(f"transfer rejected: {verdict.reason}")
-    if not (m_g.cocycles_trivial() and m_g0.cocycles_trivial()):
-        raise ExtQuotError("cocycle transport beyond trivial tables is not defined")
-    pairs = _transport(m_g, m_g0, point_map)
-    _verify_bijection(pairs, extended_quotient(m_g), extended_quotient(m_g0))
-    return pairs
+    return _pair(m_g, m_g0, point_map, "transfer rejected", "transport")

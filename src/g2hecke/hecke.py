@@ -96,9 +96,6 @@ class WeightFunction:
             raise HeckeError("pair() is only defined for rank-1 weight functions")
         return (self.lam[0], self.lam_star[0])
 
-    def to_json(self):
-        return {"lambda": list(self.lam), "lambda_star": list(self.lam_star)}
-
 
 @record(frozen=True)
 class RGroup:
@@ -128,9 +125,6 @@ class RGroup:
     @staticmethod
     def unknown() -> "RGroup":
         return RGroup("unknown", None)
-
-    def to_json(self):
-        return {"state": self.state, "order": self.order}
 
 
 @record(frozen=True)
@@ -166,15 +160,6 @@ class AffineHeckePresentation:
         if self.weights is None:
             return None
         return self.weights.pair()
-
-    def to_json(self):
-        return {
-            "lattice_rank": self.lattice_rank,
-            "weyl_order": self.weyl_order,
-            "weights": self.weights.to_json() if self.weights else None,
-            "r_group": self.r_group.to_json(),
-            "cocycle_trivial": self.cocycle_trivial,
-        }
 
 
 def presentations_equal(a: AffineHeckePresentation, b: AffineHeckePresentation) -> bool:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from importlib import resources
 
@@ -242,3 +243,74 @@ def test_text_rendering_mirrors_layout():
     assert "*" in text
     text_pos = render_text_table("short-positive")
     assert "T_alpha,pi'" in text_pos and "(M0,M,G)" in text_pos
+
+
+# Every value each BlockDescriptor field accepts, in field order.
+DESCRIPTOR_FIELD_VALUES = (
+    ("long", "short"),
+    ("depth-zero", "essentially-depth-zero", "positive-depth"),
+    ("G", "M0=M", "U_eps(1,1)", "U_pi(1,1)", "torus", "chain"),
+    ("ramified", "unramified"),
+    (None, False, True),
+    (None, False, True),
+    (None, False, True),
+    (None, "trivial", "sign-character", "other-nontrivial", "both"),
+    (None, False, True),
+)
+
+_CHAIN_PHI0 = ("trivial", "sign-character", "other-nontrivial", "both")
+
+# The 36 valid descriptors that classify, with the (family, index) of their row.
+CLASSIFIED_DESCRIPTORS = {
+    ("long", "depth-zero", "G", "unramified", False, False, None, None, None): ("long-depth-zero", 5),
+    ("long", "depth-zero", "G", "unramified", False, True, False, None, None): ("long-depth-zero", 1),
+    ("long", "depth-zero", "G", "unramified", False, True, True, None, None): ("long-depth-zero", 3),
+    ("long", "depth-zero", "G", "unramified", True, False, None, None, None): ("long-depth-zero", 6),
+    ("long", "depth-zero", "G", "unramified", True, True, False, None, None): ("long-depth-zero", 2),
+    ("long", "depth-zero", "G", "unramified", True, True, True, None, None): ("long-depth-zero", 4),
+    ("long", "essentially-depth-zero", "M0=M", "unramified", True, None, None, None, None): ("long-depth-zero", 7),
+    ("long", "positive-depth", "U_eps(1,1)", "unramified", None, None, None, "trivial", True): ("long-positive", 4),
+    ("long", "positive-depth", "U_pi(1,1)", "ramified", None, None, None, "sign-character", False): ("long-positive", 1),
+    ("long", "positive-depth", "torus", "ramified", None, None, None, "other-nontrivial", True): ("long-positive", 2),
+    ("long", "positive-depth", "torus", "unramified", None, None, None, "other-nontrivial", True): ("long-positive", 5),
+    **{("long", "positive-depth", "chain", "ramified", None, None, None, phi0, False): ("long-positive", 3)
+       for phi0 in _CHAIN_PHI0},
+    **{("long", "positive-depth", "chain", "unramified", None, None, None, phi0, False): ("long-positive", 6)
+       for phi0 in _CHAIN_PHI0},
+    ("short", "depth-zero", "G", "unramified", False, None, None, None, None): ("short-depth-zero", 1),
+    ("short", "depth-zero", "G", "unramified", True, None, None, None, None): ("short-depth-zero", 2),
+    ("short", "essentially-depth-zero", "M0=M", "unramified", False, None, None, None, None): ("short-depth-zero", 3),
+    ("short", "essentially-depth-zero", "M0=M", "unramified", True, None, None, None, None): ("short-depth-zero", 4),
+    ("short", "positive-depth", "U_eps(1,1)", "unramified", None, None, None, "trivial", True): ("short-positive", 5),
+    ("short", "positive-depth", "U_pi(1,1)", "ramified", None, None, None, "trivial", True): ("short-positive", 1),
+    ("short", "positive-depth", "U_pi(1,1)", "ramified", None, None, None, "sign-character", False): ("short-positive", 2),
+    ("short", "positive-depth", "torus", "ramified", None, None, None, "other-nontrivial", True): ("short-positive", 3),
+    ("short", "positive-depth", "torus", "unramified", None, None, None, "other-nontrivial", True): ("short-positive", 6),
+    **{("short", "positive-depth", "chain", "ramified", None, None, None, phi0, False): ("short-positive", 4)
+       for phi0 in _CHAIN_PHI0},
+    **{("short", "positive-depth", "chain", "unramified", None, None, None, phi0, False): ("short-positive", 7)
+       for phi0 in _CHAIN_PHI0},
+}
+
+
+def test_classify_on_every_valid_descriptor():
+    valid = []
+    for values in itertools.product(*DESCRIPTOR_FIELD_VALUES):
+        try:
+            valid.append(BlockDescriptor(*values))
+        except BlocksError:
+            pass
+    assert len(valid) == 768
+    found, unmatched = {}, 0
+    for d in valid:
+        try:
+            c = classify(d)
+        except BlocksError as e:
+            assert str(e).startswith("descriptor matches no table row"), str(e)
+            unmatched += 1
+            continue
+        (row,) = [r for r in table_rows(d.family) if r.matches(d)]
+        assert row.classification == c
+        found[tuple(d.to_json().values())] = (row.family, row.index)
+    assert unmatched == 732
+    assert found == CLASSIFIED_DESCRIPTORS

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from g2hecke import blocks, plancherel
+from g2hecke import blocks, extquot, plancherel
 from g2hecke.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -263,3 +264,36 @@ def test_allowed_lusztig_override(tmp_path, capsys):
         code, _, err = run(capsys, "check", "--part", "blocks", "--allowed-lusztig", str(allowed))
         assert code == EXIT_USAGE
         assert err.startswith("error:")
+
+
+def test_text_tables_match_fixture_byte_for_byte(capsys):
+    fixture = (Path(__file__).resolve().parent / "data" / "tables_all.txt").read_bytes()
+    assert hashlib.sha256(fixture).hexdigest() == (
+        "f148d32fa66282d90b4d80a6a290017a40b6125646050051bc7d87b3c8bd6814"
+    )
+    assert len(fixture.splitlines()) == 36
+    code, out, _ = run(capsys, "tables", "--family", "all", "--format", "text")
+    assert code == EXIT_OK
+    assert out.encode() == fixture
+
+
+def test_refused_good_map_fails_the_matching_check(monkeypatch, capsys):
+    def refuse(m1, m2, point_map):
+        return extquot.PropertyVerdict(False, "refused by the test")
+
+    monkeypatch.setattr(extquot, "check_property", refuse)
+    code, out, err = run(capsys, "check", "--part", "matching")
+    assert code == EXIT_CHECK_FAILED
+    assert out.startswith("[FAIL] extquot/matching-corpus: good map refused on")
+    assert "refusing to construct the matching: refused by the test" in out
+    assert err == ""
+
+
+def test_faulty_transfer_fails_the_matching_check(monkeypatch, capsys):
+    def faulty(m1, m2, point_map):
+        raise extquot.ExtQuotError("transfer is not a bijection onto the target")
+
+    monkeypatch.setattr(extquot, "depth_zero_transfer", faulty)
+    code, out, _ = run(capsys, "check", "--part", "matching")
+    assert code == EXIT_CHECK_FAILED
+    assert "[FAIL] extquot/matching-corpus" in out

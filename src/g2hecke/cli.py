@@ -108,6 +108,8 @@ def _oracle_agrees(memo: dict, row) -> bool:
 
 
 def _check_blocks(allowed) -> list:
+    if allowed is None:
+        allowed = hecke.default_lusztig_allowed()  # read once, not once per row
     results = []
     oracle: dict = {}
     for family in blocks.FAMILIES:

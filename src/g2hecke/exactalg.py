@@ -1,11 +1,13 @@
 """Exact multivariate Laurent polynomial and rational function arithmetic.
 
-Everything is computed over the rationals (``fractions.Fraction``), with no
-floating point anywhere.  A :class:`RingContext` fixes an ordered tuple of
-variable names once; Laurent polynomials over that context are sparse maps
-from integer exponent vectors to nonzero rational coefficients.  The monomial
-order is lexicographic on the declared variable order and is not configurable,
-so canonical forms are reproducible.
+Everything is computed exactly over the rationals, with no floating point
+anywhere: a coefficient is an ``int``, or a ``fractions.Fraction`` only when
+it is not an integer, and every division goes through one exact-quotient
+helper.  A :class:`RingContext` fixes an ordered tuple of variable names
+once; Laurent polynomials over that context are sparse maps from integer
+exponent vectors to nonzero rational coefficients.  The monomial order is
+lexicographic on the declared variable order and is not configurable, so
+canonical forms are reproducible.
 
 Two conventions matter for the rest of the package:
 
@@ -18,7 +20,10 @@ Two conventions matter for the rest of the package:
   monomial factors cleared) with a monic denominator under the lex order,
   which makes equality a dictionary comparison.  Monomials are units of the
   Laurent ring, so the gcd strips the monomial content of each variable
-  before it runs a pseudo-remainder sequence in that variable.
+  first.  It then tries the heuristic integer gcd GCDHEU (evaluate at a
+  large integer, take the integer gcd, rebuild the candidate from its
+  digits, keep it only if it divides both inputs exactly) and runs the
+  primitive pseudo-remainder sequence only when no candidate divides.
 
 Roots of unity never appear as floats: all implemented cases only need units
 of order 1 or 2, which are the rational constants +1 and -1.
@@ -28,6 +33,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from math import gcd, isqrt, lcm
+from operator import add, sub
 
 __all__ = [
     "RingContext",
@@ -55,12 +62,29 @@ class ShapeError(ValueError):
     """Raised when an expression is not of the factored shape an operation needs."""
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _exact(c):
+    """``c`` as a coefficient: an ``int`` when integral, else a ``Fraction``.
+
+    Anything else, ``bool`` and ``float`` included, raises ``TypeError``.
+    """
+    if type(c) is int:
         return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"expected an exact rational, got {type(c).__name__}")
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """The exact quotient a/b of two coefficients, an ``int`` when integral.
+
+    Every division in the kernel goes through here: ``int / int`` would give
+    a float.
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 class RingContext:
@@ -101,10 +125,10 @@ class RingContext:
         return self.const(1)
 
     def const(self, c: int | Fraction) -> "LaurentExpr":
-        c = _as_fraction(c)
+        c = _exact(c)
         if c == 0:
             return self.zero()
-        return LaurentExpr(self, {(0,) * self.nvars: c})
+        return _laurent(self, {(0,) * self.nvars: c})
 
     def var(self, name: str, power: int = 1) -> "LaurentExpr":
         """The monomial ``name**power``; alias names expand to the base variable."""
@@ -114,7 +138,7 @@ class RingContext:
             raise RingError(f"unknown variable {name!r} in ring {self.names!r}")
         exps = [0] * self.nvars
         exps[self.index[name]] = power
-        return LaurentExpr(self, {tuple(exps): Fraction(1)})
+        return _laurent(self, {tuple(exps): 1})
 
     def monomial(
         self, exponents: Mapping[str, int] | Iterable[int], coeff: int | Fraction = 1
@@ -131,10 +155,10 @@ class RingContext:
             exps = list(exponents)
             if len(exps) != self.nvars:
                 raise RingError("exponent vector has wrong length")
-        c = _as_fraction(coeff)
+        c = _exact(coeff)
         if c == 0:
             return self.zero()
-        return LaurentExpr(self, {tuple(exps): c})
+        return _laurent(self, {tuple(exps): c})
 
     def __repr__(self):
         return f"RingContext{self.names!r}"
@@ -151,15 +175,23 @@ def _check_same_ring(a: "LaurentExpr", b: "LaurentExpr"):
 
 
 class LaurentExpr:
-    """A Laurent polynomial: sparse map exponent-vector -> nonzero Fraction.
+    """A Laurent polynomial: sparse map exponent-vector -> nonzero coefficient.
 
-    Instances are immutable after construction and safe to share.
+    A coefficient is an ``int``, or a ``Fraction`` when it is not an
+    integer; the constructor converts integral ``Fraction``s to ``int``,
+    drops zeros and raises ``TypeError`` for any other type (``bool`` and
+    ``float`` included).  Instances are immutable after construction and
+    safe to share.
     """
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring_ctx: RingContext, terms: Mapping[tuple, Fraction]):
-        clean = {e: c for e, c in terms.items() if c != 0}
+    def __init__(self, ring_ctx: RingContext, terms: Mapping[tuple, int | Fraction]):
+        clean = {}
+        for e, c in terms.items():
+            c = _exact(c)
+            if c:
+                clean[e] = c
         self.ring = ring_ctx
         self.terms = clean
 
@@ -169,7 +201,7 @@ class LaurentExpr:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.ring.nvars: Fraction(1)}
+        return self.terms == {(0,) * self.ring.nvars: 1}
 
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {(0,) * self.ring.nvars}
@@ -177,10 +209,10 @@ class LaurentExpr:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise ValueError("not a constant expression")
-        return next(iter(self.terms.values()), Fraction(0))
+        return next(iter(self.terms.values()), 0)
 
     def leading(self) -> tuple:
         """Lex-leading (exponent vector, coefficient)."""
@@ -204,32 +236,36 @@ class LaurentExpr:
             other = self.ring.const(other)
         if isinstance(other, RationalExpr):
             return RationalExpr(self, self.ring.one()) + other
+        if not isinstance(other, LaurentExpr):
+            return NotImplemented
         _check_same_ring(self, other)
-        return LaurentExpr(self.ring, _poly_add(self.terms, other.terms))
+        return _laurent(self.ring, _poly_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentExpr(self.ring, {e: -c for e, c in self.terms.items()})
+        return _laurent(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, RationalExpr):
             return RationalExpr(self, self.ring.one()) - other
-        return self + (-other if isinstance(other, LaurentExpr) else -_as_fraction(other))
+        return self + (-other if isinstance(other, LaurentExpr) else -_exact(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _exact(other)
             if c == 0:
                 return self.ring.zero()
-            return LaurentExpr(self.ring, {e: c0 * c for e, c0 in self.terms.items()})
+            return _laurent(self.ring, {e: _exact(c0 * c) for e, c0 in self.terms.items()})
         if isinstance(other, RationalExpr):
             return RationalExpr(self, self.ring.one()) * other
+        if not isinstance(other, LaurentExpr):
+            return NotImplemented
         _check_same_ring(self, other)
-        return LaurentExpr(self.ring, _poly_mul(self.terms, other.terms))
+        return _laurent(self.ring, _poly_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -240,7 +276,7 @@ class LaurentExpr:
             if not self.is_monomial():
                 raise NonExactDivision("negative power of a non-monomial expression")
             e, c = self.leading()
-            inv = LaurentExpr(self.ring, {tuple(-x for x in e): Fraction(1) / c})
+            inv = _laurent(self.ring, {tuple(-x for x in e): _div(1, c)})
             return inv ** (-n)
         out = self.ring.one()
         base = self
@@ -254,12 +290,14 @@ class LaurentExpr:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _exact(other)
             if c == 0:
                 raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / c)
+            return _laurent(self.ring, {e: _div(c0, c) for e, c0 in self.terms.items()})
         if isinstance(other, RationalExpr):
             return RationalExpr(self, self.ring.one()) / other
+        if not isinstance(other, LaurentExpr):
+            return NotImplemented
         _check_same_ring(self, other)
         return RationalExpr(self, other)
 
@@ -306,7 +344,7 @@ class LaurentExpr:
     def invert_variable(self, name: str) -> "LaurentExpr":
         """Apply the ring automorphism name -> name^-1."""
         i = self.ring.index[name]
-        return LaurentExpr(
+        return _laurent(
             self.ring,
             {tuple((-x if j == i else x) for j, x in enumerate(e)): c for e, c in self.terms.items()},
         )
@@ -352,8 +390,16 @@ class LaurentExpr:
         return f"<LaurentExpr {self.render()}>"
 
 
+def _laurent(ring_ctx: RingContext, terms: dict) -> LaurentExpr:
+    """Wrap kernel output, whose coefficients are already exact and nonzero."""
+    out = object.__new__(LaurentExpr)
+    out.ring = ring_ctx
+    out.terms = terms
+    return out
+
+
 # ---------------------------------------------------------------------------
-# Polynomial kernel: lex division, multivariate gcd (primitive PRS)
+# Polynomial kernel: lex division, multivariate gcd (heuristic, then PRS)
 # ---------------------------------------------------------------------------
 
 
@@ -382,16 +428,16 @@ def _shift_to_poly(*exprs: LaurentExpr):
     return tuple(mins), shifted
 
 
-def _term_mul(terms: dict, e0: tuple, c0: Fraction) -> dict:
-    return {tuple(a + b for a, b in zip(e, e0)): c * c0 for e, c in terms.items()}
+def _term_mul(terms: dict, e0: tuple, c0: int) -> dict:
+    return {tuple(map(add, e, e0)): c * c0 for e, c in terms.items()}
 
 
 def _poly_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
+        s = out.get(e, 0) + c
         if s:
-            out[e] = s
+            out[e] = s if type(s) is int else _exact(s)
         else:
             out.pop(e, None)
     return out
@@ -401,35 +447,53 @@ def _poly_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, Fraction(0)) + c1 * c2
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + c1 * c2
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
+    for e, c in out.items():
+        if type(c) is not int:
+            out[e] = _exact(c)
     return out
 
 
 def _poly_div_exact(f: dict, g: dict):
     """Quotient f/g when g divides f exactly (lex division); else None.
 
-    Inputs must be polynomial dicts (all exponents >= 0).
+    Inputs must be polynomial dicts (all exponents >= 0).  Degrees add under
+    multiplication in every variable, at the top and at the bottom, so a
+    quotient term outside those ranges ends the division early.
     """
     if not g:
         raise ZeroDivisionError("division by zero polynomial")
+    if not f:
+        return {}
+    slots = range(len(next(iter(g))))
+    lo = [min(e[i] for e in f) - min(e[i] for e in g) for i in slots]
+    hi = [max(e[i] for e in f) - max(e[i] for e in g) for i in slots]
+    if min(lo) < 0:
+        return None
     q: dict = {}
     r = dict(f)
     ge = max(g)
     gc = g[ge]
+    rest = [(e, c) for e, c in g.items() if e != ge]
     while r:
         re = max(r)
-        qe = tuple(a - b for a, b in zip(re, ge))
-        if any(x < 0 for x in qe):
+        qe = tuple(map(sub, re, ge))
+        if any(x < a or x > b for x, a, b in zip(qe, lo, hi)):
             return None
-        qc = r[re] / gc
-        q[qe] = q.get(qe, Fraction(0)) + qc
-        r = _poly_add(r, _term_mul(g, qe, -qc))
-    return {e: c for e, c in q.items() if c}
+        qc = q[qe] = _div(r.pop(re), gc)
+        for e, c in rest:
+            k = tuple(map(add, e, qe))
+            s = r.get(k, 0) - c * qc
+            if s:
+                r[k] = s
+            else:
+                del r[k]
+    return q
 
 
 def _deg(f: dict, slot: int) -> int:
@@ -453,7 +517,7 @@ def _monic(f: dict) -> dict:
     lc = f[max(f)]
     if lc == 1:
         return f
-    return {e: c / lc for e, c in f.items()}
+    return {e: _div(c, lc) for e, c in f.items()}
 
 
 def _shift_slot(f: dict, slot: int, d: int) -> dict:
@@ -469,24 +533,20 @@ def _shift_slot(f: dict, slot: int, d: int) -> dict:
 
 
 def _poly_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
-    """Multivariate gcd over Q via primitive pseudo-remainder sequences.
+    """Multivariate gcd over Q of the variables from ``slot`` on, monic under lex order.
 
-    Recursion is on variable slots; the result is monic under lex order.
     At each slot the lowest power of x_slot is divided out of both inputs
     first, since gcd(x^a f, x^b g) = x^min(a, b) gcd(f, g) for f, g prime to
-    x: in the Laurent ring monomials are units, so a pseudo-remainder
-    sequence run against monomial content would be spent on nothing.
-    Primitive parts are made monic, since the gcd is defined up to a
-    rational factor; otherwise the rational coefficients grow at every
-    pseudo-division.  Intended for the small expressions this package
-    produces.
+    x: in the Laurent ring monomials are units.  Then the heuristic integer
+    gcd (``_heu_gcd``) is tried; only when it finds no verified candidate
+    does the primitive pseudo-remainder sequence (``_prs_gcd``) run.
     """
     if not f:
         return _monic(g)
     if not g:
         return _monic(f)
     if slot >= nvars:
-        return {(0,) * nvars: Fraction(1)}
+        return {(0,) * nvars: 1}
     lo_f = min(e[slot] for e in f)
     lo_g = min(e[slot] for e in g)
     if lo_f or lo_g:
@@ -494,6 +554,116 @@ def _poly_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
         return _shift_slot(inner, slot, min(lo_f, lo_g))
     if not any(e[slot] for e in f) and not any(e[slot] for e in g):
         return _poly_gcd(f, g, slot + 1, nvars)
+    h = _heu_gcd(f, g, slot, nvars)
+    return h if h is not None else _prs_gcd(f, g, slot, nvars)
+
+
+# GCDHEU: Char, Geddes, Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm
+# based on integer GCD computation", J. Symbolic Comput. 7 (1989); see also
+# Liao and Fateman, "Evaluation of the heuristic polynomial GCD", ISSAC 1995.
+
+_HEU_TRIES = 4  # evaluation points per variable before giving up
+
+
+def _integral(f: dict) -> dict:
+    """f times the lcm of its denominators: an integer polynomial."""
+    d = 1
+    for c in f.values():
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return f
+    return {e: c * d if type(c) is int else c.numerator * (d // c.denominator) for e, c in f.items()}
+
+
+def _int_primitive(f: dict):
+    """(positive integer content, primitive part) of an integer polynomial."""
+    c = gcd(*f.values())
+    return c, (f if c == 1 else {e: v // c for e, v in f.items()})
+
+
+def _eval_slot(f: dict, slot: int, xi: int) -> dict:
+    """f with x_slot set to the integer xi; that slot's exponent becomes 0."""
+    powers = [1]
+    for _ in range(_deg(f, slot)):
+        powers.append(powers[-1] * xi)
+    out: dict = {}
+    for e, c in f.items():
+        k = e[:slot] + (0,) + e[slot + 1:]
+        out[k] = out.get(k, 0) + c * powers[e[slot]]
+    return {k: c for k, c in out.items() if c}
+
+
+def _xi_adic(h: dict, slot: int, xi: int) -> dict:
+    """The polynomial in x_slot whose coefficients are the symmetric xi-adic digits of h's."""
+    half = xi // 2
+    out = {}
+    for e, c in h.items():
+        i = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[e[:slot] + (i,) + e[slot + 1:]] = d
+            c = (c - d) // xi
+            i += 1
+    return out
+
+
+def _heu(f: dict, g: dict, slots: tuple):
+    """gcd over Z of two nonzero integer polynomials in the variables ``slots``; None on failure.
+
+    The integer content is carried: gcd(f, g) = gcd(cont f, cont g) times
+    the gcd of the primitive parts.  An inner level needs it, because the
+    values at x = xi of polynomials in x share integer factors that the
+    xi-adic digits must see.  The first variable present is set to an
+    integer xi, the gcd of the values is taken recursively, and the
+    candidate rebuilt from its digits is accepted only if it divides both
+    primitive parts exactly.  For xi > 2 min(|f|, |g|) + 2 (max-norms of
+    the primitive parts) such a candidate is their gcd (Char, Geddes and
+    Gonnet, Theorem 1).  xi starts at 2 max(|f|, |g|) + 3, which outgrows
+    chance common factors of the larger polynomial's values more often than
+    a start from the smaller norm.  After a rejected xi the next is
+    xi * isqrt(xi) + 1, so that a fixed common factor of the values, such
+    as the 2^6 that (xi^2 - 1)^2 carries at every odd xi, is outgrown
+    within a few tries.
+    """
+    cf, f = _int_primitive(f)
+    cg, g = _int_primitive(g)
+    c = gcd(cf, cg)
+    present = [s for s in slots if any(e[s] for e in f) or any(e[s] for e in g)]
+    if not present:
+        return {next(iter(f)): c}
+    slot, rest = present[0], tuple(present[1:])
+    xi = 2 * max(max(map(abs, f.values())), max(map(abs, g.values()))) + 3
+    for _ in range(_HEU_TRIES):
+        fe, ge = _eval_slot(f, slot, xi), _eval_slot(g, slot, xi)
+        h = _heu(fe, ge, rest) if fe and ge else None
+        if h is not None:
+            cand = _int_primitive(_xi_adic(h, slot, xi))[1]
+            if _poly_div_exact(f, cand) is not None and _poly_div_exact(g, cand) is not None:
+                return {e: c * v for e, v in cand.items()}
+        xi = xi * isqrt(xi) + 1
+    return None
+
+
+def _heu_gcd(f: dict, g: dict, slot: int, nvars: int):
+    """The monic gcd of the variables from ``slot`` on by GCDHEU, or None to fall back."""
+    h = _heu(_integral(f), _integral(g), tuple(range(slot, nvars)))
+    return None if h is None else _monic(h)
+
+
+def _prs_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
+    """Multivariate gcd over Q via primitive pseudo-remainder sequences.
+
+    Recursion is on variable slots, through ``_poly_gcd`` for the contents;
+    the result is monic under lex order.  Primitive parts are made monic,
+    since the gcd is defined up to a rational factor; otherwise the rational
+    coefficients grow at every pseudo-division.  The fallback behind the
+    heuristic: correct on every input, but its coefficients can swell in the
+    inner variables.
+    """
 
     def content(h: dict) -> dict:
         c: dict = {}
@@ -525,7 +695,7 @@ def _poly_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
         lc_a = _coeff_in(a, slot, da)
         shift = [0] * nvars
         shift[slot] = da - db
-        r = _poly_add(_poly_mul(lc_b, a), _poly_mul(_term_mul(lc_a, tuple(shift), Fraction(-1)), b))
+        r = _poly_add(_poly_mul(lc_b, a), _poly_mul(_term_mul(lc_a, tuple(shift), -1), b))
         if r:
             _, r = primitive(r)
         a, b = b, r
@@ -537,7 +707,7 @@ def laurent_gcd(f: LaurentExpr, g: LaurentExpr) -> LaurentExpr:
     """A gcd of two Laurent polynomials, normalized monic; defined up to units."""
     _check_same_ring(f, g)
     _, (fp, gp) = _shift_to_poly(f, g)
-    return LaurentExpr(f.ring, _poly_gcd(fp, gp, 0, f.ring.nvars))
+    return _laurent(f.ring, _poly_gcd(fp, gp, 0, f.ring.nvars))
 
 
 def exact_div(f: LaurentExpr, g: LaurentExpr) -> LaurentExpr:
@@ -557,7 +727,7 @@ def exact_div(f: LaurentExpr, g: LaurentExpr) -> LaurentExpr:
     if q is None:
         raise NonExactDivision(f"{g.render()} does not divide {f.render()} exactly")
     delta = tuple(a - b for a, b in zip(shift_f, shift_g))
-    return LaurentExpr(f.ring, _term_mul(q, delta, Fraction(1)))
+    return _laurent(f.ring, _term_mul(q, delta, 1))
 
 
 class RationalExpr:
@@ -583,7 +753,7 @@ class RationalExpr:
             return
         _, (np_, dp) = _shift_to_poly(num, den)
         g = _poly_gcd(np_, dp, 0, ctx.nvars)
-        if g != {(0,) * ctx.nvars: Fraction(1)}:
+        if g != {(0,) * ctx.nvars: 1}:
             np2 = _poly_div_exact(np_, g)
             dp2 = _poly_div_exact(dp, g)
             if np2 is None or dp2 is None:
@@ -597,10 +767,10 @@ class RationalExpr:
             dp = {tuple(a - m for a, m in zip(e, dmin)): c for e, c in dp.items()}
         lead = dp[max(dp)]
         if lead != 1:
-            np_ = {e: c / lead for e, c in np_.items()}
-            dp = {e: c / lead for e, c in dp.items()}
-        self.num = LaurentExpr(ctx, np_)
-        self.den = LaurentExpr(ctx, dp)
+            np_ = {e: _div(c, lead) for e, c in np_.items()}
+            dp = {e: _div(c, lead) for e, c in dp.items()}
+        self.num = _laurent(ctx, np_)
+        self.den = _laurent(ctx, dp)
 
     @property
     def ring(self) -> RingContext:

@@ -266,6 +266,22 @@ def test_allowed_lusztig_override(tmp_path, capsys):
         assert err.startswith("error:")
 
 
+def test_check_blocks_reads_the_lusztig_pairs_once(monkeypatch, capsys):
+    from g2hecke import hecke
+
+    honest = hecke.default_lusztig_allowed
+    reads = []
+
+    def counting():
+        reads.append(1)
+        return honest()
+
+    monkeypatch.setattr(hecke, "default_lusztig_allowed", counting)
+    code, out, _ = run(capsys, "check", "--part", "blocks")
+    assert code == EXIT_OK and "lusztig True" in out
+    assert len(reads) == 1
+
+
 def test_text_tables_match_fixture_byte_for_byte(capsys):
     fixture = (Path(__file__).resolve().parent / "data" / "tables_all.txt").read_bytes()
     assert hashlib.sha256(fixture).hexdigest() == (

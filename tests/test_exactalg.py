@@ -5,6 +5,7 @@ import pytest
 
 from g2hecke import exactalg
 from g2hecke.exactalg import (
+    LaurentExpr,
     NonExactDivision,
     RationalExpr,
     RingError,
@@ -62,6 +63,43 @@ def test_division_by_zero():
         R.one() / R.zero()
     with pytest.raises(ZeroDivisionError):
         RationalExpr(R.one(), R.zero())
+
+
+def test_inexact_coefficients_are_refused():
+    R = make_ring()
+    X = R.var("X")
+    for bad in (0.5, 1.0, True, False, "1"):
+        with pytest.raises(TypeError):
+            LaurentExpr(R, {(0, 0): bad})
+        with pytest.raises(TypeError):
+            R.const(bad)
+        with pytest.raises(TypeError):
+            R.monomial({"X": 1}, bad)
+        with pytest.raises(TypeError):
+            X * bad
+        with pytest.raises(TypeError):
+            X + bad
+        with pytest.raises(TypeError):
+            X / bad
+
+
+def test_integral_coefficients_are_int():
+    from g2hecke.plancherel import silberger_form
+
+    R = make_ring()
+    X = R.var("X")
+    e = LaurentExpr(R, {(0, 1): Fraction(4, 2), (0, 0): Fraction(1, 2), (1, 0): Fraction(0)})
+    assert e.terms == {(0, 1): 2, (0, 0): Fraction(1, 2)}
+    assert type(e.terms[(0, 1)]) is int
+    half = X / 2
+    assert type(half.terms[(0, 1)]) is Fraction
+    for whole in (half + half, half * 2, half * R.const(2), (half * half) / Fraction(1, 4)):
+        assert all(type(c) is int for c in whole.terms.values()), whole.terms
+    assert exactalg._div(6, -3) == -2 and type(exactalg._div(6, -3)) is int
+    assert exactalg._div(1, 2) == Fraction(1, 2)
+    assert exactalg._div(Fraction(3, 2), Fraction(1, 2)) == 3 and type(exactalg._div(Fraction(3, 2), Fraction(1, 2))) is int
+    r = silberger_form(2, 1)
+    assert all(type(c) is int for part in (r.num, r.den) for c in part.terms.values())
 
 
 def test_ring_mismatch():
@@ -157,7 +195,8 @@ def test_exact_division():
 
 @pytest.mark.parametrize("depth, match", [(0, "gcd"), (1, "content")], ids=["reduction", "content"])
 def test_gcd_that_does_not_divide_raises(monkeypatch, depth, match):
-    # depth 0: RationalExpr gets the non-divisor; depth 1: the content inside the gcd does
+    # depth 0: RationalExpr gets the non-divisor; depth 1: the content inside
+    # the PRS gets it, so the heuristic is switched off to reach that path
     honest = exactalg._poly_gcd
     calls = []
 
@@ -168,6 +207,8 @@ def test_gcd_that_does_not_divide_raises(monkeypatch, depth, match):
         return {(1, 0): Fraction(1), (0, 0): Fraction(3)}
 
     monkeypatch.setattr(exactalg, "_poly_gcd", non_divisor)
+    if depth:
+        monkeypatch.setattr(exactalg, "_heu_gcd", lambda f, g, slot, nvars: None)
     R = make_ring()
     v, X, one = R.var("v"), R.var("X"), R.one()
     with pytest.raises(NonExactDivision, match=match):
@@ -190,6 +231,132 @@ def test_gcd_work_on_the_long_i_measure(monkeypatch):
     monkeypatch.setattr(exactalg, "_poly_gcd", counting)
     mu(PlancherelCase.from_id("long-I", 2)).expr
     assert 0 < len(calls) <= 500
+
+
+def _count_prs(monkeypatch) -> list:
+    """Record every call of the PRS fallback behind the heuristic gcd."""
+    honest = exactalg._prs_gcd
+    calls = []
+
+    def counting(f, g, slot, nvars):
+        calls.append(slot)
+        return honest(f, g, slot, nvars)
+
+    monkeypatch.setattr(exactalg, "_prs_gcd", counting)
+    return calls
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _gcd_budget(monkeypatch) -> dict:
+    """Cap the number of _poly_gcd calls; past ``budget["left"]`` it raises _OverBudget."""
+    honest = exactalg._poly_gcd
+    budget = {"left": 0}
+
+    def budgeted(f, g, slot, nvars):
+        budget["left"] -= 1
+        if budget["left"] < 0:
+            raise _OverBudget
+        return honest(f, g, slot, nvars)
+
+    monkeypatch.setattr(exactalg, "_poly_gcd", budgeted)
+    return budget
+
+
+def test_shipped_measures_never_reach_the_prs(monkeypatch):
+    from g2hecke.plancherel import CASE_IDS, PlancherelCase, mu, silberger_form
+
+    calls = _count_prs(monkeypatch)
+    for case_id in CASE_IDS:
+        for f in (1, 2):
+            mu(PlancherelCase.from_id(case_id, f)).expr
+    for a in range(9):
+        for b in range(9):
+            silberger_form(a, b)
+    assert calls == []
+
+
+def test_rejected_heuristic_candidate_falls_back_to_the_prs(monkeypatch):
+    R = make_ring()
+    v, X, one = R.var("v"), R.var("X"), R.one()
+    num = (one + v * X) * (one - X) * (one - v ** 2 * X ** -1)
+    den = (one - X) * (R.const(2) + X) * (one - v ** 2 * X ** -1)
+    canonical = RationalExpr(num, den)
+    assert canonical.num == one + v * X and canonical.den == X + R.const(2)
+
+    honest = exactalg._xi_adic
+
+    def spoiled(h, slot, xi):
+        # the honest digits times (x_slot + 3): never a divisor of these inputs
+        key = [0] * R.nvars
+        one_key, key[slot] = tuple(key), 1
+        return exactalg._poly_mul(honest(h, slot, xi), {tuple(key): 1, one_key: 3})
+
+    monkeypatch.setattr(exactalg, "_xi_adic", spoiled)
+    calls = _count_prs(monkeypatch)
+    again = RationalExpr(num, den)
+    assert calls, "the spoiled candidate was accepted"
+    assert (again.num.terms, again.den.terms) == (canonical.num.terms, canonical.den.terms)
+
+
+def test_small_mu_ring_sum_does_not_stall(monkeypatch):
+    # the recursive PRS alone ran for over 60 s on this sum (over 58,000
+    # _poly_gcd calls); a budget on calls, not on wall time, keeps it honest
+    from g2hecke.plancherel import MU_RING
+
+    parts = [
+        ("1/4*q*c + 3/2*X*c^2", "q*X - 1/2*v*c + 1/3*c^2"),
+        ("1/2*q*X*c^2 - 3/2*X", "v*X*c + 1/3*c^2 - 1/3"),
+    ]
+    (n1, d1), (n2, d2) = [(parse_expr(MU_RING, n), parse_expr(MU_RING, d)) for n, d in parts]
+    a, b = RationalExpr(n1, d1), RationalExpr(n2, d2)
+    budget = _gcd_budget(monkeypatch)
+    budget["left"] = 10
+    total = a + b
+    assert total.num * (d1 * d2) == (n1 * d2 + n2 * d1) * total.den
+    assert not total.is_laurent()
+
+
+def test_heuristic_gcd_agrees_with_the_prs_on_a_seeded_corpus(monkeypatch):
+    # sums and products of small rationals; the PRS-only reference gets a
+    # budget of _poly_gcd calls, and an item past it (the PRS swelling the
+    # heuristic is there to avoid) is checked by cross-multiplication only
+    rings = [(ring(["v", "X", "c"], {"v": "q"}), 240), (make_ring(), 40), (ring(["x"]), 40)]
+    honest_heu = exactalg._heu_gcd
+    heu_on = [True]
+    monkeypatch.setattr(exactalg, "_heu_gcd", lambda *a: honest_heu(*a) if heu_on[0] else None)
+    budget = _gcd_budget(monkeypatch)
+    rng = random.Random(1989)
+    compared = over = 0
+    for R, count in rings:
+        for _ in range(count):
+            p = []
+            while len(p) < 4:
+                f = _random_expr(R, rng, span=1)
+                if not f.is_zero():
+                    p.append(f)
+            add = rng.random() < 0.5
+            num = p[0] * p[3] + p[2] * p[1] if add else p[0] * p[2]
+            den = p[1] * p[3]
+
+            def combine():
+                a, b = RationalExpr(p[0], p[1]), RationalExpr(p[2], p[3])
+                return a + b if add else a * b
+
+            heu_on[0], budget["left"] = True, 40
+            fast = combine()
+            assert fast.num * den == num * fast.den
+            heu_on[0], budget["left"] = False, 1000
+            try:
+                slow = combine()
+            except _OverBudget:
+                over += 1
+                continue
+            compared += 1
+            assert (fast.num.terms, fast.den.terms) == (slow.num.terms, slow.den.terms)
+    assert compared >= 280 and compared + over == 320
 
 
 def _silberger(R, a, b):

@@ -70,7 +70,7 @@ def _check_tables(golden_dir: str | None) -> list:
     return results
 
 
-def _check_hecke(degree_bound: int, seed: int) -> list:
+def _check_hecke(degree_bound: int) -> list:
     results = []
     pairs = sorted(
         {
@@ -82,7 +82,7 @@ def _check_hecke(degree_bound: int, seed: int) -> list:
         | {(0, 0)}
     )
     for lam, lam_star in pairs:
-        report = hecke.verify_relations(blocks._noncomm(lam, lam_star), degree_bound, seed=seed)
+        report = hecke.verify_relations(blocks._noncomm(lam, lam_star), degree_bound)
         results.append(
             {
                 "name": f"hecke/relations({lam},{lam_star})",
@@ -240,7 +240,7 @@ def run_check_suite(
     if "tables" in parts:
         results += _check_tables(golden_dir)
     if "hecke" in parts:
-        results += _check_hecke(degree_bound, seed)
+        results += _check_hecke(degree_bound)
     if "blocks" in parts:
         results += _check_blocks(allowed)
     if "extquot" in parts:
@@ -358,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hecke = sub.add_parser("hecke", help="verify relations for one weight pair")
     p_hecke.add_argument("--weights", required=True, help="pair 'lambda,lambda*', e.g. 3,1")
     p_hecke.add_argument("--degree-bound", dest="degree_bound", type=int, default=3)
-    p_hecke.add_argument("--seed", type=int, default=0)
     p_hecke.add_argument("--format", default="text", choices=("json", "text"))
 
     p_eq = sub.add_parser("extquot", help="evaluate a finite orbit model")
@@ -452,7 +451,7 @@ def _cmd_hecke(args) -> int:
         lam, lam_star = (int(s) for s in args.weights.split(","))
     except ValueError:
         raise UsageError("weights must be 'lambda,lambda*', e.g. --weights 3,1")
-    report = hecke.verify_relations(blocks._noncomm(lam, lam_star), args.degree_bound, seed=args.seed)
+    report = hecke.verify_relations(blocks._noncomm(lam, lam_star), args.degree_bound)
     if args.format == "json":
         print(json.dumps({"schema_version": blocks.SCHEMA_VERSION, **report.to_json()}, indent=2))
     else:

@@ -828,10 +828,8 @@ class RationalExpr:
     def __pow__(self, n: int):
         if n < 0:
             return (self.ring.one() / self) ** (-n)
-        out = RationalExpr(self.ring.one(), self.ring.one())
-        for _ in range(n):
-            out = out * self
-        return out
+        # powers of a reduced numerator and denominator stay coprime
+        return RationalExpr(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, LaurentExpr)):

@@ -29,6 +29,18 @@ quadratic relation (T_s1 + 1)(T_s1 - q^lam_star) = 0 of the second affine
 reflection T_s1 = v^{lam+lam_star} theta_1 T_s^{-1}, which is where a wrong
 lam_star shows.
 
+Its strongest check is ``representation``.  The polynomial representation
+rho of the algebra on Laurent polynomials in X (theta_x acts as X^x, T_s by
+the Demazure-Lusztig operator T_s f = q^lam s(f) + g (f - s(f)) / (1 - X^{-2}))
+is faithful (Lusztig, JAMS 1989, sections 3-5; Macdonald, "Affine Hecke
+Algebras and Orthogonal Polynomials", ch. 4).  So a product at x = 0 that
+rho maps to the composed operators is the algebra's product, and since
+theta_x (theta_z T_t) = theta_{x+z} T_t in the algebra, every other basis
+product must be the x-shift of one at x = 0.  Checking rho on the x = 0
+pairs and the shift on all pairs covers every basis pair up to the bound.
+The operator is built from g's own formula and from exact division, not
+from the product's structure constants or closed-form quotient.
+
 Presentations of general rank are representable as data but multiplication
 for a finite part of order > 2 is deliberately rejected rather than half
 implemented.
@@ -394,31 +406,80 @@ class RelationReport:
         }
 
 
-# the q -> 1 check multiplies all basis pairs up to the degree bound, so the
-# work of verify_relations grows about cubically in it
+# the harness multiplies all basis pairs up to the degree bound, so the work
+# of verify_relations grows about cubically in it
 MAX_DEGREE_BOUND = 32
-# the associativity check tests at least this many triples
-ASSOCIATIVITY_SAMPLES = 250
 
 
-def verify_relations(
-    pres: AffineHeckePresentation,
-    degree_bound: int = 3,
-    seed: int = 0,
-) -> RelationReport:
+def _demazure_lusztig(pres: AffineHeckePresentation, quotients: dict):
+    """The operator of T_s on Laurent polynomials in X over Z[v, v^-1].
+
+    Polynomials are {(X-exponent, v-exponent): c} dicts, and
+    T_s X^k = q^lam X^{-k} + g D(k) with D(k) = (X^k - X^{-k}) / (1 - X^{-2})
+    read from ``quotients`` (k -> {X-exponent: c}).  g is built here from its
+    formula, not from the structure constants the product uses.
+    """
+    lam, lam_star = pres.weights.pair()
+    # g = q^lam - 1 + X^-1 (v^(lam+lam*) - v^(lam-lam*)) as (X-shift, v-exponent) -> c
+    g: dict = {}
+    for s, ge, c in ((0, 2 * lam, 1), (0, 0, -1), (-1, lam + lam_star, 1), (-1, lam - lam_star, -1)):
+        g[s, ge] = g.get((s, ge), 0) + c
+    g = [(s, ge, c) for (s, ge), c in g.items() if c]
+
+    def t_s(vec: dict) -> dict:
+        out: dict = {}
+        for (k, e), c in vec.items():
+            key = -k, e + 2 * lam
+            out[key] = out.get(key, 0) + c
+            for j, d in quotients[k].items():
+                for s, ge, gc in g:
+                    key = j + s, e + ge
+                    out[key] = out.get(key, 0) + c * d * gc
+        return {k: c for k, c in out.items() if c}
+
+    return t_s
+
+
+def _act(terms: dict, images: dict) -> dict:
+    """The polynomial sum c v^e X^x rho(T_w) f, given images[w] = rho(T_w) f."""
+    out: dict = {}
+    for (x, w, e), c in terms.items():
+        for (k, e2), d in images[w].items():
+            key = k + x, e + e2
+            out[key] = out.get(key, 0) + c * d
+    return {k: c for k, c in out.items() if c}
+
+
+def verify_relations(pres: AffineHeckePresentation, degree_bound: int = 3) -> RelationReport:
     """Run the consistency suite on one presentation; failures are reported.
 
     Checks: the quadratic relations of T_s (label lam) and of
     T_s1 = v^{lam+lam_star} theta_1 T_s^{-1} (label lam_star), length-additive
-    T-products, associativity on an exhaustive core plus a deterministic
-    sample of triples, exactness of the commutation quotient up to
-    ``degree_bound`` (1 to ``MAX_DEGREE_BOUND``, else :class:`HeckeError`),
-    centrality of symmetric lattice elements, and the q -> 1 group-algebra
-    degeneration.  Each triple is evaluated both ways; the core triples share
-    their factors, so each core product is formed once.
-    """
-    import random
+    T-products, associativity on an exhaustive core of triples, exactness of
+    the commutation quotient, centrality of symmetric lattice elements, the
+    q -> 1 group-algebra degeneration, and ``representation``.  The degree
+    bound b is 1 to ``MAX_DEGREE_BOUND``, else :class:`HeckeError`.
 
+    Each basis product theta_x T_w * theta_y T_u with |x|, |y| <= b is formed
+    once and shared by the q -> 1 check, ``representation`` and the core.
+    ``representation`` rests on two facts.  In the algebra
+    theta_x (theta_z T_t) = theta_{x+z} T_t, so every product must be the
+    x-shift of the one at x = 0; that is compared on every pair.  And the
+    polynomial representation rho (theta_x acts as X^x, T_s by the
+    Demazure-Lusztig operator) is faithful, so on the pairs with x = 0,
+    rho(T_w * theta_y T_u) f = rho(T_w) rho(theta_y T_u) f for f in {1, X}
+    shows the product is the algebra's.  The Laurent polynomials are free on
+    {1, X} over the symmetric ones, which every rho(h) commutes with, so two
+    test vectors suffice.  Together the two parts show that ``multiply`` is
+    the algebra product on every basis pair in the range, with O(b)
+    representation work.  Products of elements with several terms or with
+    v-powers, where ``multiply`` must also be bilinear, are exercised by the
+    quadratic relations and the associativity core.
+    At q = 1 the x-shift of a product specializes to the x-shift of its value,
+    as in the group algebra, so a product that passed the shift comparison
+    degenerates exactly when its x = 0 product does; only the x = 0 products
+    and any that failed the shift are specialized.
+    """
     if not 1 <= degree_bound <= MAX_DEGREE_BOUND:
         raise HeckeError(f"degree bound must be between 1 and {MAX_DEGREE_BOUND}")
     checks = []
@@ -461,49 +522,89 @@ def verify_relations(
             break
     checks.append(CheckResult("braid-length", ok, detail))
 
-    # 3. associativity: exhaustive core + deterministic sample, including
-    # products of two-term elements so the correction terms interact
-    rng = random.Random(seed)
-    core = [elem(x, w) for x in (-1, 0, 1) for w in ws]
-    # the core triples share their factors, so each core product is formed once
-    cp = {(i, j): multiply(p, q) for i, p in enumerate(core) for j, q in enumerate(core)}
-    triples = [(core[i], core[j], r, cp[i, j], cp[j, k]) for i, j in cp for k, r in enumerate(core)]
+    # rho(T_w) f for the test vectors f = 1, X, as images[f][w]
+    images = [{0: {(0, 0): 1}}, {0: {(1, 0): 1}}]
+    # D(k) = (X^k - X^-k) / (1 - X^-2) by exact division, once per k; the
+    # closed-form quotient check and the operator of T_s both read it
+    quotients = {}
+    if pres.weyl_order == 2:
+        xi = COEFF_RING.index["X"]
+        for k in range(-b - 1, b + 2):
+            d = exact_div(_X ** k - _X ** -k, _ONE - _X ** -2)
+            quotients[k] = {e[xi]: c for e, c in d.terms.items()}
+        t_s = _demazure_lusztig(pres, quotients)
+        for im in images:
+            im[1] = t_s(im[0])
 
-    def random_element():
-        e = elem(rng.randint(-b, b), rng.choice(ws))
-        if rng.random() < 0.5:
-            ve, c = rng.randint(-2, 2), rng.randint(-3, 3)
-            e = e + elem(rng.randint(-b, b), rng.choice(ws), ve, c)
-        return e
+    def degenerates(product, x, w, y, u):
+        n, sign = affine_mul((x, 1 - 2 * w), (y, 1 - 2 * u))
+        return product.specialize_v(1) == {(n, (1 - sign) // 2): 1}
 
-    while len(triples) < max(ASSOCIATIVITY_SAMPLES, len(core) ** 3):
-        pe, qe, re_ = random_element(), random_element(), random_element()
-        triples.append((pe, qe, re_, multiply(pe, qe), multiply(qe, re_)))
-    ok = True
-    detail = f"{len(triples)} triples"
-    for (pe, qe, re_, pq, qr) in triples:
-        if multiply(pq, re_) != multiply(pe, qr):
-            ok = False
-            detail = f"associativity failed on {pe!r}, {qe!r}, {re_!r}"
-            break
-    checks.append(CheckResult("associativity", ok, detail))
+    def represents(product, w, y, u):
+        for im in images:
+            inner = {(k + y, e): c for (k, e), c in im[u].items()}
+            if _act(product.terms, im) != (t_s(inner) if w else inner):
+                return False
+        return True
 
-    # 4. the closed-form commutation quotient against exact division
+    # 3. the basis-pair stream: each product is formed once, x = 0 first
+    xs = [0] + [x for x in range(-b, b + 1) if x]
+    core = [(x, w) for x in (-1, 0, 1) for w in ws]
+    core_products = {}
+    degen_ok = rep_ok = True
+    degen_detail = rep_detail = ""
+    for w, y, u in [(w, y, u) for w in ws for y in range(-b, b + 1) for u in ws]:
+        right = basis[y, u]
+        for x in xs:
+            product = multiply(basis[x, w], right)
+            if abs(x) <= 1 and abs(y) <= 1:
+                core_products[(x, w), (y, u)] = product
+            if x == 0:
+                base, shifted = product.terms, True
+                base_degenerates = degenerates(product, 0, w, y, u)
+                if rep_ok and not represents(product, w, y, u):
+                    rep_ok = False
+                    rep_detail = f"rho(product) is not rho(left) rho(right) on {(0, w)}*{(y, u)}"
+            else:
+                shifted = product.terms == {(z + x, t, e): c for (z, t, e), c in base.items()}
+                if rep_ok and not shifted:
+                    rep_ok = False
+                    rep_detail = f"{(x, w)}*{(y, u)} is not the x-shift of {(0, w)}*{(y, u)}"
+            # at q = 1 the x-shift of the x = 0 product is the x-shift of its value,
+            # as in the group algebra, so it degenerates exactly when that one does
+            if degen_ok and not (base_degenerates if shifted else degenerates(product, x, w, y, u)):
+                degen_ok = False
+                degen_detail = f"q->1 failed on {(x, w)}*{(y, u)}"
+
+    # 4. associativity on every core triple, evaluated both ways from the
+    # shared core products p*q
+    bad = next(
+        (
+            (p, q, r) for p in core for q in core for r in core
+            if multiply(core_products[p, q], basis[r]) != multiply(basis[p], core_products[q, r])
+        ),
+        None,
+    )
+    detail = f"{len(core) ** 3} triples"
+    if bad:
+        detail = "associativity failed on " + ", ".join(repr(basis[k]) for k in bad)
+    checks.append(CheckResult("associativity", not bad, detail))
+
+    # 5. the closed-form commutation quotient against exact division
     ok = True
     detail = f"x in [-{b}, {b}]"
     if pres.weyl_order == 2:
         for x in range(-b, b + 1):
-            closed = sum(
-                (COEFF_RING.monomial({"X": k}, sign) for k, sign in _commutation_quotient(x)),
-                COEFF_RING.zero(),
-            )
-            if closed != exact_div(_X ** -x - _X ** x, _ONE - _X ** -2):
+            closed: dict = {}
+            for k, sign in _commutation_quotient(x):
+                closed[k] = closed.get(k, 0) + sign
+            if {k: c for k, c in closed.items() if c} != quotients[-x]:
                 ok = False
                 detail = f"closed-form quotient differs from exact division at x = {x}"
                 break
     checks.append(CheckResult("bernstein-exact-division", ok, detail))
 
-    # 5. centrality of W-symmetric lattice elements
+    # 6. centrality of W-symmetric lattice elements
     ok = True
     detail = ""
     if pres.weyl_order == 2:
@@ -518,21 +619,10 @@ def verify_relations(
                 break
     checks.append(CheckResult("bernstein-center", ok, detail))
 
-    # 6. q -> 1 degeneration to the group algebra of the affine Weyl group
-    ok = True
-    detail = ""
-    for (x, w), left in basis.items():
-        for (y, u), right in basis.items():
-            got = multiply(left, right).specialize_v(1)
-            n, sign = affine_mul((x, 1 - 2 * w), (y, 1 - 2 * u))
-            if got != {(n, (1 - sign) // 2): 1}:
-                ok = False
-                detail = f"q->1 failed on {(x, w)}*{(y, u)}"
-                break
-        if not ok:
-            break
-    checks.append(CheckResult("group-algebra-degeneration", ok, detail))
-
+    # 7. q -> 1 degeneration to the group algebra of the affine Weyl group,
+    # and 8. the representation check, both from the stream above
+    checks.append(CheckResult("group-algebra-degeneration", degen_ok, degen_detail))
+    checks.append(CheckResult("representation", rep_ok, rep_detail or f"{len(basis) ** 2} pairs"))
     return RelationReport(pres, checks)
 
 

@@ -49,6 +49,16 @@ def test_json_output_is_deterministic(capsys):
     assert chk1 == chk2
 
 
+def test_hecke_work_does_not_depend_on_the_seed(capsys):
+    # the seed drives only the matching corpus; the document echoes it
+    _, out0, _ = run(capsys, "check", "--part", "hecke", "--format", "json", "--seed", "0")
+    _, out1, _ = run(capsys, "check", "--part", "hecke", "--format", "json", "--seed", "1")
+    assert '"seed": 0,' in out0
+    assert out0.replace('"seed": 0,', '"seed": 1,', 1) == out1
+    with pytest.raises(SystemExit):
+        main(["hecke", "--weights", "3,1", "--seed", "1"])
+
+
 def test_check_green_suite(capsys):
     code, out, _ = run(capsys, "check", "--part", "tables", "--part", "blocks")
     assert code == EXIT_OK

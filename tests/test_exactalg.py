@@ -319,6 +319,21 @@ def test_small_mu_ring_sum_does_not_stall(monkeypatch):
     assert not total.is_laurent()
 
 
+def test_power_reduces_once(monkeypatch):
+    # the powers of a reduced numerator and denominator are coprime; reducing
+    # after every factor made 28 _poly_gcd calls here
+    from g2hecke.plancherel import silberger_form
+
+    r = silberger_form(1, 2)
+    repeated = RationalExpr(r.ring.one(), r.ring.one())
+    for _ in range(12):
+        repeated = repeated * r
+    assert r ** 0 == 1
+    budget = _gcd_budget(monkeypatch)
+    budget["left"] = 2
+    assert r ** 12 == repeated
+
+
 def test_heuristic_gcd_agrees_with_the_prs_on_a_seeded_corpus(monkeypatch):
     # sums and products of small rationals; the PRS-only reference gets a
     # budget of _poly_gcd calls, and an item past it (the PRS swelling the

@@ -172,10 +172,13 @@ def test_basic_representation_catches_wrong_products(pair, mul):
 
 @WRONG_PRODUCTS
 def test_verify_relations_sees_wrong_products(monkeypatch, pair, mul):
-    # the T_s1 quadratic relation is where a wrong lam_star shows
+    # the T_s1 quadratic relation is where a wrong lam_star shows, and the
+    # faithful polynomial representation sees every wrong product
     monkeypatch.setattr(hecke, "multiply", mul)
     rep = verify_relations(pres(*pair), 1)
-    assert "quadratic-s1" in {c.name for c in rep.failures}
+    failed = {c.name for c in rep.failures}
+    assert "quadratic-s1" in failed
+    assert "representation" in failed
 
 
 def test_length_additive_t_products():
@@ -198,6 +201,47 @@ def test_verify_relations_reports_sabotage(monkeypatch):
     assert any(c.name == "associativity" for c in rep.failures)
 
 
+def test_representation_sees_a_product_wrong_only_off_x_zero(monkeypatch):
+    # (q - 1) theta_{x+y} added where x = 3 and w = 1: invisible at q = 1 and
+    # out of reach of the core triples, so only the x-shift comparison sees it
+    honest = hecke.multiply
+
+    def mul(a, b):
+        product = honest(a, b)
+        if (3, 1, 0) in a.terms and len(a.terms) == len(b.terms) == 1:
+            (y, _, _), = b.terms
+            product = product + HeckeElement(a.pres, {(3 + y, 0, 2): 1, (3 + y, 0, 0): -1})
+        return product
+
+    monkeypatch.setattr(hecke, "multiply", mul)
+    rep = verify_relations(pres(3, 1), 3)
+    assert [c.name for c in rep.failures] == ["representation"]
+    assert "x-shift" in rep.failures[0].detail
+
+
+def test_core_associativity_sees_a_product_that_drops_right_v_powers(monkeypatch):
+    # basis pairs carry no v-power, so on them this product is right and only
+    # the relations on products of products can see it
+    honest = hecke.multiply
+
+    def mul(a, b):
+        dropped: dict = {}
+        for (y, u, _), c in b.terms.items():
+            dropped[y, u, 0] = dropped.get((y, u, 0), 0) + c
+        return honest(a, HeckeElement(b.pres, dropped))
+
+    monkeypatch.setattr(hecke, "multiply", mul)
+    rep = verify_relations(pres(3, 1), 3)
+    assert {c.name for c in rep.failures} == {"associativity", "quadratic-s1"}
+
+
+def test_verify_relations_over_a_trivial_finite_part():
+    p = AffineHeckePresentation(1, 1, None, RGroup.trivial())
+    rep = verify_relations(p, 3)
+    assert rep.ok, rep.summary()
+    assert "representation" in {c.name for c in rep.checks}
+
+
 def test_product_uses_the_one_closed_form(monkeypatch):
     # negate every sign of the closed form; a product carrying its own copy of
     # it would pass both checks
@@ -205,13 +249,16 @@ def test_product_uses_the_one_closed_form(monkeypatch):
     monkeypatch.setattr(hecke, "_commutation_quotient", lambda y: [(k, -s) for k, s in honest(y)])
     assert first_representation_mismatch(pres(3, 1), multiply) is not None
     rep = verify_relations(pres(3, 1), 3)
-    assert "bernstein-exact-division" in {c.name for c in rep.failures}
+    failed = {c.name for c in rep.failures}
+    assert "bernstein-exact-division" in failed
+    assert "representation" in failed
 
 
 @pytest.mark.parametrize("pair", TABLE_PAIRS)
 def test_verify_relations_forms_core_products_once(monkeypatch, pair):
-    # 216 core triples evaluated both ways took 1,214 products; sharing the
-    # 36 distinct core products p*q brings that to 818
+    # each of the 196 basis products is formed once and shared by the q -> 1
+    # check, the representation check and the core, whose 216 triples take 432
+    # more; the quadratic, T-product and centrality checks take 18
     calls = []
     honest = hecke.multiply
 
@@ -221,14 +268,32 @@ def test_verify_relations_forms_core_products_once(monkeypatch, pair):
 
     monkeypatch.setattr(hecke, "multiply", counted)
     assert verify_relations(pres(*pair), 3).ok
-    assert len(calls) <= 820
+    assert len(calls) == 196 + 432 + 18
+
+
+@pytest.mark.parametrize("bound", [1, 3, 8])
+def test_verify_relations_divides_once_per_exponent(monkeypatch, bound):
+    calls = []
+    honest = hecke.exact_div
+
+    def counted(f, g):
+        calls.append(1)
+        return honest(f, g)
+
+    monkeypatch.setattr(hecke, "exact_div", counted)
+    for pair in TABLE_PAIRS:
+        calls.clear()
+        assert verify_relations(pres(*pair), bound).ok
+        assert len(calls) <= 2 * bound + 3
 
 
 def test_verify_relations_reports_sabotaged_quotient(monkeypatch):
     honest = hecke._commutation_quotient
     monkeypatch.setattr(hecke, "_commutation_quotient", lambda y: honest(y)[1:])
     rep = verify_relations(pres(3, 1), 2)
-    assert "bernstein-exact-division" in {c.name for c in rep.failures}
+    failed = {c.name for c in rep.failures}
+    assert "bernstein-exact-division" in failed
+    assert "representation" in failed
 
 
 def test_q_to_one_specialization_is_group_algebra():

@@ -3,11 +3,14 @@
 ``@record()`` reads the fields and defaults of a class from its own
 annotations and installs ``__init__`` (positional or keyword arguments, then
 ``__post_init__``), ``__eq__`` within the class, ``__repr__`` as
-``Name(field=value, ...)`` and, with ``frozen=True``, ``__hash__`` and a
-refusing ``__setattr__``/``__delattr__``; a mutable record is unhashable.
+``Name(field=value, ...)`` and, with ``frozen=True``, ``__hash__`` (the hash
+of the field tuple) and a refusing ``__setattr__``/``__delattr__``; a mutable
+record is unhashable.
 Every g2hecke command is a fresh process, and generating such methods from
 source text at import cost more than building the tables.
 """
+
+from operator import attrgetter
 
 __all__ = ["record", "replace"]
 
@@ -18,8 +21,13 @@ def record(frozen: bool = False):
         defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
         post_init = getattr(cls, "__post_init__", None)
 
-        def values(self):
-            return tuple(getattr(self, n) for n in names)
+        # the field tuple behind __eq__ and __hash__, read in C; attrgetter
+        # of a single name returns the bare value, so that case is wrapped
+        if len(names) > 1:
+            values = attrgetter(*names)
+        else:
+            def values(self):
+                return tuple(getattr(self, n) for n in names)
 
         def bind(args, kwargs):
             given = dict(zip(names, args))

@@ -751,6 +751,13 @@ class RationalExpr:
             self.num = ctx.zero()
             self.den = ctx.one()
             return
+        if len(den.terms) == 1:
+            # a monomial c*m is a unit of the Laurent ring: no gcd to take
+            (m, c), = den.terms.items()
+            shifted = {tuple(a - b for a, b in zip(e, m)): _div(d, c) for e, d in num.terms.items()}
+            self.num = _laurent(ctx, shifted)
+            self.den = ctx.one()
+            return
         _, (np_, dp) = _shift_to_poly(num, den)
         g = _poly_gcd(np_, dp, 0, ctx.nvars)
         if g != {(0,) * ctx.nvars: 1}:

@@ -24,7 +24,10 @@ Multiplication uses three rules:
   which the relation harness checks against exact division in ``exactalg``.
 
 The product works directly on that flat storage; coefficients stay int
-unless a caller supplied a Fraction.  The relation harness also checks the
+unless a caller supplied a Fraction.  It reads T_s theta_y T_u from a product
+table of the presentation, whose entries are expanded from these rules on
+first use; the table of the last presentation multiplied over is kept, so a
+product does only its term loop.  The relation harness also checks the
 quadratic relation (T_s1 + 1)(T_s1 - q^lam_star) = 0 of the second affine
 reflection T_s1 = v^{lam+lam_star} theta_1 T_s^{-1}, which is where a wrong
 lam_star shows.
@@ -324,18 +327,60 @@ def _structure_constants(pres: AffineHeckePresentation) -> list:
     return g
 
 
+class _ProductTable(dict):
+    """(y, u) -> T_s theta_y T_u as (X-shift, w', v-shift, sign) terms, filled on first use.
+
+    T_s theta_y T_u = theta_{-y} T_s T_u - g Q(y) T_u, with
+    T_s T_s = (q^lam - 1) T_s + q^lam, g from ``_structure_constants`` and the
+    quotient Q(y) from ``_commutation_quotient``.
+    """
+
+    __slots__ = ("g", "two_lam")
+
+    def __init__(self, pres: AffineHeckePresentation):
+        if pres.lattice_rank != 1:
+            raise HeckeError("multiplication is implemented for rank-1 lattices only")
+        self.g, self.two_lam = [], 0
+        if pres.weyl_order == 2:
+            self.g, self.two_lam = _structure_constants(pres), 2 * pres.weights.pair()[0]
+
+    def __missing__(self, key):
+        y, u = key
+        two_lam = self.two_lam
+        # T_s T_u as (w', v-shift, sign)
+        ts_u = [(1, 0, 1)] if u == 0 else [(1, two_lam, 1), (1, 0, -1), (0, two_lam, 1)]
+        quotient = _commutation_quotient(y)
+        entry = [(-y, wu, de, sign) for wu, de, sign in ts_u]
+        entry += [(s + k, u, ge, -gs * ks) for s, ge, gs in self.g for k, ks in quotient]
+        self[key] = entry
+        return entry
+
+
+# the last presentation multiplied over and its product table; the strong
+# reference keeps the presentation alive, so the identity test cannot be fooled
+# by a reused id
+_TABLE = (None, None)
+
+
+def _product_table(pres: AffineHeckePresentation) -> _ProductTable:
+    """The product table of ``pres``, built on the first product over it.
+
+    One table is kept, for the last presentation used; an equal but distinct
+    presentation builds its own.
+    """
+    global _TABLE
+    cached, table = _TABLE
+    if cached is not pres:
+        table = _ProductTable(pres)
+        _TABLE = pres, table
+    return table
+
+
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product of two elements over the same presentation, in the theta-T basis."""
     _check_pres(a, b)
     pres = a.pres
-    if pres.lattice_rank != 1:
-        raise HeckeError("multiplication is implemented for rank-1 lattices only")
-    g, two_lam = [], 0
-    if pres.weyl_order == 2:
-        g, two_lam = _structure_constants(pres), 2 * pres.weights.pair()[0]
-    # T_s T_u as (w, v-shift, sign): T_s T_s = (q^lam - 1) T_s + q^lam
-    ts_times = {0: [(1, 0, 1)], 1: [(1, two_lam, 1), (1, 0, -1), (0, two_lam, 1)]}
-    corrections: dict = {}  # -g Q(y) as (X-shift, v-shift, sign), per distinct y
+    table = _product_table(pres)
     out: dict = {}
     get = out.get
     right = b.terms.items()
@@ -346,19 +391,15 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
                 key = x + y, u, e
                 out[key] = get(key, 0) + c
                 continue
-            # theta_x T_s theta_y T_u = theta_{x-y} T_s T_u - theta_x g Q(y) T_u
-            for wu, de, sign in ts_times[u]:
-                key = x - y, wu, e + de
+            # theta_x T_s theta_y T_u = theta_x (T_s theta_y T_u)
+            for dx, wu, de, sign in table[y, u]:
+                key = x + dx, wu, e + de
                 out[key] = get(key, 0) + sign * c
-            if y not in corrections:
-                quotient = _commutation_quotient(y)
-                corrections[y] = [(s + k, ge, -gs * ks) for s, ge, gs in g for k, ks in quotient]
-            for dx, de, sign in corrections[y]:
-                key = x + dx, u, e + de
-                out[key] = get(key, 0) + sign * c
+    if 0 in out.values():  # drop cancelled terms; most products have none
+        out = {k: c for k, c in out.items() if c}
     # the operands were validated when built, so the product needs no second check
     product = HeckeElement.__new__(HeckeElement)
-    product.pres, product.terms = pres, {k: c for k, c in out.items() if c}
+    product.pres, product.terms = pres, out
     return product
 
 

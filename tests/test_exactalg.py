@@ -334,6 +334,32 @@ def test_power_reduces_once(monkeypatch):
     assert r ** 12 == repeated
 
 
+def test_monomial_denominator_needs_no_gcd(monkeypatch):
+    from g2hecke.plancherel import MU_RING
+
+    budget = _gcd_budget(monkeypatch)
+    r = RationalExpr(MU_RING.one(), MU_RING.one())
+    assert r.is_laurent() and r.num.is_one()
+    assert budget["left"] == 0
+
+
+@pytest.mark.parametrize(
+    "c", [3, -2, Fraction(2, 3), Fraction(-5, 4)], ids=["int", "neg-int", "frac", "neg-frac"]
+)
+@pytest.mark.parametrize("exps", [{"v": 2, "X": 1}, {}, {"v": -3, "X": -1}, {"v": 1, "X": -2}])
+def test_monomial_denominator_equals_the_gcd_path(c, exps):
+    # multiplying both sides by a non-monomial h sends the same fraction
+    # through the gcd, which must cancel h and land on the same canonical form
+    R = make_ring()
+    num = parse_expr(R, "2*q*X - 3/2 + X^-1")
+    den = R.monomial(exps, c)
+    h = R.var("v") + 3 * R.var("X", -1)
+    short, long = RationalExpr(num, den), RationalExpr(num * h, den * h)
+    assert (short.num.terms, short.den.terms) == (long.num.terms, long.den.terms)
+    assert short.is_laurent() and short.num * den == num
+    assert all(type(k) is int or k.denominator != 1 for k in short.num.terms.values())
+
+
 def test_heuristic_gcd_agrees_with_the_prs_on_a_seeded_corpus(monkeypatch):
     # sums and products of small rationals; the PRS-only reference gets a
     # budget of _poly_gcd calls, and an item past it (the PRS swelling the

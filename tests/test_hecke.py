@@ -287,6 +287,68 @@ def test_verify_relations_divides_once_per_exponent(monkeypatch, bound):
         assert len(calls) <= 2 * bound + 3
 
 
+def random_pairs(p, seed, count=40):
+    """Seeded pairs of elements over p with up to three terms each."""
+    rng = random.Random(seed)
+
+    def element():
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            key = rng.randint(-4, 4), rng.choice((0, 1)), rng.randint(-3, 3)
+            terms[key] = terms.get(key, 0) + rng.choice([1, -2, Fraction(3, 2)])
+        return HeckeElement(p, terms)
+
+    return [(element(), element()) for _ in range(count)]
+
+
+def test_product_tables_of_interleaved_presentations_agree_with_fresh_ones():
+    # the kept table follows the presentation of each product; products over
+    # (1, 1), (3, 1) and (1, 1) again, interleaved, equal those over fresh
+    # presentations, which start a table of their own
+    first, second = pres(1, 1), pres(3, 1)
+    work = {0: first, 1: second, 2: first}
+    pairs = {seed: random_pairs(p, seed) for seed, p in work.items()}
+    interleaved = {seed: [] for seed in work}
+    for i in range(40):
+        for seed in work:
+            a, b = pairs[seed][i]
+            interleaved[seed].append(multiply(a, b).terms)
+    for seed, p in work.items():
+        fresh = [multiply(a, b).terms for a, b in random_pairs(pres(*p.weights.pair()), seed)]
+        assert interleaved[seed] == fresh
+
+
+def test_equal_but_distinct_presentations_build_their_own_tables(monkeypatch):
+    built = []
+    honest = hecke._structure_constants
+    monkeypatch.setattr(hecke, "_structure_constants", lambda p: built.append(p) or honest(p))
+    a, b = pres(3, 1), pres(3, 1)
+    assert a == b and a is not b
+    over_a = [multiply(x, y) for x, y in random_pairs(a, 5)]
+    over_b = [multiply(x, y) for x, y in random_pairs(b, 5)]
+    assert [x.terms for x in over_a] == [x.terms for x in over_b]
+    assert all(x.pres is b for x in over_b)
+    assert len(built) == 2 and built[0] is a and built[1] is b
+
+
+@pytest.mark.parametrize("bound, calls", [(1, 13), (3, 21), (8, 51)])
+def test_verify_relations_takes_each_quotient_once_per_table_entry(monkeypatch, bound, calls):
+    # one call per (y, u) entry the products reach, plus one per x for the
+    # closed-form check; the 478, 646 and 1,626 products add none
+    seen = []
+    honest = hecke._commutation_quotient
+
+    def counted(y):
+        seen.append(y)
+        return honest(y)
+
+    monkeypatch.setattr(hecke, "_commutation_quotient", counted)
+    for pair in TABLE_PAIRS:
+        seen.clear()
+        assert verify_relations(pres(*pair), bound).ok
+        assert len(seen) == calls
+
+
 def test_verify_relations_reports_sabotaged_quotient(monkeypatch):
     honest = hecke._commutation_quotient
     monkeypatch.setattr(hecke, "_commutation_quotient", lambda y: honest(y)[1:])

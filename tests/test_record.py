@@ -2,7 +2,7 @@
 
 import pytest
 
-from g2hecke._record import replace
+from g2hecke._record import record, replace
 from g2hecke.extquot import ExtQuotPoint, PropertyVerdict
 from g2hecke.hecke import AffineHeckePresentation, CheckResult, RelationReport, RGroup, WeightFunction
 from g2hecke.plancherel import PlancherelCase, PlancherelError
@@ -50,6 +50,19 @@ def test_frozen_records_hash_by_value_and_mutable_ones_do_not_hash():
     for unhashable in (CheckResult("x", True), RelationReport(pres, []), PropertyVerdict(True)):
         with pytest.raises(TypeError):
             hash(unhashable)
+
+
+@record(frozen=True)
+class Label:
+    name: str
+
+
+def test_one_field_record_compares_and_hashes_by_its_field_tuple():
+    assert Label("a") == Label(name="a") and Label("a") != Label("b")
+    assert Label("a") != "a" and Label("a") != ("a",)
+    assert hash(Label("a")) == hash(("a",)) and hash(RGroup("nontrivial", 3)) == hash(("nontrivial", 3))
+    assert len({Label("a"), Label("a"), Label("b")}) == 2
+    assert repr(Label("a")) == "Label(name='a')"
 
 
 def test_repr_names_every_field_in_order():

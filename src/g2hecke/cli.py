@@ -11,17 +11,17 @@ Subcommands:
 * ``hecke``   - run the relation harness for one weight pair;
 * ``extquot`` - evaluate a finite orbit model (built in or from a JSON file).
 
-Exit codes: 0 success, 1 check failure, 2 usage error.  Output is
-deterministic for a fixed configuration and seed.  A ``--config`` file (one
-``key = value`` per line, ``#`` comments) takes precedence over command-line
-flags.
+Exit codes: 0 success, 1 check failure, 2 usage error, reported as one
+``error:`` line.  One option table, ``_COMMANDS``, drives parsing, ``-h`` and
+``--config`` (one ``key = value`` per line, ``#`` comments; its values win
+over flags).  Output is deterministic for a fixed configuration and seed.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import blocks, extquot, hecke, plancherel
 
@@ -30,6 +30,8 @@ __all__ = ["main", "run_check_suite"]
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+_PARTS = ("tables", "hecke", "blocks", "extquot", "matching")
 
 
 class UsageError(Exception):
@@ -234,8 +236,7 @@ def run_check_suite(
     golden_dir: str | None = None,
     parts: set | None = None,
 ) -> dict:
-    all_parts = {"tables", "hecke", "blocks", "extquot", "matching"}
-    parts = parts or all_parts
+    parts = parts or set(_PARTS)
     results = []
     if "tables" in parts:
         results += _check_tables(golden_dir)
@@ -288,24 +289,6 @@ def _read_json(path: str, what: str):
         raise UsageError(f"unreadable {what}: {e}")
 
 
-def _config_argv(parser: argparse.ArgumentParser, args: argparse.Namespace, config: dict) -> list:
-    """Config entries as ``--key value`` flags of the chosen subcommand.
-
-    They go after the real arguments and argparse keeps the last value, so
-    config wins over flags and each value passes the flag's own validation.
-    Keys that only another subcommand defines are skipped.
-    """
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    known = {a.dest for p in subparsers.choices.values() for a in p._actions if a.option_strings}
-    out = []
-    for key, value in config.items():
-        if key == "help" or key not in known:
-            raise UsageError(f"unknown config key {key!r}")
-        if key in vars(args):
-            out += [f"--{key.replace('_', '-')}", value]
-    return out
-
-
 def _load_allowed(path: str | None):
     if path is None:
         return None
@@ -320,55 +303,76 @@ def _load_allowed(path: str | None):
     return {tuple(p) for p in pairs}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="g2hecke",
-        description="Block tables, Hecke relation checks and Plancherel case inspection "
-        "for the maximal-Levi blocks of split G2.",
-        epilog="Values from --config override command-line flags.",
-    )
-    parser.add_argument("--config", default=None, help="key = value file overriding flags")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _fail(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
-    p_tables = sub.add_parser("tables", help="emit a block-table family")
-    p_tables.add_argument("--family", default="all", choices=("all",) + blocks.FAMILIES)
-    p_tables.add_argument("--format", default="json", choices=("json", "text"))
 
-    p_check = sub.add_parser("check", help="run the invariant suite")
-    p_check.add_argument("--all", action="store_true", help="run every part (default)")
-    p_check.add_argument(
-        "--part",
-        action="append",
-        choices=("tables", "hecke", "blocks", "extquot", "matching"),
-        help="run only the named part (repeatable)",
-    )
-    p_check.add_argument("--format", default="text", choices=("json", "text"))
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--degree-bound", dest="degree_bound", type=int, default=3)
-    p_check.add_argument("--allowed-lusztig", dest="allowed_lusztig", default=None,
-                         help="JSON file overriding the shipped allowed label pairs")
-    p_check.add_argument("--golden-dir", dest="golden_dir", default=None,
-                         help="directory of golden tables (defaults to packaged data)")
+def _help(command: str | None) -> str:
+    _, about, flags = _COMMANDS[command]
+    lines = [f"usage: g2hecke {command or '[--config FILE] COMMAND'} [OPTIONS]", "", about]
+    if command is None:
+        lines += ["", "commands:"] + [f"  {name:<8} {text}" for name, (_, text, _) in _COMMANDS.items() if name]
+    lines += ["", "options:"]
+    for dest, (names, default, values, text) in flags.items():
+        arg = "{%s}" % ",".join(map(str, values)) if isinstance(values, tuple) else dest.upper() if values else ""
+        note = " (required)" if default is ... else ""
+        lines += [f"  {', '.join(names)} {arg}".rstrip(), f"      {text}{note}"]
+    return "\n".join(lines)
 
-    p_mu = sub.add_parser("mu", help="print the factored measure of one case")
-    p_mu.add_argument("--case", required=True, choices=plancherel.CASE_IDS)
-    p_mu.add_argument("--residue-degree", dest="residue_degree", type=int, default=2, choices=(1, 2))
-    p_mu.add_argument("--format", default="text", choices=("json", "text"))
 
-    p_hecke = sub.add_parser("hecke", help="verify relations for one weight pair")
-    p_hecke.add_argument("--weights", required=True, help="pair 'lambda,lambda*', e.g. 3,1")
-    p_hecke.add_argument("--degree-bound", dest="degree_bound", type=int, default=3)
-    p_hecke.add_argument("--format", default="text", choices=("json", "text"))
+def _store(opts: dict, dest: str, flag: tuple, text: str):
+    """Convert ``text`` as ``flag`` says and store it under ``dest``."""
+    names, default, values, _ = flag
+    if values is None:
+        _fail(f"{names[0]} takes no value")
+    convert = type(values[0]) if isinstance(values, tuple) else values
+    try:
+        value = convert(text)
+    except ValueError:
+        _fail(f"{names[0]}: invalid {convert.__name__} value {text!r}")
+    if isinstance(values, tuple) and value not in values:
+        _fail(f"{names[0]}: invalid choice {text!r} (choose from {', '.join(map(str, values))})")
+    opts[dest] = opts[dest] + (value,) if isinstance(default, tuple) else value
 
-    p_eq = sub.add_parser("extquot", help="evaluate a finite orbit model")
-    p_eq.add_argument("--model", default=None, help="JSON model file")
-    p_eq.add_argument("--torsion-level", "--size", dest="torsion_level", type=int, default=6,
-                      help="torsion level of the built-in model")
-    p_eq.add_argument("--gamma", default="inversion",
-                      choices=("trivial", "identity", "inversion", "shift-half"))
-    p_eq.add_argument("--offset", type=int, default=0)
-    p_eq.add_argument("--format", default="json", choices=("json", "text"))
-    return parser
+
+def _parse(argv: list) -> tuple:
+    """(command, options) from argv; config values win.  A bad config file is a UsageError, bad input exits 2."""
+    command, opts, tokens = None, {"config": None}, iter(argv)
+    for token in tokens:
+        if command is None and token in _COMMANDS:
+            command = token
+            opts.update((dest, flag[1]) for dest, flag in _COMMANDS[command][2].items())
+            continue
+        flags = _COMMANDS[command][2]
+        name, eq, text = token.partition("=")
+        if name in ("-h", "--help"):
+            print(_help(command))
+            raise SystemExit(EXIT_OK)
+        names = {n: dest for dest, flag in flags.items() for n in flag[0]}
+        hits = [name] if name in names else [n for n in names if len(name) > 2 and n.startswith(name)]
+        if len(hits) != 1:
+            _fail(f"ambiguous option {name}: {', '.join(hits)}" if hits else f"unrecognized argument {token}")
+        dest = names[hits[0]]
+        if flags[dest][2] is None and not eq:
+            opts[dest] = True
+            continue
+        if not eq and (text := next(tokens, None)) is None:
+            _fail(f"{name} expects a value")
+        _store(opts, dest, flags[dest], text)
+    if command is None:
+        _fail("expected a command: " + ", ".join(filter(None, _COMMANDS)))
+    flags, path = _COMMANDS[command][2], opts.pop("config")
+    for key, text in (_load_config(path) if path else {}).items():
+        if key == "config" or not any(key in spec[2] for spec in _COMMANDS.values()):
+            raise UsageError(f"unknown config key {key!r}")
+        if key in flags:  # keys that only another command defines are skipped
+            opts[key] = flags[key][1]  # a config value replaces what the flags gave
+            _store(opts, key, flags[key], text)
+    for dest, flag in flags.items():
+        if opts[dest] is ...:
+            _fail(f"{command} requires {flag[0][0]}")
+    return command, opts
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +398,10 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    allowed = _load_allowed(args.allowed_lusztig)
-    parts = set(args.part) if args.part else None
-    report = run_check_suite(
-        degree_bound=args.degree_bound,
-        seed=args.seed,
-        allowed=allowed,
-        golden_dir=args.golden_dir,
-        parts=parts,
-    )
+    if args.all and args.part:
+        raise UsageError("--all and --part exclude each other")
+    report = run_check_suite(degree_bound=args.degree_bound, seed=args.seed, golden_dir=args.golden_dir,
+                             allowed=_load_allowed(args.allowed_lusztig), parts=set(args.part) or None)
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
@@ -488,28 +487,49 @@ def _cmd_extquot(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
-    try:
-        if args.config:
-            args = parser.parse_args(argv + _config_argv(parser, args, _load_config(args.config)))
-        handler = {
-            "tables": _cmd_tables,
-            "check": _cmd_check,
-            "mu": _cmd_mu,
-            "hecke": _cmd_hecke,
-            "extquot": _cmd_extquot,
-        }[args.command]
-        return handler(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (blocks.BlocksError, plancherel.PlancherelError, extquot.ExtQuotError, hecke.HeckeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+# One table drives parsing, the -h text and --config: each command (None: the top level) maps to
+# its handler, its help line and its flags by dest.  A flag is (names, default, values, help), where
+# ``values`` is the converter (int, str), a tuple of choices, or None for a switch that takes no
+# value; a tuple default makes the flag repeatable and a default of ``...`` makes it required.
+_COMMANDS = {
+    None: (None, "Block tables, Hecke relation checks and Plancherel cases of split G2.", {
+        "config": (("--config",), None, str, "key = value file whose values override the flags")}),
+    "tables": (_cmd_tables, "emit a block-table family", {
+        "family": (("--family",), "all", ("all",) + blocks.FAMILIES, "the family to emit"),
+        "format": (("--format",), "json", ("json", "text"), "output format")}),
+    "check": (_cmd_check, "run the invariant suite", {
+        "all": (("--all",), False, None, "run every part (the default); excludes --part"),
+        "part": (("--part",), (), _PARTS, "run only the named part (repeatable)"),
+        "format": (("--format",), "text", ("json", "text"), "output format"),
+        "seed": (("--seed",), 0, int, "seed of the sampled matching corpus"),
+        "degree_bound": (("--degree-bound",), 3, int, f"lattice degree bound, 1 to {hecke.MAX_DEGREE_BOUND}"),
+        "allowed_lusztig": (("--allowed-lusztig",), None, str, "JSON file of the allowed label pairs"),
+        "golden_dir": (("--golden-dir",), None, str, "directory of golden tables (default: packaged data)")}),
+    "mu": (_cmd_mu, "print the factored measure of one case", {
+        "case": (("--case",), ..., plancherel.CASE_IDS, "the Plancherel case"),
+        "residue_degree": (("--residue-degree",), 2, (1, 2), "residue degree of the extension"),
+        "format": (("--format",), "text", ("json", "text"), "output format")}),
+    "hecke": (_cmd_hecke, "verify relations for one weight pair", {
+        "weights": (("--weights",), ..., str, "pair 'lambda,lambda*', e.g. 3,1"),
+        "degree_bound": (("--degree-bound",), 3, int, f"lattice degree bound, 1 to {hecke.MAX_DEGREE_BOUND}"),
+        "format": (("--format",), "text", ("json", "text"), "output format")}),
+    "extquot": (_cmd_extquot, "evaluate a finite orbit model", {
+        "model": (("--model",), None, str, "JSON model file (default: the built-in model)"),
+        "torsion_level": (("--torsion-level", "--size"), 6, int, "torsion level of the built-in model"),
+        "gamma": (("--gamma",), "inversion", ("trivial", "identity", "inversion", "shift-half"), "involution"),
+        "offset": (("--offset",), 0, int, "offset of the built-in inversion"),
+        "format": (("--format",), "json", ("json", "text"), "output format")}),
+}
 
+
+def main(argv=None) -> int:
+    try:
+        command, opts = _parse(sys.argv[1:] if argv is None else list(argv))
+        return _COMMANDS[command][0](SimpleNamespace(**opts))
+    except (UsageError, blocks.BlocksError, plancherel.PlancherelError, extquot.ExtQuotError,
+            hecke.HeckeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from g2hecke import blocks, extquot, plancherel
+from g2hecke import blocks, cli, extquot, plancherel
 from g2hecke.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -323,3 +323,139 @@ def test_faulty_transfer_fails_the_matching_check(monkeypatch, capsys):
     code, out, _ = run(capsys, "check", "--part", "matching")
     assert code == EXIT_CHECK_FAILED
     assert "[FAIL] extquot/matching-corpus" in out
+
+
+# every flag of every command with its default; "case" and "weights" are required
+DEFAULTS = {
+    "tables": {"family": "all", "format": "json"},
+    "check": {"all": False, "part": (), "format": "text", "seed": 0, "degree_bound": 3,
+              "allowed_lusztig": None, "golden_dir": None},
+    "mu": {"residue_degree": 2, "format": "text"},
+    "hecke": {"degree_bound": 3, "format": "text"},
+    "extquot": {"model": None, "torsion_level": 6, "gamma": "inversion", "offset": 0, "format": "json"},
+}
+
+
+@pytest.mark.parametrize(
+    "argv,given",
+    [
+        (["tables"], {}),
+        (["tables", "--family", "short-positive", "--format", "text"],
+         {"family": "short-positive", "format": "text"}),
+        (["tables", "--family=long-positive", "--family", "long-depth-zero"], {"family": "long-depth-zero"}),
+        (["tables", "--fam", "short-depth-zero", "--form=text"],
+         {"family": "short-depth-zero", "format": "text"}),
+        (["check"], {}),
+        (["check", "--all", "--format=json"], {"all": True, "format": "json"}),
+        (["check", "--part", "tables", "--part=hecke", "--part", "tables"],
+         {"part": ("tables", "hecke", "tables")}),
+        (["check", "--seed", "-1", "--degree", "5"], {"seed": -1, "degree_bound": 5}),
+        (["check", "--allowed-lusztig", "a.json", "--golden-dir=gold"],
+         {"allowed_lusztig": "a.json", "golden_dir": "gold"}),
+        (["mu", "--case", "long-I"], {"case": "long-I"}),
+        (["mu", "--case=short-II", "--residue-degree", "1", "--format", "json"],
+         {"case": "short-II", "residue_degree": 1, "format": "json"}),
+        (["hecke", "--weights", "3,1"], {"weights": "3,1"}),
+        (["hecke", "--weights", "-1,2", "--degree-bound=8", "--format", "json"],
+         {"weights": "-1,2", "degree_bound": 8, "format": "json"}),
+        (["extquot", "--model", "m.json", "--torsion-level", "9", "--gamma", "shift-half", "--offset", "-7",
+          "--format", "text"],
+         {"model": "m.json", "torsion_level": 9, "gamma": "shift-half", "offset": -7, "format": "text"}),
+        (["extquot", "--size", "4"], {"torsion_level": 4}),
+        (["extquot", "--size=5", "--gam", "identity"], {"torsion_level": 5, "gamma": "identity"}),
+    ],
+)
+def test_option_table_parses_every_flag(argv, given):
+    command, opts = cli._parse(argv)
+    assert command == argv[0]
+    assert opts == {**DEFAULTS[command], **given}
+
+
+def test_config_values_replace_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    # family is a tables flag, so check skips it
+    cfg.write_text("part = blocks\nformat = json\nfamily = long-positive\n")
+    argv = ["check", "--part", "tables", "--part", "hecke", "--format", "text"]
+    for config in (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)]):
+        command, opts = cli._parse(config + argv)
+        assert command == "check"
+        assert opts == {**DEFAULTS["check"], "part": ("blocks",), "format": "json"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hecke", "--weights", "3,1", "--seed", "1"],
+        ["tables", "--f", "json"],
+        ["tables", "--family", "bogus"],
+        ["mu", "--case", "long-V"],
+        ["check", "--seed", "abc"],
+        ["mu", "--case", "long-I", "--residue-degree", "3"],
+        ["tables", "--format"],
+        ["mu", "--format", "json"],
+        ["hecke"],
+        ["--config"],
+        ["--config", "run.cfg"],
+        [],
+        ["bogus"],
+        ["tables", "extra"],
+        ["check", "--all=yes"],
+        ["tables", "--config", "run.cfg"],
+    ],
+    ids=[
+        "unknown-flag", "ambiguous-prefix", "bad-choice", "bad-case", "bad-int", "bad-int-choice",
+        "missing-value", "missing-required", "missing-weights", "missing-config-value", "no-command",
+        "empty", "unknown-command", "stray-argument", "switch-with-value", "config-after-command",
+    ],
+)
+def test_malformed_command_line_is_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        (None, {"--config"}),
+        ("tables", {"--family", "--format"}),
+        ("check", {"--all", "--part", "--format", "--seed", "--degree-bound", "--allowed-lusztig",
+                   "--golden-dir"}),
+        ("mu", {"--case", "--residue-degree", "--format"}),
+        ("hecke", {"--weights", "--degree-bound", "--format"}),
+        ("extquot", {"--model", "--torsion-level", "--size", "--gamma", "--offset", "--format"}),
+    ],
+)
+def test_help_names_every_command_and_flag(capsys, command, flags):
+    assert {name for flag in cli._COMMANDS[command][2].values() for name in flag[0]} == flags
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"] if command is None else [command, "--help"])
+    assert exc.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("usage: g2hecke")
+    entries = [line.split() for line in out.splitlines() if line[:2] == "  " and line[2:3] != " "]
+    assert {w.rstrip(",") for words in entries for w in words if w.startswith("--")} == flags
+    if command is None:
+        assert {words[0] for words in entries} - flags == set(DEFAULTS)
+
+
+def test_check_all_and_part_exclude_each_other(capsys):
+    code, out, err = run(capsys, "check", "--all", "--part", "tables")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: --all and --part exclude each other\n"
+
+
+def test_flag_values_that_start_with_a_dash(capsys):
+    # the value goes to the program's own check, not to the option parser
+    code, out, err = run(capsys, "hecke", "--weights", "-1,2")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: weight labels must be nonnegative integers\n"
+    # x -> -7 - x and x -> 2 - x are the same inversion mod 9
+    _, minus_seven, _ = run(capsys, "extquot", "--torsion-level", "9", "--offset", "-7")
+    _, two, _ = run(capsys, "extquot", "--torsion-level", "9", "--offset", "2")
+    assert minus_seven == two and json.loads(two)["count"] == 6
+    code, out, _ = run(capsys, "check", "--part", "matching", "--seed", "-1", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["seed"] == -1

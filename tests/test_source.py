@@ -44,3 +44,18 @@ def test_import_path_stays_lean():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.strip() == "[]", f"import g2hecke loads {out.stdout.strip()}"
+
+
+def test_command_path_loads_no_argparse():
+    # the command line is read from one option table: argparse and the gettext
+    # and locale it loads cost about 7 ms of start-up on every command
+    argv = ["-S", "-X", "importtime", "-m", "g2hecke", "tables", "--family", "all", "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable] + argv, env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    # -X importtime reports every module the command imports, one per line
+    lines = proc.stderr.splitlines()
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")}
+    assert "g2hecke.cli" in loaded
+    assert not loaded & {"argparse", "gettext", "locale"}

@@ -179,10 +179,10 @@ def _matching_corpus(torsion_min: int, torsion_max: int, seed: int):
             m1 = extquot.torsion_model(n, kind, offset=offset)
             shift = rng.randrange(n)
             good = {x: (x + shift) % n for x in range(n)}
-            if kind == "inversion":
-                m2 = extquot.torsion_model(n, kind, offset=(offset + 2 * shift) % n)
-            else:
-                m2 = extquot.torsion_model(n, kind, offset=offset)
+            # the shift conjugates inversion about c into inversion about c + 2 shift
+            # and commutes with the other symmetries, which keep m1 as the target
+            target = (offset + 2 * shift) % n if kind == "inversion" else offset
+            m2 = m1 if target == offset else extquot.torsion_model(n, kind, offset=target)
             corpus.append((m1, m2, good))
     return corpus
 
@@ -339,11 +339,14 @@ def _store(opts: dict, dest: str, flag: tuple, text: str):
 def _parse(argv: list) -> tuple:
     """(command, options) from argv; config values win.  A bad config file is a UsageError, bad input exits 2."""
     command, opts, tokens = None, {"config": None}, iter(argv)
+    commands = ", ".join(filter(None, _COMMANDS))
     for token in tokens:
         if command is None and token in _COMMANDS:
             command = token
             opts.update((dest, flag[1]) for dest, flag in _COMMANDS[command][2].items())
             continue
+        if command is None and not token.startswith("-"):
+            _fail(f"unknown command {token!r} (choose from {commands})")
         flags = _COMMANDS[command][2]
         name, eq, text = token.partition("=")
         if name in ("-h", "--help"):
@@ -361,7 +364,7 @@ def _parse(argv: list) -> tuple:
             _fail(f"{name} expects a value")
         _store(opts, dest, flags[dest], text)
     if command is None:
-        _fail("expected a command: " + ", ".join(filter(None, _COMMANDS)))
+        _fail(f"expected a command: {commands}")
     flags, path = _COMMANDS[command][2], opts.pop("config")
     for key, text in (_load_config(path) if path else {}).items():
         if key == "config" or not any(key in spec[2] for spec in _COMMANDS.values()):

@@ -28,7 +28,9 @@ The two transfers between models, the group/Galois matching
 are trivial, each point (rep, i) of the source extended quotient goes to
 (min of the image orbit of rep, i).  The two differ only in their refusal
 messages.  Every pairing is verified to be a bijection onto the target's
-extended quotient.
+extended quotient.  The pairing and its check work on plain
+(representative, character index) pairs; only the pairs returned are
+wrapped as :class:`ExtQuotPoint` records.
 """
 
 from __future__ import annotations
@@ -55,13 +57,9 @@ class ExtQuotError(ValueError):
     pass
 
 
-def _is_identity(perm: Mapping) -> bool:
-    return all(v == k for k, v in perm.items())
-
-
 def _permutes(perm: Mapping, points: set) -> bool:
     try:
-        return set(perm) == points and set(perm.values()) == points
+        return perm.keys() == points and set(perm.values()) == points
     except TypeError:  # an unhashable value is not a point
         return False
 
@@ -122,28 +120,25 @@ class FiniteOrbitModel:
         tr = self.translation
         if not _permutes(tr, pts):
             raise ExtQuotError("translation must permute the points")
-        # simple transitivity of a cyclic group = the generator is one n-cycle
-        x = self.points[0]
-        seen = [x]
-        while True:
-            x = tr[x]
-            if x == seen[0]:
-                break
-            seen.append(x)
-            if len(seen) > len(self.points):
-                raise ExtQuotError("translation orbit overflow")
-        if len(seen) != len(self.points):
+        # simple transitivity of a cyclic group = the generator is one n-cycle;
+        # a permutation returns to the start within n steps
+        start = self.points[0]
+        x, steps = tr[start], 1
+        while x != start:
+            x, steps = tr[x], steps + 1
+        if steps != len(self.points):
             raise ExtQuotError("translation generator must act as a single cycle")
         if self.gamma is not None:
             g = self.gamma
             if not _permutes(g, pts):
                 raise ExtQuotError("gamma must permute the points")
-            if not _is_identity({p: g[g[p]] for p in self.points}):
+            if any(g[g[p]] != p for p in self.points):
                 raise ExtQuotError("gamma must be an involution")
-            # gamma t gamma^-1 must be t or t^-1
-            conj = {p: g[tr[g[p]]] for p in self.points}
-            inv = {v: k for k, v in tr.items()}
-            if conj != tr and conj != inv:
+            # gamma t gamma^-1 must be t or t^-1: c = gamma t gamma equals t at
+            # every point, or t c is the identity
+            if any(g[tr[g[p]]] != tr[p] for p in self.points) and any(
+                tr[g[tr[g[p]]]] != p for p in self.points
+            ):
                 raise ExtQuotError("gamma must normalize the translations (as +-1)")
         for p, value in self.cocycles.items():
             if p not in pts:
@@ -166,14 +161,6 @@ class FiniteOrbitModel:
     def gamma_order(self) -> int:
         return 2 if self.gamma is not None else 1
 
-    def gamma_image(self, p):
-        return self.gamma[p] if self.gamma is not None else p
-
-    def stabilizer_order(self, p) -> int:
-        if self.gamma is None:
-            return 1
-        return 2 if self.gamma[p] == p else 1
-
     def cocycles_trivial(self) -> bool:
         return all(v == 1 for v in self.cocycles.values())
 
@@ -181,17 +168,13 @@ class FiniteOrbitModel:
         """Symmetry orbits as (canonical representative, orbit) pairs.
 
         Representatives are minimal in the natural order of the labels, so the
-        result does not depend on the ordering of the input points.
+        result does not depend on the ordering of the input points: p
+        represents its orbit when p <= gamma(p).
         """
-        seen = set()
-        out = []
-        for p in sorted(self.points):
-            if p in seen:
-                continue
-            orb = {p, self.gamma_image(p)}
-            seen |= orb
-            out.append((min(orb), tuple(sorted(orb))))
-        return out
+        g = self.gamma
+        if g is None:
+            return [(p, (p,)) for p in sorted(self.points)]
+        return [(p, (p,) if p == g[p] else (p, g[p])) for p in sorted(self.points) if p <= g[p]]
 
     # -- serialization ---------------------------------------------------------
 
@@ -268,11 +251,17 @@ def extended_quotient(m: FiniteOrbitModel) -> list:
     commutative for either admissible table, so it contributes two characters;
     free orbits and the trivial symmetry contribute one point each.
     """
+    return [ExtQuotPoint(rep, i) for rep, i in _quotient_pairs(m)]
+
+
+def _quotient_pairs(m: FiniteOrbitModel) -> list:
+    """The extended quotient as plain (representative, character index) pairs."""
+    two = m.gamma is not None  # an orbit of one point has an order-2 stabilizer
     out = []
-    for rep, _ in m.orbits():
-        chars = 2 if m.stabilizer_order(rep) == 2 else 1
-        for idx in range(chars):
-            out.append(ExtQuotPoint(rep, idx))
+    for rep, orbit in m.orbits():
+        out.append((rep, 0))
+        if two and len(orbit) == 1:
+            out.append((rep, 1))
     return out
 
 
@@ -293,20 +282,12 @@ def crossed_product_irr_count(m: FiniteOrbitModel) -> int:
     """
     if not m.cocycles_trivial():
         raise ExtQuotError("the crossed-product oracle is stated for trivial cocycles")
-    group = [0] if m.gamma is None else [0, 1]
-
-    def act(g, x):
-        return x if g == 0 else m.gamma[x]
-
-    basis = [(x, g) for x in m.points for g in group]
-    index = {b: i for i, b in enumerate(basis)}
-    dim = len(basis)
-
-    def mult(a, b):
-        (x, g), (y, h) = a, b
-        if x != act(g, y):
-            return None
-        return (x, (g + h) % 2 if len(group) == 2 else 0)
+    # e_x u_g is basis element order * (position of x) + g, and gamma is read
+    # from the positions of the images
+    n, order = m.size, m.gamma_order
+    position = {p: i for i, p in enumerate(m.points)}
+    act = [range(n)] + ([[position[m.gamma[p]] for p in m.points]] if order == 2 else [])
+    dim = order * n
 
     parent = list(range(dim + 1))  # vertex dim is the ground
 
@@ -316,31 +297,33 @@ def crossed_product_irr_count(m: FiniteOrbitModel) -> int:
             i = parent[i]
         return i
 
-    for b in basis:
-        y, h = b
-        # z*b - b*z, one sparse row per output basis element: a*b is nonzero
-        # only for a = e_{g(y)} u_g, and b*a only for a = e_{h(y)} u_g
-        rows: dict = {}
-        for g in group:
-            left, right = (act(g, y), g), (act(h, y), g)
-            for out, a, sign in ((mult(left, b), left, 1), (mult(b, right), right, -1)):
-                row = rows.setdefault(index[out], {})
-                c = row.get(index[a], 0) + sign
-                if c:
-                    row[index[a]] = c
+    for j in range(n):
+        for h in range(order):
+            # z*b - b*z for b = e_y u_h, one sparse row per output basis element:
+            # a*b is nonzero only for a = e_{g(y)} u_g, giving e_{g(y)} u_{gh}, and
+            # b*a only for a = e_{h(y)} u_g, giving e_y u_{hg} since h is an involution
+            rows: dict = {}
+            for g in range(order):
+                i, gh = act[g][j], (g + h) % order
+                left, right = order * i + g, order * act[h][j] + g
+                for out, a, sign in ((order * i + gh, left, 1), (order * j + gh, right, -1)):
+                    row = rows.setdefault(out, {})
+                    c = row.get(a, 0) + sign
+                    if c:
+                        row[a] = c
+                    else:
+                        del row[a]
+            for row in rows.values():
+                if not row:
+                    continue
+                coeffs = sorted(row.values())
+                if coeffs == [-1, 1]:
+                    i, k = row
+                elif coeffs in ([-1], [1]):
+                    i, k = next(iter(row)), dim
                 else:
-                    del row[index[a]]
-        for row in rows.values():
-            if not row:
-                continue
-            coeffs = sorted(row.values())
-            if coeffs == [-1, 1]:
-                i, j = row
-            elif coeffs in ([-1], [1]):
-                i, j = next(iter(row)), dim
-            else:
-                raise ExtQuotError(f"commutator row {row} is not an incidence row")
-            parent[find(i)] = find(j)
+                    raise ExtQuotError(f"commutator row {row} is not an incidence row")
+                parent[find(i)] = find(k)
     ground = find(dim)
     return len({find(i) for i in range(dim)} - {ground})
 
@@ -370,7 +353,7 @@ def check_property(
     the symmetry actions through the unique isomorphism of the two order-2
     groups.  The verdict carries the first violated pair.
     """
-    if set(point_map) != set(m_group.points) or set(point_map.values()) != set(m_galois.points):
+    if point_map.keys() != set(m_group.points) or set(point_map.values()) != set(m_galois.points):
         return PropertyVerdict(False, "map is not a bijection of point sets")
     if m_group.size != m_galois.size:
         return PropertyVerdict(False, "models have different sizes")
@@ -407,14 +390,16 @@ def _pair(
         raise ExtQuotError(f"{refusal}: {verdict.reason}")
     if not (m1.cocycles_trivial() and m2.cocycles_trivial()):
         raise ExtQuotError(f"cocycle {twisted} beyond trivial tables is not defined")
-    pairs = []
-    for p in extended_quotient(m1):
-        y = point_map[p.representative]
-        pairs.append((p, ExtQuotPoint(min(y, m2.gamma_image(y)), p.irrep_label)))
-    images = {q for _, q in pairs}
-    if len(images) != len(pairs) or images != set(extended_quotient(m2)):
+    source = _quotient_pairs(m1)
+    g2 = m2.gamma or {}  # the trivial symmetry fixes every point
+    images = []
+    for rep, i in source:
+        y = point_map[rep]
+        images.append((min(y, g2.get(y, y)), i))
+    image_set = set(images)
+    if len(image_set) != len(images) or image_set != set(_quotient_pairs(m2)):
         raise ExtQuotError("transfer is not a bijection onto the target")
-    return pairs
+    return [(ExtQuotPoint(*p), ExtQuotPoint(*q)) for p, q in zip(source, images)]
 
 
 def matching_bijection(

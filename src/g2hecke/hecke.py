@@ -451,6 +451,19 @@ class RelationReport:
 # of verify_relations grows about cubically in it
 MAX_DEGREE_BOUND = 32
 
+# k -> D(k) = (X^k - X^-k) / (1 - X^-2) as {X-exponent: c}, by exact division on
+# the first use of k; D(k) does not depend on the presentation, and the harness
+# reads |k| <= MAX_DEGREE_BOUND + 1, so this holds at most 67 entries
+_QUOTIENTS: dict = {}
+
+
+def _exact_quotient(k: int) -> dict:
+    if k not in _QUOTIENTS:
+        xi = COEFF_RING.index["X"]
+        d = exact_div(_X ** k - _X ** -k, _ONE - _X ** -2)
+        _QUOTIENTS[k] = {e[xi]: c for e, c in d.terms.items()}
+    return _QUOTIENTS[k]
+
 
 def _demazure_lusztig(pres: AffineHeckePresentation, quotients: dict):
     """The operator of T_s on Laurent polynomials in X over Z[v, v^-1].
@@ -565,14 +578,11 @@ def verify_relations(pres: AffineHeckePresentation, degree_bound: int = 3) -> Re
 
     # rho(T_w) f for the test vectors f = 1, X, as images[f][w]
     images = [{0: {(0, 0): 1}}, {0: {(1, 0): 1}}]
-    # D(k) = (X^k - X^-k) / (1 - X^-2) by exact division, once per k; the
-    # closed-form quotient check and the operator of T_s both read it
+    # D(k) by exact division, once per k in the process; the closed-form
+    # quotient check and the operator of T_s both read it
     quotients = {}
     if pres.weyl_order == 2:
-        xi = COEFF_RING.index["X"]
-        for k in range(-b - 1, b + 2):
-            d = exact_div(_X ** k - _X ** -k, _ONE - _X ** -2)
-            quotients[k] = {e[xi]: c for e, c in d.terms.items()}
+        quotients = {k: _exact_quotient(k) for k in range(-b - 1, b + 2)}
         t_s = _demazure_lusztig(pres, quotients)
         for im in images:
             im[1] = t_s(im[0])

@@ -325,6 +325,39 @@ def test_faulty_transfer_fails_the_matching_check(monkeypatch, capsys):
     assert "[FAIL] extquot/matching-corpus" in out
 
 
+def test_a_target_short_of_one_point_fails_the_matching_check(monkeypatch, capsys):
+    # the pairing reads the source's quotient first and the target's second;
+    # dropping one point from every target must trip the bijection check
+    honest = extquot._quotient_pairs
+    calls = []
+
+    def spoiled(m):
+        calls.append(m)
+        return honest(m)[:-1] if len(calls) % 2 == 0 else honest(m)
+
+    monkeypatch.setattr(extquot, "_quotient_pairs", spoiled)
+    code, out, _ = run(capsys, "check", "--part", "matching")
+    assert code == EXIT_CHECK_FAILED
+    assert "[FAIL] extquot/matching-corpus" in out
+    assert "transfer is not a bijection onto the target" in out
+
+
+@pytest.mark.parametrize("word", ["bogus", "tabels"])
+def test_unknown_command_lists_the_commands(capsys, word):
+    with pytest.raises(SystemExit) as exc:
+        main([word, "--format", "json"])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: unknown command '{word}' (choose from tables, check, mu, hecke, extquot)\n"
+    )
+
+
+def test_unknown_flag_before_a_command_keeps_its_message(capsys):
+    with pytest.raises(SystemExit):
+        main(["--bogus"])
+    assert capsys.readouterr().err == "error: unrecognized argument --bogus\n"
+
+
 # every flag of every command with its default; "case" and "weights" are required
 DEFAULTS = {
     "tables": {"family": "all", "format": "json"},

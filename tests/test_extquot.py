@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from g2hecke import extquot
 from g2hecke.cli import _oracle_sweep
 from g2hecke.extquot import (
     ExtQuotError,
+    ExtQuotPoint,
     FiniteOrbitModel,
     check_property,
     crossed_product_irr_count,
@@ -267,3 +269,75 @@ def test_property_verdict_carries_witness():
     verdict = check_property(m, m, bad)
     assert not verdict
     assert verdict.witness is not None
+
+
+def reference_quotient(m):
+    """The extended quotient by the orbit/stabilizer route, as (rep, index) pairs.
+
+    Orbits are collected from the sorted points, each represented by its
+    minimum; a stabilizer of order 2 gives two characters.
+    """
+    seen, out = set(), []
+    for p in sorted(m.points):
+        if p in seen:
+            continue
+        orbit = {p, p if m.gamma is None else m.gamma[p]}
+        seen |= orbit
+        rep = min(orbit)
+        stabilizer = 2 if m.gamma is not None and m.gamma[rep] == rep else 1
+        out += [(rep, i) for i in range(stabilizer)]
+    return out
+
+
+def relabelled(m, label, order=None):
+    """The model m with point p renamed label(p), its points listed in ``order``."""
+    points = [label(p) for p in (order or m.points)]
+    gamma = None if m.gamma is None else {label(p): label(q) for p, q in m.gamma.items()}
+    return FiniteOrbitModel(points, {label(p): label(q) for p, q in m.translation.items()}, gamma)
+
+
+def regression_models():
+    rng = random.Random(5)
+    for label, m in _oracle_sweep(12):
+        yield label, m
+        order = list(m.points)
+        rng.shuffle(order)
+        yield label + ("shuffled",), relabelled(m, lambda p: p, order)
+        # "p10" sorts before "p2", so representatives move with the labels
+        yield label + ("strings",), relabelled(m, lambda p: f"p{p}", order)
+
+
+def test_quotient_and_count_match_the_references():
+    for label, m in regression_models():
+        got = [(p.representative, p.irrep_label) for p in extended_quotient(m)]
+        assert got == reference_quotient(m), label
+        assert crossed_product_irr_count(m) == dense_center_dim(m), label
+
+
+def test_matching_wraps_each_pair_once(monkeypatch):
+    # the pairing works on plain pairs and builds records only for what it returns
+    m1 = torsion_model(12, "inversion")
+    m2 = torsion_model(12, "inversion", offset=4)
+    shift = {x: (x + 2) % 12 for x in range(12)}
+    size = len(extended_quotient(m1))
+    built = []
+    honest = ExtQuotPoint.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        honest(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExtQuotPoint, "__init__", counted)
+    pairs = matching_bijection(m1, m2, shift)
+    assert len(pairs) == size
+    assert len(built) == 2 * size
+
+
+def test_a_target_short_of_one_point_is_not_a_bijection(monkeypatch):
+    m1 = torsion_model(6, "inversion")
+    m2 = torsion_model(6, "inversion", offset=2)
+    shift = {x: (x + 1) % 6 for x in range(6)}
+    honest = extquot._quotient_pairs
+    monkeypatch.setattr(extquot, "_quotient_pairs", lambda m: honest(m)[:-1] if m is m2 else honest(m))
+    with pytest.raises(ExtQuotError, match="transfer is not a bijection onto the target"):
+        matching_bijection(m1, m2, shift)

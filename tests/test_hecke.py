@@ -287,6 +287,44 @@ def test_verify_relations_divides_once_per_exponent(monkeypatch, bound):
         assert len(calls) <= 2 * bound + 3
 
 
+def test_verify_relations_reuses_the_divisions_of_the_process(monkeypatch):
+    # D(k) does not depend on the presentation: once a call has divided for
+    # every |k| <= b + 1, another call at the same bound divides nothing
+    assert verify_relations(pres(3, 1), 3).ok
+    calls = []
+    honest = hecke.exact_div
+
+    def counted(f, g):
+        calls.append(1)
+        return honest(f, g)
+
+    monkeypatch.setattr(hecke, "exact_div", counted)
+    assert verify_relations(pres(2, 2), 3).ok
+    assert calls == []
+
+
+def test_kept_divisions_are_bounded_and_exact():
+    assert verify_relations(pres(1, 1), hecke.MAX_DEGREE_BOUND).ok
+    kept = hecke._QUOTIENTS
+    assert len(kept) <= 2 * hecke.MAX_DEGREE_BOUND + 3 == 67
+    X, one_ = COEFF_RING.var("X"), COEFF_RING.one()
+    xi = COEFF_RING.index["X"]
+    for k, d in kept.items():
+        assert abs(k) <= hecke.MAX_DEGREE_BOUND + 1
+        fresh = exact_div(X ** k - X ** -k, one_ - X ** -2)
+        assert d == {e[xi]: c for e, c in fresh.terms.items()}, k
+
+
+def test_warm_divisions_still_catch_a_wrong_closed_form(monkeypatch):
+    # the kept divisions come from exact division, so they cannot hide a
+    # sabotaged closed form
+    assert verify_relations(pres(3, 1), 3).ok
+    honest = hecke._commutation_quotient
+    monkeypatch.setattr(hecke, "_commutation_quotient", lambda y: [(k, -s) for k, s in honest(y)])
+    failed = {c.name for c in verify_relations(pres(3, 1), 3).failures}
+    assert {"bernstein-exact-division", "representation"} <= failed
+
+
 def random_pairs(p, seed, count=40):
     """Seeded pairs of elements over p with up to three terms each."""
     rng = random.Random(seed)

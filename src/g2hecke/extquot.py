@@ -121,12 +121,15 @@ class FiniteOrbitModel:
         if not _permutes(tr, pts):
             raise ExtQuotError("translation must permute the points")
         # simple transitivity of a cyclic group = the generator is one n-cycle;
-        # a permutation returns to the start within n steps
-        start = self.points[0]
+        # a permutation returns to the start within n steps unless the start is
+        # unequal to itself (a NaN label), which would otherwise walk forever
+        start, n = self.points[0], len(self.points)
         x, steps = tr[start], 1
         while x != start:
+            if steps == n:
+                raise ExtQuotError("translation orbit overflow")
             x, steps = tr[x], steps + 1
-        if steps != len(self.points):
+        if steps != n:
             raise ExtQuotError("translation generator must act as a single cycle")
         if self.gamma is not None:
             g = self.gamma
@@ -163,18 +166,6 @@ class FiniteOrbitModel:
 
     def cocycles_trivial(self) -> bool:
         return all(v == 1 for v in self.cocycles.values())
-
-    def orbits(self) -> list:
-        """Symmetry orbits as (canonical representative, orbit) pairs.
-
-        Representatives are minimal in the natural order of the labels, so the
-        result does not depend on the ordering of the input points: p
-        represents its orbit when p <= gamma(p).
-        """
-        g = self.gamma
-        if g is None:
-            return [(p, (p,)) for p in sorted(self.points)]
-        return [(p, (p,) if p == g[p] else (p, g[p])) for p in sorted(self.points) if p <= g[p]]
 
     # -- serialization ---------------------------------------------------------
 
@@ -255,13 +246,21 @@ def extended_quotient(m: FiniteOrbitModel) -> list:
 
 
 def _quotient_pairs(m: FiniteOrbitModel) -> list:
-    """The extended quotient as plain (representative, character index) pairs."""
-    two = m.gamma is not None  # an orbit of one point has an order-2 stabilizer
+    """The extended quotient as plain (representative, character index) pairs.
+
+    Representatives are minimal labels, so the order of the input points does
+    not matter: p represents its orbit when p <= gamma(p), and a fixed point
+    has an order-2 stabilizer.
+    """
+    g = m.gamma
+    if g is None:
+        return [(p, 0) for p in sorted(m.points)]
     out = []
-    for rep, orbit in m.orbits():
-        out.append((rep, 0))
-        if two and len(orbit) == 1:
-            out.append((rep, 1))
+    for p in sorted(m.points):
+        if p <= g[p]:
+            out.append((p, 0))
+            if p == g[p]:
+                out.append((p, 1))
     return out
 
 

@@ -187,6 +187,17 @@ def test_extquot_malformed_model_file(tmp_path, capsys, doc):
     assert err.startswith("error:")
 
 
+def test_extquot_model_with_a_nan_first_point_is_refused(tmp_path, capsys):
+    # json.load returns one NaN object for every NaN, so the labels pass the
+    # distinctness and permutation checks, but NaN != NaN: the cycle walk
+    # must stop after n steps instead of running forever
+    path = tmp_path / "model.json"
+    path.write_text('{"points": [NaN], "translation": {"nan": NaN}}')
+    code, out, err = run(capsys, "extquot", "--model", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: translation orbit overflow\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -287,6 +287,22 @@ def test_verify_relations_divides_once_per_exponent(monkeypatch, bound):
         assert len(calls) <= 2 * bound + 3
 
 
+@pytest.mark.parametrize("bound", [1, 3, 8])
+def test_first_verify_relations_divides_exactly_once_per_exponent(monkeypatch, bound):
+    # with no kept divisions, the first call divides once for each |k| <= b + 1
+    monkeypatch.setattr(hecke, "_QUOTIENTS", {})
+    calls = []
+    honest = hecke.exact_div
+
+    def counted(f, g):
+        calls.append(1)
+        return honest(f, g)
+
+    monkeypatch.setattr(hecke, "exact_div", counted)
+    assert verify_relations(pres(3, 1), bound).ok
+    assert len(calls) == 2 * bound + 3
+
+
 def test_verify_relations_reuses_the_divisions_of_the_process(monkeypatch):
     # D(k) does not depend on the presentation: once a call has divided for
     # every |k| <= b + 1, another call at the same bound divides nothing

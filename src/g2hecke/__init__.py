@@ -11,7 +11,7 @@ Modules:
 * ``plancherel`` - the six case formulas for the Plancherel measure, label
   extraction and the reducibility criterion;
 * ``blocks``     - the block classifier and the four canonical tables;
-* ``extquot``    - twisted extended quotients on finite orbit models, the
+* ``extquot``    - extended quotients on finite orbit models, the
   crossed-product counting oracle, equivariant transfers;
 * ``cli``        - the ``g2hecke`` command line.
 """

@@ -147,7 +147,7 @@ def _check_extquot(max_size: int = 8) -> list:
     total = 0
     for label, m in _oracle_sweep(max_size):
         total += 1
-        eq = len(extquot.extended_quotient(m))
+        eq = len(extquot._quotient_pairs(m))  # the count needs no ExtQuotPoint records
         cp = extquot.crossed_product_irr_count(m)
         ok = eq == cp
         if m.gamma is not None:
@@ -303,6 +303,10 @@ def _load_allowed(path: str | None):
     return {tuple(p) for p in pairs}
 
 
+def _print_json(doc):
+    print(json.dumps(doc, indent=2, allow_nan=False))  # NaN and Infinity are not JSON
+
+
 def _fail(message: str):
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
@@ -390,7 +394,7 @@ def _cmd_tables(args) -> int:
             "schema_version": blocks.SCHEMA_VERSION,
             "tables": [blocks.emit_table(f) for f in families],
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         chunks = []
         for f in families:
@@ -406,7 +410,7 @@ def _cmd_check(args) -> int:
     report = run_check_suite(degree_bound=args.degree_bound, seed=args.seed, golden_dir=args.golden_dir,
                              allowed=_load_allowed(args.allowed_lusztig), parts=set(args.part) or None)
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        _print_json(report)
     else:
         for r in report["results"]:
             mark = "ok " if r["ok"] else "FAIL"
@@ -436,7 +440,7 @@ def _cmd_mu(args) -> int:
         "W_O": plancherel.weyl_from_zeros(m),
     }
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(f"case: {doc['case']}")
         print(f"mu = {doc['mu_factored']}")
@@ -455,7 +459,7 @@ def _cmd_hecke(args) -> int:
         raise UsageError("weights must be 'lambda,lambda*', e.g. --weights 3,1")
     report = hecke.verify_relations(blocks._noncomm(lam, lam_star), args.degree_bound)
     if args.format == "json":
-        print(json.dumps({"schema_version": blocks.SCHEMA_VERSION, **report.to_json()}, indent=2))
+        _print_json({"schema_version": blocks.SCHEMA_VERSION, **report.to_json()})
     else:
         print(report.summary())
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
@@ -468,7 +472,7 @@ def _cmd_extquot(args) -> int:
         model = extquot.torsion_model(args.torsion_level, args.gamma, offset=args.offset)
     points = extquot.extended_quotient(model)
     count = len(points)
-    oracle = extquot.crossed_product_irr_count(model) if model.cocycles_trivial() else None
+    oracle = extquot.crossed_product_irr_count(model)
     doc = {
         "schema_version": blocks.SCHEMA_VERSION,
         "model": model.to_json(),
@@ -479,14 +483,13 @@ def _cmd_extquot(args) -> int:
         "crossed_product_count": oracle,
     }
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(f"model: {model!r}")
         print(f"extended quotient: {count} points")
         for p in points:
             print(f"  ({p.representative}, chi_{p.irrep_label})")
-        if oracle is not None:
-            print(f"crossed-product simple modules: {oracle}")
+        print(f"crossed-product simple modules: {oracle}")
     return EXIT_OK
 
 
@@ -518,7 +521,8 @@ _COMMANDS = {
         "format": (("--format",), "text", ("json", "text"), "output format")}),
     "extquot": (_cmd_extquot, "evaluate a finite orbit model", {
         "model": (("--model",), None, str, "JSON model file (default: the built-in model)"),
-        "torsion_level": (("--torsion-level", "--size"), 6, int, "torsion level of the built-in model"),
+        "torsion_level": (("--torsion-level", "--size"), 6, int,
+                          f"torsion level of the built-in model, 1 to {extquot.MAX_TORSION_LEVEL}"),
         "gamma": (("--gamma",), "inversion", ("trivial", "identity", "inversion", "shift-half"), "involution"),
         "offset": (("--offset",), 0, int, "offset of the built-in inversion"),
         "format": (("--format",), "json", ("json", "text"), "output format")}),

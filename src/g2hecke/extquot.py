@@ -1,18 +1,19 @@
-"""Twisted extended quotients on finite orbit models, with two oracles.
+"""Extended quotients on finite orbit models, with two oracles.
 
 A :class:`FiniteOrbitModel` is a desk-scale stand-in for a supercuspidal
 orbit: a finite set of points carrying a simply transitive action of a cyclic
-translation group, a finite symmetry group of order at most 2 whose action
+translation group and a finite symmetry group of order at most 2 whose action
 normalizes the translations (conjugation sends the generator to itself or its
-inverse, matching inversion on a one-dimensional torus), and a family of
-2-cocycle tables on point stabilizers.  Only trivial tables ship; values are
-restricted to +-1 and tables must satisfy the cocycle identity.
+inverse, matching inversion on a one-dimensional torus).  The quotients are
+untwisted: a point stabilizer has order at most 2, and a cyclic group has
+trivial Schur multiplier (H^2(Z/2, C^x) = 0), so the 2-cocycle twist of a
+twisted extended quotient changes nothing here.
 
 Two independent counts of the same quantity are provided:
 
 * :func:`extended_quotient` enumerates orbits and stabilizer characters
-  directly (one point per orbit, one entry per irreducible of the twisted
-  stabilizer algebra);
+  directly (one point per orbit, one entry per irreducible character of the
+  stabilizer);
 * :func:`crossed_product_irr_count` builds the crossed product of functions
   on the points with the symmetry group and computes the dimension of its
   center from the rank of a graph incidence matrix, by union-find.
@@ -24,17 +25,17 @@ points, m free orbits) pins both down for order-2 actions.
 The two transfers between models, the group/Galois matching
 (:func:`matching_bijection`) and the depth-zero reduction
 (:func:`depth_zero_transfer`), share one pairing: after
-:func:`check_property` has accepted the point map and both cocycle families
-are trivial, each point (rep, i) of the source extended quotient goes to
-(min of the image orbit of rep, i).  The two differ only in their refusal
-messages.  Every pairing is verified to be a bijection onto the target's
-extended quotient.  The pairing and its check work on plain
-(representative, character index) pairs; only the pairs returned are
-wrapped as :class:`ExtQuotPoint` records.
+:func:`check_property` has accepted the point map, each point (rep, i) of the
+source extended quotient goes to (min of the image orbit of rep, i).  The two
+differ only in their refusal messages.  Every pairing is verified to be a
+bijection onto the target's extended quotient.  The pairing and its check
+work on plain (representative, character index) pairs; only the pairs
+returned are wrapped as :class:`ExtQuotPoint` records.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 
 from ._record import record
@@ -44,6 +45,7 @@ __all__ = [
     "ExtQuotPoint",
     "PropertyVerdict",
     "ExtQuotError",
+    "MAX_TORSION_LEVEL",
     "torsion_model",
     "extended_quotient",
     "crossed_product_irr_count",
@@ -57,6 +59,11 @@ class ExtQuotError(ValueError):
     pass
 
 
+# extquot's work and memory are linear in the points: at this level the command
+# takes about 2 s and 155 MB (see README, "Sizes have bounded work")
+MAX_TORSION_LEVEL = 100_000
+
+
 def _permutes(perm: Mapping, points: set) -> bool:
     try:
         return perm.keys() == points and set(perm.values()) == points
@@ -68,9 +75,8 @@ def _permutes(perm: Mapping, points: set) -> bool:
 class ExtQuotPoint:
     """One point of an extended quotient: orbit representative + character index.
 
-    Character indices are canonical: 0 is the trivial-like character (value +1
-    on the nontrivial stabilizer element under trivial twisting, or the
-    principal square root under a twisted table), 1 the other one.
+    Character indices are canonical: 0 is the trivial character of the
+    stabilizer, 1 the sign character of an order-2 stabilizer.
     """
 
     representative: object
@@ -83,18 +89,10 @@ class FiniteOrbitModel:
     ``translation`` is the permutation given by the generator of the
     translation group (must be a single cycle through all points).  ``gamma``
     is None for the trivial symmetry group, else an involution commuting with
-    the translations up to inversion.  ``cocycles`` maps a point fixed by the
-    symmetry to the value k(s, s) in {+1, -1} of a normalized 2-cocycle on
-    its order-2 stabilizer; omitted points carry the trivial table.
+    the translations up to inversion.
     """
 
-    def __init__(
-        self,
-        points: Sequence,
-        translation: Mapping,
-        gamma: Mapping | None = None,
-        cocycles: Mapping | None = None,
-    ):
+    def __init__(self, points: Sequence, translation: Mapping, gamma: Mapping | None = None):
         self.points = tuple(points)
         try:
             distinct = len(set(self.points)) == len(self.points)
@@ -110,7 +108,6 @@ class FiniteOrbitModel:
             raise ExtQuotError("point labels must be comparable with each other")
         self.translation = dict(translation)
         self.gamma = dict(gamma) if gamma is not None else None
-        self.cocycles = dict(cocycles or {})
         self._validate()
 
     # -- validation ----------------------------------------------------------
@@ -143,18 +140,6 @@ class FiniteOrbitModel:
                 tr[g[tr[g[p]]]] != p for p in self.points
             ):
                 raise ExtQuotError("gamma must normalize the translations (as +-1)")
-        for p, value in self.cocycles.items():
-            if p not in pts:
-                raise ExtQuotError(f"cocycle table attached to unknown point {p!r}")
-            if value not in (1, -1):
-                raise ExtQuotError("cocycle values are restricted to +1 and -1")
-            if self.gamma is None or self.gamma[p] != p:
-                raise ExtQuotError(
-                    f"cocycle table at {p!r} needs an order-2 stabilizer"
-                )
-        # orbit compatibility of the table family is automatic here: stabilized
-        # points are their own orbits and conjugation is trivial on an abelian
-        # stabilizer, so the transported table equals the stored one
 
     @property
     def size(self) -> int:
@@ -164,9 +149,6 @@ class FiniteOrbitModel:
     def gamma_order(self) -> int:
         return 2 if self.gamma is not None else 1
 
-    def cocycles_trivial(self) -> bool:
-        return all(v == 1 for v in self.cocycles.values())
-
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -174,7 +156,6 @@ class FiniteOrbitModel:
             "points": list(self.points),
             "translation": {str(k): v for k, v in self.translation.items()},
             "gamma": None if self.gamma is None else {str(k): v for k, v in self.gamma.items()},
-            "cocycles": {str(k): v for k, v in self.cocycles.items()},
         }
 
     @staticmethod
@@ -184,20 +165,25 @@ class FiniteOrbitModel:
         points = doc["points"]
         if not isinstance(points, list) or any(isinstance(p, (list, dict)) for p in points):
             raise ExtQuotError("'points' must be a list of JSON scalars")
-        if not isinstance(doc["translation"], dict) or any(
-            not isinstance(doc.get(k), (dict, type(None))) for k in ("gamma", "cocycles")
-        ):
-            raise ExtQuotError("'translation' must be an object, 'gamma' and 'cocycles' objects or null")
+        if not isinstance(doc["translation"], dict) or not isinstance(doc.get("gamma"), (dict, type(None))):
+            raise ExtQuotError("'translation' must be an object, 'gamma' an object or null")
+        if doc.get("cocycles") not in (None, {}):  # older model files carry "cocycles": {}
+            raise ExtQuotError("stabilizers of order 2 carry no cocycle twist: 'cocycles' must be {} or null")
         key = {str(p): p for p in points}
         try:
             tr = {key[k]: v for k, v in doc["translation"].items()}
             gamma = doc.get("gamma")
             if gamma is not None:
                 gamma = {key[k]: v for k, v in gamma.items()}
-            cocycles = {key[k]: v for k, v in (doc.get("cocycles") or {}).items()}
         except KeyError as e:
             raise ExtQuotError(f"model names an unknown point {e.args[0]!r}")
-        return FiniteOrbitModel(points, tr, gamma, cocycles)
+        model = FiniteOrbitModel(points, tr, gamma)
+        # json.load reads NaN and 1e400 as floats, which no JSON writer may print;
+        # checked after the build, a NaN first point still fails the cycle walk
+        for p in points:
+            if isinstance(p, float) and not math.isfinite(p):
+                raise ExtQuotError(f"point label {p!r} is not a finite number")
+        return model
 
     def __repr__(self):
         sym = "Z/2" if self.gamma is not None else "1"
@@ -211,8 +197,8 @@ def torsion_model(n: int, gamma: str = "trivial", offset: int = 0) -> FiniteOrbi
     (order-2 group acting trivially), "inversion" (x -> offset - x), or
     "shift-half" (x -> x + n/2, n even).
     """
-    if n < 1:
-        raise ExtQuotError("torsion level must be >= 1")
+    if not 1 <= n <= MAX_TORSION_LEVEL:
+        raise ExtQuotError(f"torsion level must be between 1 and {MAX_TORSION_LEVEL}")
     pts = list(range(n))
     tr = {x: (x + 1) % n for x in pts}
     if gamma == "trivial":
@@ -238,9 +224,8 @@ def torsion_model(n: int, gamma: str = "trivial", offset: int = 0) -> FiniteOrbi
 def extended_quotient(m: FiniteOrbitModel) -> list:
     """Points of the extended quotient: (orbit representative, character index).
 
-    For an order-2 stabilizer the twisted group algebra is two-dimensional
-    commutative for either admissible table, so it contributes two characters;
-    free orbits and the trivial symmetry contribute one point each.
+    An order-2 stabilizer contributes its two characters; free orbits and the
+    trivial symmetry contribute one point each.
     """
     return [ExtQuotPoint(rep, i) for rep, i in _quotient_pairs(m)]
 
@@ -279,8 +264,6 @@ def crossed_product_irr_count(m: FiniteOrbitModel) -> int:
     ground vertex, which union-find counts directly.  A row of any other
     shape raises :class:`ExtQuotError`.
     """
-    if not m.cocycles_trivial():
-        raise ExtQuotError("the crossed-product oracle is stated for trivial cocycles")
     # e_x u_g is basis element order * (position of x) + g, and gamma is read
     # from the positions of the images
     n, order = m.size, m.gamma_order
@@ -374,9 +357,7 @@ def check_property(
     return PropertyVerdict(True)
 
 
-def _pair(
-    m1: FiniteOrbitModel, m2: FiniteOrbitModel, point_map: Mapping, refusal: str, twisted: str
-) -> list:
+def _pair(m1: FiniteOrbitModel, m2: FiniteOrbitModel, point_map: Mapping, refusal: str) -> list:
     """Pair each extended-quotient point of m1 with its image along the map.
 
     The point (rep, i) goes to (min of the image orbit of rep, i).  An
@@ -387,8 +368,6 @@ def _pair(
     verdict = check_property(m1, m2, point_map)
     if not verdict:
         raise ExtQuotError(f"{refusal}: {verdict.reason}")
-    if not (m1.cocycles_trivial() and m2.cocycles_trivial()):
-        raise ExtQuotError(f"cocycle {twisted} beyond trivial tables is not defined")
     source = _quotient_pairs(m1)
     g2 = m2.gamma or {}  # the trivial symmetry fixes every point
     images = []
@@ -406,11 +385,9 @@ def matching_bijection(
 ) -> list:
     """The canonical pairing of the two extended quotients along the map.
 
-    Refuses (raises) when the equivariance property fails or when either
-    model carries a nontrivial cocycle table: no recipe ships for matching
-    twisted families.
+    Refuses (raises) when the equivariance property fails.
     """
-    return _pair(m_group, m_galois, point_map, "refusing to construct the matching", "matching")
+    return _pair(m_group, m_galois, point_map, "refusing to construct the matching")
 
 
 def depth_zero_transfer(
@@ -418,8 +395,7 @@ def depth_zero_transfer(
 ) -> list:
     """The induced bijection of extended quotients for a depth-zero companion.
 
-    The point map must be bijective and equivariant; cocycle tables transport
-    along the map (trivially, for the tables that ship).  The result pairs
-    each quotient point with its image and is verified to be a bijection.
+    The point map must be bijective and equivariant.  The result pairs each
+    quotient point with its image and is verified to be a bijection.
     """
-    return _pair(m_g, m_g0, point_map, "transfer rejected", "transport")
+    return _pair(m_g, m_g0, point_map, "transfer rejected")

@@ -149,17 +149,16 @@ class AffineHeckePresentation:
     lattice_rank: rank of the translation lattice (the cocompact part),
     weyl_order: order of the finite Weyl part (1 or 2),
     weights: the weight function when the finite part is nontrivial,
-    r_group: tri-state descriptor of the finite twisting group,
-    cocycle_trivial: whether the twisting 2-cocycle is trivial.
+    r_group: tri-state descriptor of the finite twisting group.
 
-    Equality of presentations is equality of exactly these data.
+    Equality of presentations is equality of exactly these data.  No 2-cocycle
+    is kept: R-groups of order at most 2 are cyclic, with no nontrivial twist.
     """
 
     lattice_rank: int
     weyl_order: int
     weights: WeightFunction | None
     r_group: RGroup
-    cocycle_trivial: bool = True
 
     def __post_init__(self):
         if self.weyl_order not in (1, 2):
@@ -178,13 +177,12 @@ class AffineHeckePresentation:
 
 
 def presentations_equal(a: AffineHeckePresentation, b: AffineHeckePresentation) -> bool:
-    """Same lattice rank, finite-Weyl order, labels, R-group state, cocycle flag."""
+    """Same lattice rank, finite-Weyl order, labels and R-group state."""
     return (
         a.lattice_rank == b.lattice_rank
         and a.weyl_order == b.weyl_order
         and (a.weights.pair() if a.weights else None) == (b.weights.pair() if b.weights else None)
         and a.r_group.state == b.r_group.state
-        and a.cocycle_trivial == b.cocycle_trivial
     )
 
 

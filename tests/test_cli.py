@@ -199,6 +199,63 @@ def test_extquot_model_with_a_nan_first_point_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, label",
+    [
+        ('{"points": [1e400], "translation": {"inf": 1e400}}', "inf"),
+        ('{"points": [0, NaN], "translation": {"0": NaN, "nan": 0}}', "nan"),
+    ],
+    ids=["infinity", "nan-second"],
+)
+def test_extquot_model_with_a_non_finite_label_is_refused(tmp_path, capsys, text, label):
+    # json.load reads these labels as floats, and no JSON writer may print them back
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "extquot", "--model", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: point label {label} is not a finite number\n"
+
+
+def test_extquot_model_cocycles_must_be_empty(tmp_path, capsys):
+    # an order-2 stabilizer carries no cocycle twist; {} and null still load
+    model = {"points": [0, 1, 2], "translation": {"0": 1, "1": 2, "2": 0}, "gamma": {"0": 0, "1": 2, "2": 1}}
+    outputs = []
+    for cocycles in ("absent", {}, None, {"0": -1}):
+        doc = model if cocycles == "absent" else dict(model, cocycles=cocycles)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        for fmt in ("json", "text"):
+            outputs.append(run(capsys, "extquot", "--model", str(path), "--format", fmt))
+    absent, refused = outputs[:2], outputs[6:]
+    assert absent[0][0] == EXIT_OK and json.loads(absent[0][1])["crossed_product_count"] == 3
+    assert outputs[2:4] == absent and outputs[4:6] == absent
+    for code, out, err in refused:
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_torsion_level_above_cap(capsys):
+    # only the level above the cap: it is refused before any point is built
+    code, out, err = run(capsys, "extquot", "--torsion-level", str(extquot.MAX_TORSION_LEVEL + 1))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: torsion level must be between 1 and {extquot.MAX_TORSION_LEVEL}\n"
+
+
+def test_check_extquot_builds_no_records(monkeypatch, capsys):
+    # the oracle sweep only counts the quotient, so it builds no ExtQuotPoint
+    built = []
+    honest = extquot.ExtQuotPoint.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        honest(self, *args, **kwargs)
+
+    monkeypatch.setattr(extquot.ExtQuotPoint, "__init__", counted)
+    code, out, _ = run(capsys, "check", "--part", "extquot")
+    assert code == EXIT_OK and "56 models" in out
+    assert built == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--config", "{file}", "tables"],

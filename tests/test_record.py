@@ -72,7 +72,7 @@ def test_repr_names_every_field_in_order():
     assert repr(AffineHeckePresentation(1, 2, WeightFunction((1,), (0,)), RGroup.trivial())) == (
         "AffineHeckePresentation(lattice_rank=1, weyl_order=2, "
         "weights=WeightFunction(lam=(1,), lam_star=(0,)), "
-        "r_group=RGroup(state='trivial', order=1), cocycle_trivial=True)"
+        "r_group=RGroup(state='trivial', order=1))"
     )
 
 

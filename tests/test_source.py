@@ -23,6 +23,22 @@ def test_invariants_are_raised_errors_not_asserts():
     assert not found, f"assert statements in src/g2hecke: {found}"
 
 
+def test_json_output_allows_no_nan():
+    # json.dumps prints NaN and Infinity by default, and neither is JSON
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "dumps" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "json"):
+                continue
+            flag = next((kw.value for kw in node.keywords if kw.arg == "allow_nan"), None)
+            if not (isinstance(flag, ast.Constant) and flag.value is False):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"json.dumps without allow_nan=False in src/g2hecke: {found}"
+
+
 def test_every_exported_name_resolves():
     # a deleted function must not stay behind in an __all__ list
     missing = []

@@ -32,7 +32,7 @@ get a refusal.
 from __future__ import annotations
 
 from ._record import record, replace
-from .hecke import AffineHeckePresentation, RGroup, WeightFunction, presentations_equal
+from .hecke import AffineHeckePresentation, RGroup, WeightFunction
 from .plancherel import W_ORDER_2, W_TRIVIAL, PlancherelCase, labels, mu, weyl_from_zeros
 from .rootdata import bad_primes, g2_datum
 
@@ -143,13 +143,11 @@ class BlockDescriptor:
 
 
 def _noncomm(lam: int, lam_star: int) -> AffineHeckePresentation:
-    return AffineHeckePresentation(
-        1, 2, WeightFunction.rank_one(lam, lam_star), RGroup.trivial()
-    )
+    return AffineHeckePresentation(2, WeightFunction(lam, lam_star), RGroup.trivial())
 
 
 def _crossed(r_group: RGroup) -> AffineHeckePresentation:
-    return AffineHeckePresentation(1, 1, None, r_group)
+    return AffineHeckePresentation(1, None, r_group)
 
 
 @record(frozen=True)
@@ -204,7 +202,7 @@ def _q_params(p: AffineHeckePresentation) -> list:
 
 def check_weyl_iso(c: BlockClassification) -> bool:
     """The two block algebras have equal presentation data."""
-    return presentations_equal(c.h_g, c.h_g0)
+    return c.h_g == c.h_g0
 
 
 def check_ro_reduction(c: BlockClassification) -> bool:

@@ -132,13 +132,15 @@ class FiniteOrbitModel:
             g = self.gamma
             if not _permutes(g, pts):
                 raise ExtQuotError("gamma must permute the points")
-            if any(g[g[p]] != p for p in self.points):
+            # lists compare items by identity before ==, as dict lookups match
+            # keys, so a NaN label that gamma fixes counts as fixed here too
+            listed = list(self.points)
+            if [g[g[p]] for p in listed] != listed:
                 raise ExtQuotError("gamma must be an involution")
             # gamma t gamma^-1 must be t or t^-1: c = gamma t gamma equals t at
             # every point, or t c is the identity
-            if any(g[tr[g[p]]] != tr[p] for p in self.points) and any(
-                tr[g[tr[g[p]]]] != p for p in self.points
-            ):
+            c = [g[tr[g[p]]] for p in listed]
+            if c != [tr[p] for p in listed] and [tr[x] for x in c] != listed:
                 raise ExtQuotError("gamma must normalize the translations (as +-1)")
 
     @property
@@ -335,12 +337,13 @@ def check_property(
     the symmetry actions through the unique isomorphism of the two order-2
     groups.  The verdict carries the first violated pair.
     """
+    # verdicts are built with all three fields, which skips _record's keyword binding
     if point_map.keys() != set(m_group.points) or set(point_map.values()) != set(m_galois.points):
-        return PropertyVerdict(False, "map is not a bijection of point sets")
+        return PropertyVerdict(False, "map is not a bijection of point sets", None)
     if m_group.size != m_galois.size:
-        return PropertyVerdict(False, "models have different sizes")
+        return PropertyVerdict(False, "models have different sizes", None)
     if m_group.gamma_order != m_galois.gamma_order:
-        return PropertyVerdict(False, "symmetry groups have different orders")
+        return PropertyVerdict(False, "symmetry groups have different orders", None)
     t1, t2 = m_group.translation, m_galois.translation
     for p in m_group.points:
         if point_map[t1[p]] != t2[point_map[p]]:
@@ -354,7 +357,7 @@ def check_property(
                 return PropertyVerdict(
                     False, "symmetry equivariance fails", (p, point_map[p])
                 )
-    return PropertyVerdict(True)
+    return PropertyVerdict(True, "", None)
 
 
 def _pair(m1: FiniteOrbitModel, m2: FiniteOrbitModel, point_map: Mapping, refusal: str) -> list:

@@ -43,10 +43,6 @@ product must be the x-shift of one at x = 0.  Checking rho on the x = 0
 pairs and the shift on all pairs covers every basis pair up to the bound.
 The operator is built from g's own formula and from exact division, not
 from the product's structure constants or closed-form quotient.
-
-Presentations of general rank are representable as data but multiplication
-for a finite part of order > 2 is deliberately rejected rather than half
-implemented.
 """
 
 from __future__ import annotations
@@ -71,7 +67,6 @@ __all__ = [
     "CheckResult",
     "check_lusztig",
     "default_lusztig_allowed",
-    "presentations_equal",
     "theta",
     "t_basis",
     "basis_element",
@@ -91,62 +86,46 @@ _ONE = COEFF_RING.one()
 
 @record(frozen=True)
 class WeightFunction:
-    """Labels lam, lam_star on the simple affine reflections, per simple root."""
+    """Labels lam, lam_star on the two simple affine reflections."""
 
-    lam: tuple
-    lam_star: tuple
+    lam: int
+    lam_star: int
 
     def __post_init__(self):
-        if len(self.lam) != len(self.lam_star):
-            raise HeckeError("lam and lam_star must label the same roots")
-        if any(not isinstance(x, int) or x < 0 for x in self.lam + self.lam_star):
+        if any(not isinstance(x, int) or x < 0 for x in (self.lam, self.lam_star)):
             raise HeckeError("weight labels must be nonnegative integers")
 
-    @staticmethod
-    def rank_one(lam: int, lam_star: int) -> "WeightFunction":
-        return WeightFunction((lam,), (lam_star,))
-
     def pair(self) -> tuple:
-        if len(self.lam) != 1:
-            raise HeckeError("pair() is only defined for rank-1 weight functions")
-        return (self.lam[0], self.lam_star[0])
+        return (self.lam, self.lam_star)
 
 
 @record(frozen=True)
 class RGroup:
-    """Tri-state R-group descriptor; order is known only off the unknown state."""
+    """Tri-state R-group descriptor; a nontrivial R-group has order 2 here."""
 
     state: str  # "trivial" | "nontrivial" | "unknown"
-    order: int | None = None
 
     def __post_init__(self):
         if self.state not in ("trivial", "nontrivial", "unknown"):
             raise HeckeError(f"bad R-group state {self.state!r}")
-        if self.state == "trivial" and self.order not in (None, 1):
-            raise HeckeError("trivial R-group has order 1")
-        if self.state == "nontrivial" and (self.order is None or self.order < 2):
-            raise HeckeError("nontrivial R-group needs an order >= 2")
-        if self.state == "unknown" and self.order is not None:
-            raise HeckeError("unknown R-group cannot carry an order")
 
     @staticmethod
     def trivial() -> "RGroup":
-        return RGroup("trivial", 1)
+        return RGroup("trivial")
 
     @staticmethod
-    def nontrivial(order: int = 2) -> "RGroup":
-        return RGroup("nontrivial", order)
+    def nontrivial() -> "RGroup":
+        return RGroup("nontrivial")
 
     @staticmethod
     def unknown() -> "RGroup":
-        return RGroup("unknown", None)
+        return RGroup("unknown")
 
 
 @record(frozen=True)
 class AffineHeckePresentation:
-    """Presentation data of the block algebra.
+    """Presentation data of the block algebra over the rank-1 lattice.
 
-    lattice_rank: rank of the translation lattice (the cocompact part),
     weyl_order: order of the finite Weyl part (1 or 2),
     weights: the weight function when the finite part is nontrivial,
     r_group: tri-state descriptor of the finite twisting group.
@@ -155,7 +134,6 @@ class AffineHeckePresentation:
     is kept: R-groups of order at most 2 are cyclic, with no nontrivial twist.
     """
 
-    lattice_rank: int
     weyl_order: int
     weights: WeightFunction | None
     r_group: RGroup
@@ -167,23 +145,11 @@ class AffineHeckePresentation:
             raise HeckeError("trivial finite Weyl part carries no weights")
         if self.weyl_order == 2 and self.weights is None:
             raise HeckeError("order-2 finite Weyl part needs a weight function")
-        if self.lattice_rank < 1:
-            raise HeckeError("lattice rank must be positive")
 
     def weight_pair(self) -> tuple:
         if self.weights is None:
             return None
         return self.weights.pair()
-
-
-def presentations_equal(a: AffineHeckePresentation, b: AffineHeckePresentation) -> bool:
-    """Same lattice rank, finite-Weyl order, labels and R-group state."""
-    return (
-        a.lattice_rank == b.lattice_rank
-        and a.weyl_order == b.weyl_order
-        and (a.weights.pair() if a.weights else None) == (b.weights.pair() if b.weights else None)
-        and a.r_group.state == b.r_group.state
-    )
 
 
 class HeckeElement:
@@ -246,7 +212,7 @@ class HeckeElement:
     def __eq__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        same = self.pres is other.pres or presentations_equal(self.pres, other.pres)
+        same = self.pres is other.pres or self.pres == other.pres
         return same and self.terms == other.terms
 
     def specialize_v(self, value) -> dict:
@@ -281,7 +247,7 @@ class HeckeElement:
 
 
 def _check_pres(a: HeckeElement, b: HeckeElement):
-    if a.pres is not b.pres and not presentations_equal(a.pres, b.pres):
+    if a.pres is not b.pres and a.pres != b.pres:
         raise HeckeError("elements live over different presentations")
 
 
@@ -336,8 +302,6 @@ class _ProductTable(dict):
     __slots__ = ("g", "two_lam")
 
     def __init__(self, pres: AffineHeckePresentation):
-        if pres.lattice_rank != 1:
-            raise HeckeError("multiplication is implemented for rank-1 lattices only")
         self.g, self.two_lam = [], 0
         if pres.weyl_order == 2:
             self.g, self.two_lam = _structure_constants(pres), 2 * pres.weights.pair()[0]

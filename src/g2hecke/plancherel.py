@@ -257,7 +257,7 @@ def labels(m: MuFunction) -> WeightFunction:
     a, b = m.extracted()
     if not isinstance(a, int) or not isinstance(b, int):
         raise PlancherelError("parameters are not integer powers of q")
-    return WeightFunction.rank_one(a + b, abs(a - b))
+    return WeightFunction(a + b, abs(a - b))
 
 
 def weyl_from_zeros(m: MuFunction) -> str:

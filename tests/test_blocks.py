@@ -81,7 +81,7 @@ def test_weyl_iso_negative_control():
         base.r_o0,
         base.xnr_order,
         base.h_g,
-        AffineHeckePresentation(1, 2, WeightFunction.rank_one(2, 2), RGroup.trivial()),
+        AffineHeckePresentation(2, WeightFunction(2, 2), RGroup.trivial()),
         base.mu_case,
     )
     assert not check_weyl_iso(mismatched)

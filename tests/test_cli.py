@@ -203,8 +203,10 @@ def test_extquot_model_with_a_nan_first_point_is_refused(tmp_path, capsys):
     [
         ('{"points": [1e400], "translation": {"inf": 1e400}}', "inf"),
         ('{"points": [0, NaN], "translation": {"0": NaN, "nan": 0}}', "nan"),
+        # gamma fixes the NaN label: the involution check must not read NaN != NaN as a fault
+        ('{"points": [0, NaN], "translation": {"0": NaN, "nan": 0}, "gamma": {"0": 0, "nan": NaN}}', "nan"),
     ],
-    ids=["infinity", "nan-second"],
+    ids=["infinity", "nan-second", "nan-fixed-by-gamma"],
 )
 def test_extquot_model_with_a_non_finite_label_is_refused(tmp_path, capsys, text, label):
     # json.load reads these labels as floats, and no JSON writer may print them back
@@ -384,13 +386,15 @@ def test_refused_good_map_fails_the_matching_check(monkeypatch, capsys):
 
 
 def test_faulty_transfer_fails_the_matching_check(monkeypatch, capsys):
+    # check pairs each good map once, through matching_bijection
     def faulty(m1, m2, point_map):
         raise extquot.ExtQuotError("transfer is not a bijection onto the target")
 
-    monkeypatch.setattr(extquot, "depth_zero_transfer", faulty)
+    monkeypatch.setattr(extquot, "matching_bijection", faulty)
     code, out, _ = run(capsys, "check", "--part", "matching")
     assert code == EXIT_CHECK_FAILED
-    assert "[FAIL] extquot/matching-corpus" in out
+    assert out.startswith("[FAIL] extquot/matching-corpus: good map refused on")
+    assert "transfer is not a bijection onto the target" in out
 
 
 def test_a_target_short_of_one_point_fails_the_matching_check(monkeypatch, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from g2hecke import extquot
-from g2hecke.cli import _oracle_sweep
+from g2hecke.cli import _matching_corpus, _oracle_sweep
 from g2hecke.extquot import (
     ExtQuotError,
     ExtQuotPoint,
@@ -16,19 +16,6 @@ from g2hecke.extquot import (
     matching_bijection,
     torsion_model,
 )
-
-
-def all_small_models(max_size=8):
-    """Every shipped model shape: cyclic torsion with all admissible symmetries."""
-    out = []
-    for n in range(1, max_size + 1):
-        out.append(torsion_model(n, "trivial"))
-        out.append(torsion_model(n, "identity"))
-        for c in range(n):
-            out.append(torsion_model(n, "inversion", offset=c))
-        if n % 2 == 0:
-            out.append(torsion_model(n, "shift-half"))
-    return out
 
 
 def test_three_point_example():
@@ -54,7 +41,7 @@ def test_free_involution_on_two_points():
 
 
 def test_exhaustive_sweep_oracle_equality_and_closed_form():
-    for m in all_small_models(8):
+    for _, m in _oracle_sweep(8):
         eq = len(extended_quotient(m))
         cp = crossed_product_irr_count(m)
         assert eq == cp, m
@@ -145,6 +132,9 @@ def test_model_validation():
         FiniteOrbitModel([0, 1], {0: 0, 1: 1}, None)  # not a single cycle
     with pytest.raises(ExtQuotError):
         FiniteOrbitModel([0, 1, 2], {0: 1, 1: 2, 2: 0}, {0: 1, 1: 2, 2: 0})  # order 3
+    with pytest.raises(ExtQuotError, match="involution"):
+        # order 4, and gamma t gamma = t^3 = t^-1: only the involution check refuses it
+        FiniteOrbitModel([0, 1, 2, 3], {i: (i + 1) % 4 for i in range(4)}, {i: (i + 1) % 4 for i in range(4)})
     with pytest.raises(ExtQuotError):
         FiniteOrbitModel([0, 1, 2, 3], {0: 1, 1: 0, 2: 3, 3: 2}, None)  # two cycles
     with pytest.raises(ExtQuotError):
@@ -215,6 +205,27 @@ def test_matching_on_the_three_point_model():
     fwd = {(p.representative, p.irrep_label): (q.representative, q.irrep_label) for p, q in pairs}
     bwd = {v: k for k, v in fwd.items()}
     assert all(bwd[fwd[k]] == k for k in fwd)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_matching_and_transfer_differ_only_in_their_refusals(seed):
+    # check pairs each good map once, through matching_bijection; the depth-zero
+    # transfer must give the same pairs and refuse the same maps, in its own words
+    refusals = {matching_bijection: "refusing to construct the matching: ", depth_zero_transfer: "transfer rejected: "}
+    corpus = _matching_corpus(2, 12, seed)
+    assert len(corpus) >= 50
+    for m1, m2, good in corpus:
+        assert matching_bijection(m1, m2, good) == depth_zero_transfer(m1, m2, good)
+        if m1.size < 3:
+            continue  # every bijection of two points is equivariant
+        bad = dict(good)
+        bad[0], bad[1] = good[1], good[0]
+        verdict = check_property(m1, m2, bad)
+        assert not verdict
+        for construct, prefix in refusals.items():
+            with pytest.raises(ExtQuotError) as caught:
+                construct(m1, m2, bad)
+            assert str(caught.value) == prefix + verdict.reason
 
 
 def test_depth_zero_transfer_preserves_cardinality():

@@ -10,14 +10,14 @@ from g2hecke.rootdata import WeylElement
 
 
 def test_frozen_fields_refuse_assignment_and_deletion():
-    w = WeightFunction((1,), (2,))
+    w = WeightFunction(1, 2)
     with pytest.raises(AttributeError):
-        w.lam = (3,)
+        w.lam = 3
     with pytest.raises(AttributeError):
         del w.lam_star
     with pytest.raises(AttributeError):
         w.extra = 1
-    assert w == WeightFunction((1,), (2,))
+    assert w == WeightFunction(1, 2)
 
 
 def test_mutable_records_accept_assignment():
@@ -27,16 +27,16 @@ def test_mutable_records_accept_assignment():
 
 
 def test_equality_only_within_one_class():
-    w = WeightFunction((1,), (2,))
-    assert w == WeightFunction(lam=(1,), lam_star=(2,))
-    assert w != WeightFunction((1,), (3,))
-    assert w != ((1,), (2,))
-    assert w != WeylElement((1,), (2,))
+    w = WeightFunction(1, 2)
+    assert w == WeightFunction(lam=1, lam_star=2)
+    assert w != WeightFunction(1, 3)
+    assert w != (1, 2)
+    assert w != WeylElement(1, 2)
     assert ExtQuotPoint(0, 1) != (0, 1)
 
 
 def test_records_are_not_sequences():
-    w = WeightFunction((1,), (2,))
+    w = WeightFunction(1, 2)
     with pytest.raises(TypeError):
         len(w)
     with pytest.raises(TypeError):
@@ -44,9 +44,11 @@ def test_records_are_not_sequences():
 
 
 def test_frozen_records_hash_by_value_and_mutable_ones_do_not_hash():
-    assert hash(RGroup.nontrivial(3)) == hash(RGroup("nontrivial", 3))
-    assert len({WeightFunction((1,), (2,)), WeightFunction((1,), (2,)), WeightFunction((2,), (1,))}) == 2
-    pres = AffineHeckePresentation(1, 1, None, RGroup.trivial())
+    case = PlancherelCase("short-I", False)
+    assert hash(case) == hash(PlancherelCase(omega_ramified=False, case_id="short-I", chi_unit=-1))
+    assert hash(case) == hash(tuple(vars(case).values()))
+    assert len({WeightFunction(1, 2), WeightFunction(1, 2), WeightFunction(2, 1)}) == 2
+    pres = AffineHeckePresentation(1, None, RGroup.trivial())
     for unhashable in (CheckResult("x", True), RelationReport(pres, []), PropertyVerdict(True)):
         with pytest.raises(TypeError):
             hash(unhashable)
@@ -60,39 +62,46 @@ class Label:
 def test_one_field_record_compares_and_hashes_by_its_field_tuple():
     assert Label("a") == Label(name="a") and Label("a") != Label("b")
     assert Label("a") != "a" and Label("a") != ("a",)
-    assert hash(Label("a")) == hash(("a",)) and hash(RGroup("nontrivial", 3)) == hash(("nontrivial", 3))
+    assert hash(Label("a")) == hash(("a",)) and hash(RGroup("nontrivial")) == hash(("nontrivial",))
+    assert RGroup.nontrivial() == RGroup(state="nontrivial") != RGroup.unknown()
     assert len({Label("a"), Label("a"), Label("b")}) == 2
     assert repr(Label("a")) == "Label(name='a')"
 
 
 def test_repr_names_every_field_in_order():
-    assert repr(RGroup.trivial()) == "RGroup(state='trivial', order=1)"
+    assert repr(RGroup.trivial()) == "RGroup(state='trivial')"
     verdict = PropertyVerdict(False, "no", (1, 2))
     assert repr(verdict) == "PropertyVerdict(ok=False, reason='no', witness=(1, 2))"
-    assert repr(AffineHeckePresentation(1, 2, WeightFunction((1,), (0,)), RGroup.trivial())) == (
-        "AffineHeckePresentation(lattice_rank=1, weyl_order=2, "
-        "weights=WeightFunction(lam=(1,), lam_star=(0,)), "
-        "r_group=RGroup(state='trivial', order=1))"
+    assert repr(AffineHeckePresentation(2, WeightFunction(1, 0), RGroup.trivial())) == (
+        "AffineHeckePresentation(weyl_order=2, weights=WeightFunction(lam=1, lam_star=0), "
+        "r_group=RGroup(state='trivial'))"
     )
 
 
 @pytest.mark.parametrize(
-    "args, kwargs",
+    "cls, args, kwargs",
     [
-        ((), {}),
-        (("trivial",), {"order": 1, "size": 1}),
-        (("trivial", 1, 2), {}),
-        (("trivial",), {"state": "trivial"}),
+        (CheckResult, ("x",), {}),
+        (CheckResult, ("x", True), {"size": 1}),
+        (CheckResult, ("x", True, "", 4), {}),
+        (CheckResult, ("x", True), {"name": "y"}),
+        (RGroup, (), {}),
+        (RGroup, ("trivial",), {"order": 1}),
+        (RGroup, ("trivial", 1), {}),
+        (RGroup, ("trivial",), {"state": "trivial"}),
     ],
-    ids=["missing", "unknown", "too-many", "repeated"],
+    ids=["missing", "unknown", "too-many", "repeated"]
+    + ["one-field-missing", "one-field-unknown", "one-field-too-many", "one-field-repeated"],
 )
-def test_bad_constructor_arguments_raise_type_error(args, kwargs):
+def test_bad_constructor_arguments_raise_type_error(cls, args, kwargs):
     with pytest.raises(TypeError):
-        RGroup(*args, **kwargs)
+        cls(*args, **kwargs)
 
 
 def test_defaults_and_keywords():
-    assert RGroup("unknown") == RGroup(order=None, state="unknown")
+    assert CheckResult("x", True) == CheckResult(passed=True, name="x") == CheckResult("x", True, detail="")
+    assert CheckResult("x", True).detail == ""
+    assert PlancherelCase("short-I", False) == PlancherelCase.from_id("short-I", residue_degree=2)
     assert PropertyVerdict(True).reason == "" and PropertyVerdict(True).witness is None
 
 

@@ -1,18 +1,18 @@
 """Classifier for the maximal-Levi Bernstein blocks of split G2.
 
 A block descriptor records which maximal Levi the block sits on (long or
-short simple root), the depth class of its inducing datum, the twisted Levi
-G0 underneath it, and the ramification switches that drive the measure
-formulas.  ``classify`` maps a descriptor to the unique table row it matches
-and returns the row's invariants.  A descriptor matches a row when it equals
-the row's descriptor, except that a row whose phi_0 restriction is "both"
-takes any given phi_0 restriction.  The invariants are:
+short simple root), the twisted Levi G0 underneath it (which fixes the depth
+class of the inducing datum), and the ramification switches that drive the
+measure formulas.  ``classify`` maps a descriptor to the unique table row it
+matches and returns the row's invariants.  A descriptor matches a row when it
+equals the row's descriptor, except that a row whose phi_0 restriction is
+"both" takes any given phi_0 restriction.  The invariants are:
 
-* the rank-1 Weyl group W_O and the twisting group R(O), for the block and
-  for its depth-zero companion on G0;
+* presentation data for the block algebra on both sides, from which the
+  rank-1 Weyl group W_O and the twisting group R(O) of the block and of its
+  depth-zero companion on G0 are read;
 * the order of the stabilizer of the inducing supercuspidal inside the
-  unramified twist torus (2 / ramification index);
-* presentation data for the block algebra on both sides.
+  unramified twist torus (2 / ramification index).
 
 All rows live in one ordered table giving each row's descriptor, datum,
 measure case, R(O) for a trivial W_O, and G0-side presentation; one builder
@@ -67,16 +67,16 @@ class BlocksError(ValueError):
 class BlockDescriptor:
     """Descriptor of one block, mirroring the table columns.
 
-    ``depth_class`` is one of depth-zero, essentially-depth-zero (r != 0 with
-    G0 = M), positive-depth.  ``g0_kind`` names the twisted Levi underneath:
-    G itself, M0 = M, one of the two unitary groups, a torus (with the
-    sequence (M0, G)), or the three-step chain (M0, M, G).
+    ``g0_kind`` names the twisted Levi underneath: G itself, M0 = M, one of
+    the two unitary groups, a torus (with the sequence (M0, G)), or the
+    three-step chain (M0, M, G).  It fixes ``depth_class``: depth-zero for
+    G, essentially-depth-zero (r != 0 with G0 = M) for M0 = M, positive-depth
+    for the rest.
     ``phi0_restriction`` applies to positive depth only and takes
     trivial / sign-character / other-nontrivial / both.
     """
 
     root_kind: str  # "long" | "short"
-    depth_class: str  # "depth-zero" | "essentially-depth-zero" | "positive-depth"
     g0_kind: str  # "G" | "M0=M" | "U_eps(1,1)" | "U_pi(1,1)" | "torus" | "chain"
     L_over_F: str  # "ramified" | "unramified"
     omega_ramified: bool | None = None
@@ -88,18 +88,10 @@ class BlockDescriptor:
     def __post_init__(self):
         if self.root_kind not in ("long", "short"):
             raise BlocksError(f"bad root kind {self.root_kind!r}")
-        if self.depth_class not in ("depth-zero", "essentially-depth-zero", "positive-depth"):
-            raise BlocksError(f"bad depth class {self.depth_class!r}")
         if self.g0_kind not in ("G", "M0=M", "U_eps(1,1)", "U_pi(1,1)", "torus", "chain"):
             raise BlocksError(f"bad twisted Levi kind {self.g0_kind!r}")
         if self.L_over_F not in ("ramified", "unramified"):
             raise BlocksError(f"bad extension kind {self.L_over_F!r}")
-        if self.depth_class == "depth-zero" and self.g0_kind != "G":
-            raise BlocksError("depth-zero blocks have G0 = G")
-        if self.depth_class == "essentially-depth-zero" and self.g0_kind != "M0=M":
-            raise BlocksError("essentially-depth-zero blocks have G0 = M0 = M")
-        if self.depth_class == "positive-depth" and self.g0_kind in ("G", "M0=M"):
-            raise BlocksError("positive-depth blocks sit under a proper twisted Levi")
         if self.chi_cubic is not None and not (self.root_kind == "long" and self.depth_class == "depth-zero"):
             raise BlocksError("the cubic-character switch only applies to long depth-zero blocks")
         if self.chi2chiprime_ramified is not None and self.chi_cubic is not True:
@@ -111,8 +103,10 @@ class BlockDescriptor:
                 raise BlocksError(f"bad phi_0 restriction {self.phi0_restriction!r}")
         if self.phi1_trivial is not None and self.depth_class != "positive-depth":
             raise BlocksError("phi_1 data belongs to positive depth")
-        if self.L_over_F == "unramified" and self.residue_degree != 2:
-            raise BlocksError("unramified quadratic extensions have residue degree 2")
+
+    @property
+    def depth_class(self) -> str:
+        return {"G": "depth-zero", "M0=M": "essentially-depth-zero"}.get(self.g0_kind, "positive-depth")
 
     @property
     def residue_degree(self) -> int:
@@ -143,39 +137,46 @@ class BlockDescriptor:
 
 
 def _noncomm(lam: int, lam_star: int) -> AffineHeckePresentation:
-    return AffineHeckePresentation(2, WeightFunction(lam, lam_star), RGroup.trivial())
+    return AffineHeckePresentation(WeightFunction(lam, lam_star), RGroup.trivial())
 
 
 def _crossed(r_group: RGroup) -> AffineHeckePresentation:
-    return AffineHeckePresentation(1, None, r_group)
+    return AffineHeckePresentation(None, r_group)
+
+
+def _weyl(p: AffineHeckePresentation) -> str:
+    return W_ORDER_2 if p.weyl_order == 2 else W_TRIVIAL
+
+
+def _algebra_kind(p: AffineHeckePresentation) -> str:
+    """The shape of a presentation's algebra: noncommutative, crossed product or C[O]."""
+    if p.weyl_order == 2:
+        return NONCOMM
+    return COMMUTATIVE if p.r_group.state == "trivial" else CROSSED
 
 
 @record(frozen=True)
 class BlockClassification:
-    """Table-row invariants of one block."""
+    """Table-row invariants of one block: W_O, R(O) and their companions
+    W_O^0, R(O^0) are read off the presentations of H(G, rho) and H(G^0, rho^0)."""
 
-    w_o: str  # "trivial" | "order-2"
-    r_o: RGroup
-    w_o0: str
-    r_o0: RGroup
-    xnr_order: int
     h_g: AffineHeckePresentation
     h_g0: AffineHeckePresentation
+    xnr_order: int
     mu_case: str | None = None
 
     def __post_init__(self):
         if self.w_o == W_ORDER_2 and self.r_o.state != "trivial":
             raise BlocksError("an order-2 Weyl part forces a trivial R-group in rank 1")
 
-    def h_kind(self, side: str = "G") -> str:
-        p = self.h_g if side == "G" else self.h_g0
-        if p.weyl_order == 2:
-            return NONCOMM
-        return COMMUTATIVE if p.r_group.state == "trivial" else CROSSED
+    w_o = property(lambda self: _weyl(self.h_g))
+    r_o = property(lambda self: self.h_g.r_group)
+    w_o0 = property(lambda self: _weyl(self.h_g0))
+    r_o0 = property(lambda self: self.h_g0.r_group)
 
     def to_json(self) -> dict:
-        def pres_json(p: AffineHeckePresentation, kind: str) -> dict:
-            out = {"kind": kind}
+        def pres_json(p: AffineHeckePresentation) -> dict:
+            out = {"kind": _algebra_kind(p)}
             if p.weyl_order == 2:
                 out["lambda"], out["lambda_star"] = p.weights.pair()
                 out["params"] = _q_params(p)
@@ -189,15 +190,20 @@ class BlockClassification:
             "W_O0": self.w_o0,
             "R_O0": self.r_o0.state,
             "xnr_order": self.xnr_order,
-            "H_G": pres_json(self.h_g, self.h_kind("G")),
-            "H_G0": pres_json(self.h_g0, self.h_kind("G0")),
+            "H_G": pres_json(self.h_g),
+            "H_G0": pres_json(self.h_g0),
             "mu_case": self.mu_case,
         }
 
 
+def _q_power(k: int) -> str:
+    """q^k as printed: 1, q or q^k."""
+    return "1" if k == 0 else "q" if k == 1 else f"q^{k}"
+
+
 def _q_params(p: AffineHeckePresentation) -> list:
     """The parameters q^lam, q^lam_star of a noncommutative presentation."""
-    return ["q" if k == 1 else f"q^{k}" for k in p.weights.pair()]
+    return [_q_power(k) for k in p.weights.pair()]
 
 
 def check_weyl_iso(c: BlockClassification) -> bool:
@@ -239,10 +245,6 @@ class TableRow:
         }
 
 
-def _weyl(p: AffineHeckePresentation) -> str:
-    return W_ORDER_2 if p.weyl_order == 2 else W_TRIVIAL
-
-
 def _classify_row(
     desc: BlockDescriptor,
     case_id: str | None,
@@ -272,26 +274,19 @@ def _classify_row(
         if weyl_from_zeros(m) == W_ORDER_2:
             h_g = _noncomm(*labels(m).pair())
     h_g0 = h_g if h_g0 is None else h_g0
-    return BlockClassification(
-        _weyl(h_g), h_g.r_group, _weyl(h_g0), h_g0.r_group,
-        2 // desc.ramification_index, h_g, h_g0, mu_case=case_id,
-    )
+    return BlockClassification(h_g, h_g0, 2 // desc.ramification_index, case_id)
 
 
 def _dz(root_kind: str, **switches) -> BlockDescriptor:
-    return BlockDescriptor(root_kind, "depth-zero", "G", "unramified", **switches)
+    return BlockDescriptor(root_kind, "G", "unramified", **switches)
 
 
 def _edz(root_kind: str, omega_ramified: bool) -> BlockDescriptor:
-    return BlockDescriptor(
-        root_kind, "essentially-depth-zero", "M0=M", "unramified", omega_ramified=omega_ramified
-    )
+    return BlockDescriptor(root_kind, "M0=M", "unramified", omega_ramified=omega_ramified)
 
 
 def _pd(root_kind: str, g0_kind: str, l_over_f: str, phi0: str, phi1: bool) -> BlockDescriptor:
-    return BlockDescriptor(
-        root_kind, "positive-depth", g0_kind, l_over_f, phi0_restriction=phi0, phi1_trivial=phi1
-    )
+    return BlockDescriptor(root_kind, g0_kind, l_over_f, phi0_restriction=phi0, phi1_trivial=phi1)
 
 
 _UNKNOWN, _TRIVIAL, _NONTRIVIAL = RGroup.unknown(), RGroup.trivial(), RGroup.nontrivial()
@@ -395,9 +390,8 @@ def classify(d: BlockDescriptor, assume_good_residual_char: bool = True) -> Bloc
 # ---------------------------------------------------------------------------
 
 
-def _h_display(c: BlockClassification, side: str) -> str:
-    kind = c.h_kind(side)
-    p = c.h_g if side == "G" else c.h_g0
+def _h_display(p: AffineHeckePresentation) -> str:
+    kind = _algebra_kind(p)
     if kind == NONCOMM:
         return ", ".join(["non-comm", *_q_params(p)])
     if kind == CROSSED:
@@ -451,8 +445,8 @@ def render_text_table(family: str) -> str:
             str(c.xnr_order),
             w(c.w_o),
             w(c.w_o0),
-            _h_display(c, "G"),
-            _h_display(c, "G0"),
+            _h_display(c.h_g),
+            _h_display(c.h_g0),
         ])
     widths = [max(len(row[i]) for row in lines) for i in range(len(headers))]
     out = []

@@ -33,6 +33,10 @@ EXIT_USAGE = 2
 
 _PARTS = ("tables", "hecke", "blocks", "extquot", "matching")
 
+# fixed sizes of the check suite: matching-corpus torsion levels, oracle-sweep model size
+TORSION_MIN, TORSION_MAX = 2, 12
+EXTQUOT_MAX_SIZE = 8
+
 
 class UsageError(Exception):
     pass
@@ -142,17 +146,17 @@ def _shapes(n: int, offsets) -> list:
     return shapes
 
 
-def _oracle_sweep(max_size: int = 8):
+def _oracle_sweep(max_size: int):
     """The torsion models of the oracle sweep, as ((n, kind, offset), model)."""
     for n in range(1, max_size + 1):
         for kind, offset in _shapes(n, range(n)):
             yield (n, kind, offset), extquot.torsion_model(n, kind, offset=offset)
 
 
-def _check_extquot(max_size: int = 8) -> list:
+def _check_extquot() -> list:
     bad = []
     total = 0
-    for label, m in _oracle_sweep(max_size):
+    for label, m in _oracle_sweep(EXTQUOT_MAX_SIZE):
         total += 1
         eq = len(extquot._quotient_pairs(m))  # the count needs no ExtQuotPoint records
         cp = extquot.crossed_product_irr_count(m)
@@ -166,7 +170,7 @@ def _check_extquot(max_size: int = 8) -> list:
         {
             "name": "extquot/oracle-sweep",
             "ok": not bad,
-            "detail": f"{total} models, |X| <= {max_size}" if not bad else f"mismatches: {bad}",
+            "detail": f"{total} models, |X| <= {EXTQUOT_MAX_SIZE}" if not bad else f"mismatches: {bad}",
         }
     ]
 
@@ -190,41 +194,42 @@ def _matching_corpus(torsion_min: int, torsion_max: int, seed: int):
     return corpus
 
 
-def _check_matching(torsion_min: int, torsion_max: int, seed: int) -> list:
-    import random
+def _bad_maps(m1, good: dict) -> list:
+    """Non-equivariant maps from a good map on n >= 3 points: the images of 0
+    and 1 swapped, and for an inversion every image plus 1, which carries
+    inversion about c to c + 2 shift + 2 instead of c + 2 shift."""
+    n, g = m1.size, m1.gamma
+    bad = [{**good, 0: good[1], 1: good[0]}]
+    if g is not None and g[1] == (g[0] - 1) % n:  # an inversion reverses the translation
+        bad.append({x: (y + 1) % n for x, y in good.items()})
+    return bad
 
-    rng = random.Random(seed + 1)
-    corpus = _matching_corpus(torsion_min, torsion_max, seed)
-    n_pairs = len(corpus)
-    ok = True
-    detail = f"{n_pairs} paired models, torsion {torsion_min}..{torsion_max}"
-    rejected = 0
+
+def _refusal(m1, m2, point_map: dict) -> str | None:
+    """Why matching_bijection refuses the map, or None when it pairs."""
+    try:
+        extquot.matching_bijection(m1, m2, point_map)
+    except extquot.ExtQuotError as e:
+        return str(e)
+    return None
+
+
+def _check_matching(seed: int) -> list:
+    corpus = _matching_corpus(TORSION_MIN, TORSION_MAX, seed)
+    ok, rejected = True, 0
+    detail = f"{len(corpus)} paired models, torsion {TORSION_MIN}..{TORSION_MAX}"
     for m1, m2, good in corpus:
         # the matching checks the map and verifies its pairing; the depth-zero
         # transfer is the same pairing with another refusal message
-        try:
-            extquot.matching_bijection(m1, m2, good)
-        except extquot.ExtQuotError as e:
-            ok = False
-            detail = f"good map refused on {m1}: {e}"
+        refusal = _refusal(m1, m2, good)
+        if refusal is not None:
+            ok, detail = False, f"good map refused on {m1}: {refusal}"
             break
-        # an injected non-equivariant map must be refused; both constructions
-        # refuse through the same check_property verdict
-        n = m1.size
-        if n >= 3:
-            perm = list(range(n))
-            while True:
-                rng.shuffle(perm)
-                bad = {x: perm[x] for x in range(n)}
-                if not extquot.check_property(m1, m2, bad):
-                    break
-            try:
-                extquot.matching_bijection(m1, m2, bad)
-                ok = False
-                detail = f"non-equivariant map accepted on {m1}"
-                break
-            except extquot.ExtQuotError:
-                rejected += 1
+        bad = _bad_maps(m1, good) if m1.size >= 3 else []  # any bijection of 2 points is equivariant
+        if any(_refusal(m1, m2, b) is None for b in bad):
+            ok, detail = False, f"non-equivariant map accepted on {m1}"
+            break
+        rejected += len(bad)
     if ok:
         detail += f", {rejected} injected bad maps rejected"
     return [{"name": "extquot/matching-corpus", "ok": ok, "detail": detail}]
@@ -233,8 +238,6 @@ def _check_matching(torsion_min: int, torsion_max: int, seed: int) -> list:
 def run_check_suite(
     degree_bound: int = 3,
     seed: int = 0,
-    torsion_min: int = 2,
-    torsion_max: int = 12,
     allowed=None,
     golden_dir: str | None = None,
     parts: set | None = None,
@@ -250,7 +253,7 @@ def run_check_suite(
     if "extquot" in parts:
         results += _check_extquot()
     if "matching" in parts:
-        results += _check_matching(torsion_min, torsion_max, seed)
+        results += _check_matching(seed)
     failures = sum(1 for r in results if not r["ok"])
     return {
         "schema_version": blocks.SCHEMA_VERSION,
@@ -426,10 +429,6 @@ def _cmd_mu(args) -> int:
     case = plancherel.PlancherelCase.from_id(args.case, residue_degree=args.residue_degree)
     m = plancherel.mu(case)
     lab = plancherel.labels(m)
-
-    def qdisp(k):
-        return "1" if k == 0 else ("q" if k == 1 else f"q^{k}")
-
     a, b = m.extracted()
     doc = {
         "schema_version": blocks.SCHEMA_VERSION,
@@ -437,8 +436,8 @@ def _cmd_mu(args) -> int:
         "mu_factored": plancherel.render_mu(m),
         "mu_reduced": m.expr.render(),
         "substitutions": list(m.substitutions),
-        "q_alpha": qdisp(a),
-        "q_alpha_star": qdisp(b),
+        "q_alpha": blocks._q_power(a),
+        "q_alpha_star": blocks._q_power(b),
         "labels": {"lambda": lab.pair()[0], "lambda_star": lab.pair()[1]},
         "W_O": plancherel.weyl_from_zeros(m),
     }

@@ -126,25 +126,20 @@ class RGroup:
 class AffineHeckePresentation:
     """Presentation data of the block algebra over the rank-1 lattice.
 
-    weyl_order: order of the finite Weyl part (1 or 2),
-    weights: the weight function when the finite part is nontrivial,
+    weights: the weight function, or None when the finite Weyl part is
+    trivial; it has order 2 (``weyl_order``) exactly when there are weights,
     r_group: tri-state descriptor of the finite twisting group.
 
     Equality of presentations is equality of exactly these data.  No 2-cocycle
     is kept: R-groups of order at most 2 are cyclic, with no nontrivial twist.
     """
 
-    weyl_order: int
     weights: WeightFunction | None
     r_group: RGroup
 
-    def __post_init__(self):
-        if self.weyl_order not in (1, 2):
-            raise HeckeError("finite Weyl part must have order 1 or 2")
-        if self.weyl_order == 1 and self.weights is not None:
-            raise HeckeError("trivial finite Weyl part carries no weights")
-        if self.weyl_order == 2 and self.weights is None:
-            raise HeckeError("order-2 finite Weyl part needs a weight function")
+    @property
+    def weyl_order(self) -> int:
+        return 1 if self.weights is None else 2
 
     def weight_pair(self) -> tuple:
         if self.weights is None:

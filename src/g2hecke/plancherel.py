@@ -69,8 +69,8 @@ MU_RING = ring(["v", "X", "c"], {"v": "q"})
 class PlancherelCase:
     """Descriptor for one case formula.
 
-    ``residue_degree`` and ``ramification_index`` describe the quadratic
-    extension attached to the block (f * e = 2).  ``omega_unit`` is the value
+    ``residue_degree`` f (1 or 2) describes the quadratic extension attached
+    to the block; its ramification index is 2 / f.  ``omega_unit`` is the value
     of the central character at a uniformizer when unramified;  ``chi_unit``
     the value of the twisted character chi^2 chi'^{-1} at a uniformizer of
     the extension when unramified.  Both are +-1.
@@ -81,15 +81,14 @@ class PlancherelCase:
     sigma_induced: bool | None = None  # sigma = sigma(tau) for the long root
     chi2chiprime_ramified: bool | None = None
     residue_degree: int = 2
-    ramification_index: int = 1
     omega_unit: int = 1
     chi_unit: int = -1
 
     def __post_init__(self):
         if self.case_id not in CASE_IDS:
             raise PlancherelError(f"unknown case {self.case_id!r}")
-        if self.residue_degree * self.ramification_index != 2:
-            raise PlancherelError("quadratic extension needs f * e = 2")
+        if self.residue_degree not in (1, 2):
+            raise PlancherelError("a quadratic extension has residue degree 1 or 2")
         if self.omega_unit not in (1, -1) or self.chi_unit not in (1, -1):
             raise PlancherelError("unit values are restricted to +1 and -1")
         kind = self.root_kind
@@ -131,8 +130,6 @@ class PlancherelCase:
     @staticmethod
     def from_id(case_id: str, residue_degree: int = 2, omega_unit: int = 1, chi_unit: int = -1) -> "PlancherelCase":
         """The canonical descriptor realizing a given case formula."""
-        f = residue_degree
-        e = 2 // f
         table = {
             "long-I": dict(omega_ramified=False, sigma_induced=True, chi2chiprime_ramified=False),
             "long-II": dict(omega_ramified=True, sigma_induced=True, chi2chiprime_ramified=False),
@@ -145,8 +142,7 @@ class PlancherelCase:
             raise PlancherelError(f"unknown case {case_id!r}")
         return PlancherelCase(
             case_id,
-            residue_degree=f,
-            ramification_index=e,
+            residue_degree=residue_degree,
             omega_unit=omega_unit,
             chi_unit=chi_unit,
             **table[case_id],

@@ -109,7 +109,7 @@ def test_criterion_4_lusztig_membership():
 def test_criterion_5_hecke_relations():
     t0 = time.monotonic()
     for lam, lam_star in [(0, 0), (1, 1), (2, 2), (3, 1)]:
-        pres = AffineHeckePresentation(2, WeightFunction(lam, lam_star), RGroup.trivial())
+        pres = AffineHeckePresentation(WeightFunction(lam, lam_star), RGroup.trivial())
         report = verify_relations(pres, degree_bound=3)
         assert report.ok, report.summary()
         assoc = next(c for c in report.checks if c.name == "associativity")

@@ -73,33 +73,31 @@ def test_weyl_iso_and_ro_reduction_hold_on_every_row(family):
 
 
 def test_weyl_iso_negative_control():
+    # an H(G^0) with other labels: W_O and R(O) still agree on both sides
     base = table_rows("long-depth-zero")[0].classification
     mismatched = BlockClassification(
-        base.w_o,
-        base.r_o,
-        base.w_o0,
-        base.r_o0,
-        base.xnr_order,
         base.h_g,
-        AffineHeckePresentation(2, WeightFunction(2, 2), RGroup.trivial()),
+        AffineHeckePresentation(WeightFunction(2, 2), RGroup.trivial()),
+        base.xnr_order,
         base.mu_case,
     )
     assert not check_weyl_iso(mismatched)
+    assert check_ro_reduction(mismatched)
 
 
 def test_ro_reduction_negative_control():
+    # an H(G^0) that is a crossed product with a nontrivial R-group under C[O]
     base = table_rows("short-positive")[2].classification
+    assert base.h_g == base.h_g0 == AffineHeckePresentation(None, RGroup.trivial())
     mismatched = BlockClassification(
-        base.w_o,
-        base.r_o,
-        base.w_o0,
-        RGroup.nontrivial(),
-        base.xnr_order,
         base.h_g,
-        base.h_g0,
+        AffineHeckePresentation(None, RGroup.nontrivial()),
+        base.xnr_order,
         base.mu_case,
     )
+    assert mismatched.r_o0 == RGroup.nontrivial() and mismatched.w_o0 == mismatched.w_o
     assert not check_ro_reduction(mismatched)
+    assert not check_weyl_iso(mismatched)
     unknown_pair = table_rows("long-depth-zero")[3].classification
     assert unknown_pair.r_o.state == "unknown" and check_ro_reduction(unknown_pair)
 
@@ -157,7 +155,7 @@ def test_xnr_order_follows_ramification():
 def test_classify_examples():
     c = classify(
         BlockDescriptor(
-            "long", "depth-zero", "G", "unramified",
+            "long", "G", "unramified",
             omega_ramified=False, chi_cubic=True, chi2chiprime_ramified=False,
         )
     )
@@ -165,14 +163,14 @@ def test_classify_examples():
     assert c.h_g.weights.pair() == (3, 1)
 
     c = classify(
-        BlockDescriptor("short", "depth-zero", "G", "unramified", omega_ramified=True)
+        BlockDescriptor("short", "G", "unramified", omega_ramified=True)
     )
     assert c.w_o == "trivial" and c.r_o.state == "unknown"
     assert c.h_g.weyl_order == 1 and c.h_g.r_group.state == "unknown"
 
     c = classify(
         BlockDescriptor(
-            "short", "positive-depth", "U_pi(1,1)", "ramified",
+            "short", "U_pi(1,1)", "ramified",
             phi0_restriction="sign-character", phi1_trivial=False,
         )
     )
@@ -190,21 +188,19 @@ def test_classify_rejects_incoherent_descriptor():
     with pytest.raises(BlocksError):
         classify(
             BlockDescriptor(
-                "short", "positive-depth", "U_pi(1,1)", "ramified",
+                "short", "U_pi(1,1)", "ramified",
                 phi0_restriction="sign-character", phi1_trivial=True,
             )
         )
     with pytest.raises(BlocksError):
-        BlockDescriptor("short", "depth-zero", "M0=M", "unramified")
-    with pytest.raises(BlocksError):
         BlockDescriptor(
-            "short", "depth-zero", "G", "unramified",
+            "short", "G", "unramified",
             omega_ramified=False, chi_cubic=True,
         )
 
 
 def test_classify_requires_good_residual_characteristic(monkeypatch):
-    d = BlockDescriptor("short", "depth-zero", "G", "unramified", omega_ramified=False)
+    d = BlockDescriptor("short", "G", "unramified", omega_ramified=False)
     with pytest.raises(BlocksError) as exc:
         classify(d, assume_good_residual_char=False)
     assert str(exc.value) == "classification data assumes residual characteristic not in {2, 3}"
@@ -228,11 +224,24 @@ def test_both_phi0_rows_match_any_restriction():
     for phi0 in ("trivial", "sign-character", "other-nontrivial"):
         c = classify(
             BlockDescriptor(
-                "long", "positive-depth", "chain", "ramified",
+                "long", "chain", "ramified",
                 phi0_restriction=phi0, phi1_trivial=False,
             )
         )
         assert c.h_g.weyl_order == 1 and c.r_o.state == "trivial"
+
+
+def test_depth_class_is_read_off_g0():
+    depth = {
+        "G": "depth-zero",
+        "M0=M": "essentially-depth-zero",
+        **dict.fromkeys(("U_eps(1,1)", "U_pi(1,1)", "torus", "chain"), "positive-depth"),
+    }
+    for g0_kind, depth_class in depth.items():
+        d = BlockDescriptor("short", g0_kind, "ramified")
+        assert d.depth_class == depth_class
+        assert list(d.to_json())[:3] == ["root_kind", "depth_class", "g0_kind"]
+        assert d.to_json()["depth_class"] == depth_class
 
 
 def test_text_rendering_mirrors_layout():
@@ -248,7 +257,6 @@ def test_text_rendering_mirrors_layout():
 # Every value each BlockDescriptor field accepts, in field order.
 DESCRIPTOR_FIELD_VALUES = (
     ("long", "short"),
-    ("depth-zero", "essentially-depth-zero", "positive-depth"),
     ("G", "M0=M", "U_eps(1,1)", "U_pi(1,1)", "torus", "chain"),
     ("ramified", "unramified"),
     (None, False, True),

@@ -373,6 +373,24 @@ def test_text_tables_match_fixture_byte_for_byte(capsys):
     assert out.encode() == fixture
 
 
+def test_mu_output_matches_fixture_byte_for_byte(capsys):
+    # every case at both residue degrees, in text and JSON
+    fixture = (Path(__file__).resolve().parent / "data" / "mu_all.txt").read_bytes()
+    assert hashlib.sha256(fixture).hexdigest() == (
+        "d4b82db4af26ff359d50cd40614c671af3002481e854256a649a7231a104e9d3"
+    )
+    chunks = []
+    for case in plancherel.CASE_IDS:
+        for f in ("1", "2"):
+            for fmt in ("text", "json"):
+                argv = ["mu", "--case", case, "--residue-degree", f, "--format", fmt]
+                code, out, err = run(capsys, *argv)
+                assert code == EXIT_OK and err == ""
+                chunks.append(f"== {' '.join(argv)} ==\n{out}")
+    assert len(chunks) == 24
+    assert "".join(chunks).encode() == fixture
+
+
 def test_refused_good_map_fails_the_matching_check(monkeypatch, capsys):
     def refuse(m1, m2, point_map):
         return extquot.PropertyVerdict(False, "refused by the test")
@@ -395,6 +413,42 @@ def test_faulty_transfer_fails_the_matching_check(monkeypatch, capsys):
     assert code == EXIT_CHECK_FAILED
     assert out.startswith("[FAIL] extquot/matching-corpus: good map refused on")
     assert "transfer is not a bijection onto the target" in out
+
+
+def test_an_accept_all_property_check_fails_the_matching_check(monkeypatch, capsys):
+    # the injected bad maps are built, not sampled through check_property, so
+    # a check that accepts everything lets one through instead of hanging:
+    # the swapped map on the first model of three points
+    code, out, _ = run(capsys, "check", "--part", "matching")
+    assert code == EXIT_OK
+    assert out.startswith("[ok ] extquot/matching-corpus: 60 paired models, torsion 2..12, "
+                          "85 injected bad maps rejected\n")
+
+    def accept(m1, m2, point_map):
+        return extquot.PropertyVerdict(True, "", None)
+
+    monkeypatch.setattr(extquot, "check_property", accept)
+    code, out, _ = run(capsys, "check", "--part", "matching")
+    assert code == EXIT_CHECK_FAILED
+    assert out.startswith("[FAIL] extquot/matching-corpus: non-equivariant map accepted on "
+                          "<FiniteOrbitModel |X|=3 Gamma=1>\n")
+
+
+def test_a_symmetry_blind_property_check_fails_the_matching_check(monkeypatch, capsys):
+    # shifting a good map by one keeps translation equivariance and breaks
+    # only the inversion's
+    honest = extquot.check_property
+
+    def blind(m1, m2, point_map):
+        verdict = honest(m1, m2, point_map)
+        if verdict.reason == "symmetry equivariance fails":
+            return extquot.PropertyVerdict(True, "", None)
+        return verdict
+
+    monkeypatch.setattr(extquot, "check_property", blind)
+    code, out, _ = run(capsys, "check", "--part", "matching")
+    assert code == EXIT_CHECK_FAILED
+    assert out.startswith("[FAIL] extquot/matching-corpus: non-equivariant map accepted on")
 
 
 def test_a_target_short_of_one_point_fails_the_matching_check(monkeypatch, capsys):

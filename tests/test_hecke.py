@@ -26,7 +26,7 @@ TABLE_PAIRS = [(0, 0), (1, 1), (2, 2), (3, 1)]
 
 
 def pres(lam, lam_star):
-    return AffineHeckePresentation(2, WeightFunction(lam, lam_star), RGroup.trivial())
+    return AffineHeckePresentation(WeightFunction(lam, lam_star), RGroup.trivial())
 
 
 def qpow(k):
@@ -235,7 +235,7 @@ def test_core_associativity_sees_a_product_that_drops_right_v_powers(monkeypatch
 
 
 def test_verify_relations_over_a_trivial_finite_part():
-    p = AffineHeckePresentation(1, None, RGroup.trivial())
+    p = AffineHeckePresentation(None, RGroup.trivial())
     rep = verify_relations(p, 3)
     assert rep.ok, rep.summary()
     assert "representation" in {c.name for c in rep.checks}
@@ -467,16 +467,17 @@ def test_element_rejects_bad_terms(terms):
 
 
 def test_rank_restrictions():
-    # the lattice is rank 1 by construction; a finite Weyl part of order 3 is refused
-    with pytest.raises(HeckeError):
+    # the lattice is rank 1 by construction, and the finite Weyl part has order
+    # 2 exactly when there are weights: no other order can be given or set
+    assert pres(1, 1).weyl_order == 2
+    assert AffineHeckePresentation(None, RGroup.trivial()).weyl_order == 1
+    with pytest.raises(TypeError):
         AffineHeckePresentation(3, WeightFunction(1, 1), RGroup.trivial())
+    with pytest.raises(AttributeError):
+        pres(1, 1).weyl_order = 3
 
 
 def test_presentation_invariants():
-    with pytest.raises(HeckeError):
-        AffineHeckePresentation(1, WeightFunction(1, 1), RGroup.trivial())
-    with pytest.raises(HeckeError):
-        AffineHeckePresentation(2, None, RGroup.trivial())
     with pytest.raises(HeckeError):
         WeightFunction(-1, 0)
     with pytest.raises(HeckeError):
@@ -489,10 +490,10 @@ def test_presentation_equality_contract():
     a = pres(3, 1)
     assert a == pres(3, 1) and a is not pres(3, 1)
     assert a != pres(2, 2)
-    commutative = AffineHeckePresentation(1, None, RGroup.trivial())
-    crossed_unknown = AffineHeckePresentation(1, None, RGroup.unknown())
+    commutative = AffineHeckePresentation(None, RGroup.trivial())
+    crossed_unknown = AffineHeckePresentation(None, RGroup.unknown())
     assert commutative != crossed_unknown
-    assert crossed_unknown == AffineHeckePresentation(1, None, RGroup.unknown())
+    assert crossed_unknown == AffineHeckePresentation(None, RGroup.unknown())
     # elements over equal but distinct presentations compare by their terms
     assert theta(a, 1) == theta(pres(3, 1), 1) and theta(a, 1) != theta(pres(2, 2), 1)
 

@@ -126,8 +126,8 @@ def test_descriptor_validation():
         PlancherelCase("long-III", omega_ramified=False, sigma_induced=True, chi2chiprime_ramified=False)
     with pytest.raises(PlancherelError):
         PlancherelCase("short-I", omega_ramified=True)
-    with pytest.raises(PlancherelError):
-        PlancherelCase("short-I", omega_ramified=False, residue_degree=2, ramification_index=2)
+    with pytest.raises(PlancherelError, match="residue degree 1 or 2"):
+        PlancherelCase("short-I", omega_ramified=False, residue_degree=3)
     with pytest.raises(PlancherelError):
         PlancherelCase("nope", omega_ramified=False)
     # ramified chi^2 chi'^-1 with induced sigma is a valid long-III descriptor

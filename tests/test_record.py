@@ -3,6 +3,7 @@
 import pytest
 
 from g2hecke._record import record, replace
+from g2hecke.blocks import BlockClassification, BlockDescriptor
 from g2hecke.extquot import ExtQuotPoint, PropertyVerdict
 from g2hecke.hecke import AffineHeckePresentation, CheckResult, RelationReport, RGroup, WeightFunction
 from g2hecke.plancherel import PlancherelCase, PlancherelError
@@ -48,7 +49,7 @@ def test_frozen_records_hash_by_value_and_mutable_ones_do_not_hash():
     assert hash(case) == hash(PlancherelCase(omega_ramified=False, case_id="short-I", chi_unit=-1))
     assert hash(case) == hash(tuple(vars(case).values()))
     assert len({WeightFunction(1, 2), WeightFunction(1, 2), WeightFunction(2, 1)}) == 2
-    pres = AffineHeckePresentation(1, None, RGroup.trivial())
+    pres = AffineHeckePresentation(None, RGroup.trivial())
     for unhashable in (CheckResult("x", True), RelationReport(pres, []), PropertyVerdict(True)):
         with pytest.raises(TypeError):
             hash(unhashable)
@@ -72,8 +73,8 @@ def test_repr_names_every_field_in_order():
     assert repr(RGroup.trivial()) == "RGroup(state='trivial')"
     verdict = PropertyVerdict(False, "no", (1, 2))
     assert repr(verdict) == "PropertyVerdict(ok=False, reason='no', witness=(1, 2))"
-    assert repr(AffineHeckePresentation(2, WeightFunction(1, 0), RGroup.trivial())) == (
-        "AffineHeckePresentation(weyl_order=2, weights=WeightFunction(lam=1, lam_star=0), "
+    assert repr(AffineHeckePresentation(WeightFunction(1, 0), RGroup.trivial())) == (
+        "AffineHeckePresentation(weights=WeightFunction(lam=1, lam_star=0), "
         "r_group=RGroup(state='trivial'))"
     )
 
@@ -103,6 +104,15 @@ def test_defaults_and_keywords():
     assert CheckResult("x", True).detail == ""
     assert PlancherelCase("short-I", False) == PlancherelCase.from_id("short-I", residue_degree=2)
     assert PropertyVerdict(True).reason == "" and PropertyVerdict(True).witness is None
+
+
+def test_records_hold_only_primary_data():
+    # the Weyl order, W_O/R(O) on both sides, the depth class and the
+    # ramification index are read off the fields that fix them
+    assert AffineHeckePresentation._record_fields == ("weights", "r_group")
+    assert BlockClassification._record_fields == ("h_g", "h_g0", "xnr_order", "mu_case")
+    assert "depth_class" not in BlockDescriptor._record_fields
+    assert "ramification_index" not in PlancherelCase._record_fields
 
 
 def test_replace_copies_and_validates_again():

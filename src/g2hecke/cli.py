@@ -175,13 +175,13 @@ def _check_extquot() -> list:
     ]
 
 
-def _matching_corpus(torsion_min: int, torsion_max: int, seed: int):
-    """Paired models with good maps, plus injected non-equivariant maps."""
+def _matching_corpus(seed: int):
+    """Paired models with good maps, torsion TORSION_MIN..TORSION_MAX."""
     import random
 
     rng = random.Random(seed)
     corpus = []
-    for n in range(torsion_min, torsion_max + 1):
+    for n in range(TORSION_MIN, TORSION_MAX + 1):
         for kind, offset in _shapes(n, sorted({0, 1 % n, 2 % n})):
             m1 = extquot.torsion_model(n, kind, offset=offset)
             shift = rng.randrange(n)
@@ -215,7 +215,7 @@ def _refusal(m1, m2, point_map: dict) -> str | None:
 
 
 def _check_matching(seed: int) -> list:
-    corpus = _matching_corpus(TORSION_MIN, TORSION_MAX, seed)
+    corpus = _matching_corpus(seed)
     ok, rejected = True, 0
     detail = f"{len(corpus)} paired models, torsion {TORSION_MIN}..{TORSION_MAX}"
     for m1, m2, good in corpus:

@@ -41,7 +41,6 @@ __all__ = [
     "LaurentExpr",
     "RationalExpr",
     "RingError",
-    "ShapeError",
     "NonExactDivision",
     "ring",
     "exact_div",
@@ -56,10 +55,6 @@ class RingError(ValueError):
 
 class NonExactDivision(ArithmeticError):
     """Raised when an exact polynomial quotient was required but does not exist."""
-
-
-class ShapeError(ValueError):
-    """Raised when an expression is not of the factored shape an operation needs."""
 
 
 def _exact(c):
@@ -220,14 +215,6 @@ class LaurentExpr:
             raise ValueError("zero expression has no leading term")
         e = max(self.terms)
         return e, self.terms[e]
-
-    def degree_span(self, name: str) -> tuple:
-        """(min, max) exponent of ``name`` across terms; (0, 0) for zero."""
-        i = self.ring.index[name]
-        if not self.terms:
-            return (0, 0)
-        exps = [e[i] for e in self.terms]
-        return (min(exps), max(exps))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -864,100 +851,31 @@ class RationalExpr:
 
 
 # ---------------------------------------------------------------------------
-# Unit-circle zero detection for factored Silberger-type expressions
+# Unit-circle zeros by evaluation at X = +-1
 # ---------------------------------------------------------------------------
 
 
-def _vanishes_at(f: LaurentExpr, slot: int, sign: int, exps: tuple) -> bool:
-    """Whether f is zero after x_slot -> sign * x^exps, in one pass over its terms."""
+def _vanishes_at(f: LaurentExpr, slot: int, sign: int) -> bool:
+    """Whether f is zero after x_slot -> sign, in one pass over its terms."""
     out: dict = {}
     for e, c in f.terms.items():
-        k = e[slot]
-        key = tuple(0 if i == slot else a + k * m for i, (a, m) in enumerate(zip(e, exps)))
-        out[key] = out.get(key, 0) + (-c if sign < 0 and k % 2 else c)
+        key = e[:slot] + (0,) + e[slot + 1:]
+        out[key] = out.get(key, 0) + (-c if sign < 0 and e[slot] % 2 else c)
     return not any(out.values())
 
 
-def _strip_unit_monomial_roots(f: LaurentExpr, var: str):
-    """Factor ``f`` completely as a monomial times prod (var - s*m).
-
-    Only roots of the form s*m with s = +-1 and m a Laurent monomial in the
-    other variables are attempted; that is exactly the factored shape of the
-    case formulas.  The Newton polytope of a product is the Minkowski sum of
-    the factors' polytopes, so |exponent of m| in each slot is at most the
-    exponent width (max - min) of the remaining expression there, and the
-    candidates are bounded by it.  Returns a list of (sign, exponent-vector)
-    roots with multiplicity.  Raises ShapeError if a positive-degree
-    remainder in ``var`` has no such root or the leftover constant is not a
-    single term.
-    """
-    ctx = f.ring
-    slot = ctx.index[var]
-    other = [i for i in range(ctx.nvars) if i != slot]
-    roots = []
-    current = f
-
-    def candidate_monos(expr: LaurentExpr):
-        spans = []
-        for i in other:
-            lo, hi = expr.degree_span(ctx.names[i])
-            spans.append(hi - lo)
-
-        def rec(j):
-            if j == len(other):
-                yield ()
-                return
-            ks = sorted(range(-spans[j], spans[j] + 1), key=abs)
-            for k in ks:
-                for rest in rec(j + 1):
-                    yield (k,) + rest
-        yield from rec(0)
-
-    while not current.is_zero():
-        lo, hi = current.degree_span(var)
-        if lo == hi:
-            break
-        found = None
-        for mono in candidate_monos(current):
-            exps = [0] * ctx.nvars
-            for i, m in zip(other, mono):
-                exps[i] = m
-            for sign in (1, -1):
-                if _vanishes_at(current, slot, sign, exps):
-                    found = (sign, tuple(exps))
-                    break
-            if found:
-                break
-        if found is None:
-            raise ShapeError("expression not of recognized factored shape")
-        sign, exps = found
-        divisor = ctx.var(var) - ctx.monomial(exps, sign)
-        current = exact_div(current, divisor)
-        roots.append((sign, exps))
-    if not current.is_monomial():
-        raise ShapeError("leftover factor is not a single monomial")
-    return roots
-
-
 def eval_unit_circle_zeros(f: RationalExpr, var: str) -> set:
-    """Locations among {+1, -1} where the numerator vanishes and the denominator does not.
+    """The signs s in {+1, -1} at which ``f`` vanishes for ``var`` = s.
 
-    The expression must factor, in ``var``, into binomials ``(1 +- c*var^(+-1))``
-    with ``c`` a monomial times a unit of order at most 2 (the shape of all
-    implemented Plancherel case formulas); otherwise :class:`ShapeError` is
-    raised.  Zeros are generic: a root contributes only if it is a unit
-    independent of the remaining variables, which forces it to be +-1.
+    ``var - s`` is monic in ``var``, so it divides the numerator exactly when
+    the numerator vanishes identically at ``var`` = s, whatever the other
+    variables are.  A reduced ``f`` never has that factor in both numerator
+    and denominator, so one evaluation of the numerator per sign decides.
+    The zero expression vanishes at both.
     """
-    if isinstance(f, LaurentExpr):
-        f = RationalExpr(f, f.ring.one())
-    num_roots = _strip_unit_monomial_roots(f.num, var)
-    den_roots = _strip_unit_monomial_roots(f.den, var)
-    zero_vec = (0,) * f.ring.nvars
-
-    def unit_values(roots):
-        return {sign for sign, exps in roots if exps == zero_vec}
-
-    return unit_values(num_roots) - unit_values(den_roots)
+    num = f.num if isinstance(f, RationalExpr) else f
+    slot = num.ring.index[var]
+    return {s for s in (1, -1) if _vanishes_at(num, slot, s)}
 
 
 # ---------------------------------------------------------------------------

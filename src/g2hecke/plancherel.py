@@ -21,8 +21,8 @@ The numerator factors with no power of q are the zeros on the unit circle:
 (1 - X^+-1) vanishes at X = 1 and (1 + X^+-1) at X = -1, unless the
 denominator carries the same factor.  A zero forces an order-2 rank-1 Weyl
 group, no zero means the group is trivial.  The reduced rational function,
-Silberger's normal form and root stripping are kept as the independent
-oracle for these readings (``agrees_with_oracle``).
+Silberger's normal form and evaluation at X = +-1 are kept as the
+independent oracle for these readings (``agrees_with_oracle``).
 
 Unit values of the relevant characters at uniformizers are restricted to
 {+1, -1}; this covers every implemented case and keeps zero detection exact.
@@ -265,9 +265,9 @@ def agrees_with_oracle(m: MuFunction) -> bool:
     """Whether the readings off the factors survive the reduced measure.
 
     The reduced measure must equal Silberger's normal form for the extracted
-    pair, and its unit-circle zeros, found by root stripping, must equal the
-    zeros read off the factors.  Both sides are compared cross-multiplied, so
-    the normal form needs no gcd of its own.
+    pair, and its unit-circle zeros, found by evaluation at X = +-1, must
+    equal the zeros read off the factors.  Both sides are compared
+    cross-multiplied, so the normal form needs no gcd of its own.
     """
     expr = m.expr
     num, den = _silberger_products(*m.extracted())

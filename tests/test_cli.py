@@ -71,6 +71,8 @@ def test_check_green_suite(capsys):
         # the labels (a + b, |a - b|) do not see this swap; only the oracle does
         ("extracted", lambda real, m: real(m)[::-1]),
         ("zeros", lambda real, m: real(m) - {-1}),
+        # a gained zero must fail as surely as a lost one
+        pytest.param("zeros", lambda real, m: real(m) | {-1}, id="zeros-gained"),
     ],
 )
 def test_check_blocks_fails_on_sabotaged_reading(monkeypatch, capsys, method, sabotage):

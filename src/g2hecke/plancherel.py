@@ -1,12 +1,13 @@
 """The six explicit Plancherel-measure case formulas for maximal-Levi blocks.
 
-Each case descriptor carries the ramification data that selects one of the
-six formulas (four for the long-root Levi, two for the short-root Levi).  The
-measure is assembled symbolically in a single variable X, normalized so that
-one X is one unit step of the unramified twist; the recorded substitutions
-say what X means case by case.  Conductor powers and the positive constant in
-front are bundled into one opaque positive symbol c, which never affects
-zeros or labels.
+Which of the six formulas (four for the long-root Levi, two for the
+short-root Levi) gives the measure is fixed by the ramification switches;
+``case_of`` is the one map from switches to case, and the depth-zero block
+rows take their case from it.  The measure is assembled symbolically in a
+single variable X, normalized so that one X is one unit step of the
+unramified twist; the recorded substitutions say what X means case by case.
+Conductor powers and the positive constant in front are bundled into one
+opaque positive symbol c, which never affects zeros or labels.
 
 The measure is kept as its factors (1 +- q^-k X^e), each paired over
 e = 1 and e = -1, and everything is read off them.  The denominator pair
@@ -39,6 +40,7 @@ __all__ = [
     "MuFunction",
     "PlancherelError",
     "CASE_IDS",
+    "case_of",
     "MU_RING",
     "W_TRIVIAL",
     "W_ORDER_2",
@@ -65,6 +67,25 @@ W_ORDER_2 = "order-2"
 MU_RING = ring(["v", "X", "c"], {"v": "q"})
 
 
+def case_of(root_kind: str, omega_ramified, sigma_induced=None, chi2chiprime_ramified=None) -> str:
+    """The case id that the ramification switches (each True, False or None) select.
+
+    An absent central-character switch reads as unramified.  A long root needs
+    the sigma = sigma(tau) flag, and an induced sigma the chi^2 chi'^-1 flag.
+    """
+    if root_kind not in ("long", "short"):
+        raise PlancherelError(f"bad root kind {root_kind!r}")
+    if root_kind == "short":
+        return "short-II" if omega_ramified else "short-I"
+    if sigma_induced is None:
+        raise PlancherelError("long-root cases need the sigma = sigma(tau) flag")
+    if sigma_induced and chi2chiprime_ramified is None:
+        raise PlancherelError("an induced sigma needs the chi^2 chi'^-1 ramification flag")
+    if sigma_induced and not chi2chiprime_ramified:
+        return "long-II" if omega_ramified else "long-I"
+    return "long-IV" if omega_ramified else "long-III"
+
+
 @record(frozen=True)
 class PlancherelCase:
     """Descriptor for one case formula.
@@ -73,7 +94,8 @@ class PlancherelCase:
     to the block; its ramification index is 2 / f.  ``omega_unit`` is the value
     of the central character at a uniformizer when unramified;  ``chi_unit``
     the value of the twisted character chi^2 chi'^{-1} at a uniformizer of
-    the extension when unramified.  Both are +-1.
+    the extension when unramified.  Both are +-1.  The switches must select
+    ``case_id`` through ``case_of``.
     """
 
     case_id: str
@@ -91,37 +113,9 @@ class PlancherelCase:
             raise PlancherelError("a quadratic extension has residue degree 1 or 2")
         if self.omega_unit not in (1, -1) or self.chi_unit not in (1, -1):
             raise PlancherelError("unit values are restricted to +1 and -1")
-        kind = self.root_kind
-        if kind == "long":
-            if self.sigma_induced is None:
-                raise PlancherelError("long-root cases need the sigma = sigma(tau) flag")
-            rules = {
-                "long-I": (False, True, False),
-                "long-II": (True, True, False),
-            }
-            if self.case_id in rules:
-                omega_ram, induced, chi_ram = rules[self.case_id]
-                if self.omega_ramified != omega_ram:
-                    raise PlancherelError(f"{self.case_id} requires omega_ramified={omega_ram}")
-                if self.sigma_induced != induced or self.chi2chiprime_ramified is not False:
-                    raise PlancherelError(
-                        f"{self.case_id} requires sigma = sigma(tau) with unramified chi^2 chi'^-1"
-                    )
-            elif self.case_id == "long-III":
-                if self.omega_ramified:
-                    raise PlancherelError("long-III requires an unramified central character")
-                if self.sigma_induced and self.chi2chiprime_ramified is not True:
-                    raise PlancherelError("long-III needs sigma != sigma(tau) or ramified chi^2 chi'^-1")
-            elif self.case_id == "long-IV":
-                if not self.omega_ramified:
-                    raise PlancherelError("long-IV requires a ramified central character")
-                if self.sigma_induced and self.chi2chiprime_ramified is not True:
-                    raise PlancherelError("long-IV needs sigma != sigma(tau) or ramified chi^2 chi'^-1")
-        else:
-            if self.case_id == "short-I" and self.omega_ramified:
-                raise PlancherelError("short-I requires an unramified central character")
-            if self.case_id == "short-II" and not self.omega_ramified:
-                raise PlancherelError("short-II requires a ramified central character")
+        selected = case_of(self.root_kind, self.omega_ramified, self.sigma_induced, self.chi2chiprime_ramified)
+        if selected != self.case_id:
+            raise PlancherelError(f"the ramification switches select {selected}, not {self.case_id}")
 
     @property
     def root_kind(self) -> str:

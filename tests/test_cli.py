@@ -393,6 +393,20 @@ def test_mu_output_matches_fixture_byte_for_byte(capsys):
     assert "".join(chunks).encode() == fixture
 
 
+def test_check_output_matches_fixture_byte_for_byte(capsys):
+    # the JSON suite at seeds 0, 1 and 2, then the text suite
+    fixture = (Path(__file__).resolve().parent / "data" / "check_all.txt").read_bytes()
+    assert hashlib.sha256(fixture).hexdigest() == (
+        "2a85b47cf4904d149f8e382ed828bd409bb5f2c0e0e8f6bfb1403cbb3f50d67a"
+    )
+    chunks = []
+    for argv in [["check", "--all", "--format", "json", "--seed", s] for s in "012"] + [["check", "--all"]]:
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        chunks.append(f"== {' '.join(argv)} ==\n{out}")
+    assert "".join(chunks).encode() == fixture
+
+
 def test_refused_good_map_fails_the_matching_check(monkeypatch, capsys):
     def refuse(m1, m2, point_map):
         return extquot.PropertyVerdict(False, "refused by the test")

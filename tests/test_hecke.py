@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -246,6 +248,10 @@ def test_verify_relations_over_a_trivial_finite_part():
     rep = verify_relations(p, 3)
     assert rep.ok, rep.summary()
     assert [c.name for c in rep.checks] == HARNESS_CHECKS
+    # nothing is compared there, so no check claims a range of x
+    details = {c.name: c.detail for c in rep.checks}
+    for name in ("quadratic", "quadratic-s1", "bernstein-exact-division"):
+        assert details[name] == "trivial finite part", name
 
 
 def test_product_uses_the_one_closed_form(monkeypatch):
@@ -517,6 +523,16 @@ def test_lusztig_membership():
     assert not check_lusztig(WeightFunction(4, 2))
     assert check_lusztig(WeightFunction(4, 2), allowed={(4, 2)})
     assert default_lusztig_allowed() == {(0, 0), (1, 1), (2, 2), (3, 1)}
+    # the default set is the golden label pairs, on either side, plus the
+    # (0, 0) that the check command's relation harness adds
+    golden = set()
+    for path in resources.files("g2hecke").joinpath("data/tables").iterdir():
+        for row in json.loads(path.read_text())["rows"]:
+            for side in ("H_G", "H_G0"):
+                h = row["classification"][side]
+                if "lambda" in h:
+                    golden.add((h["lambda"], h["lambda_star"]))
+    assert default_lusztig_allowed() == golden | {(0, 0)}
 
 
 def test_render_element_grammar():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from g2hecke.blocks import FAMILIES, table_rows
@@ -9,6 +11,7 @@ from g2hecke.plancherel import (
     MU_RING,
     PlancherelCase,
     PlancherelError,
+    case_of,
     labels,
     mu,
     render_mu,
@@ -130,8 +133,94 @@ def test_descriptor_validation():
         PlancherelCase("short-I", omega_ramified=False, residue_degree=3)
     with pytest.raises(PlancherelError):
         PlancherelCase("nope", omega_ramified=False)
+    with pytest.raises(PlancherelError, match="an induced sigma needs"):
+        PlancherelCase("long-III", omega_ramified=False, sigma_induced=True, chi2chiprime_ramified=None)
     # ramified chi^2 chi'^-1 with induced sigma is a valid long-III descriptor
     PlancherelCase("long-III", omega_ramified=False, sigma_induced=True, chi2chiprime_ramified=True)
+
+
+# The (case, omega_ramified, sigma_induced, chi2chiprime_ramified) points of
+# SWITCH_GRID that the per-case rules accepted before case_of replaced them.
+# The selector accepts these plus ("long-I", None, True, False): it reads an
+# absent central-character switch as unramified for every case.
+ACCEPTED = {
+    ("long-I", False, True, False),
+    ("long-II", True, True, False),
+    ("long-III", False, False, None),
+    ("long-III", False, False, False),
+    ("long-III", False, False, True),
+    ("long-III", False, True, True),
+    ("long-III", None, False, None),
+    ("long-III", None, False, False),
+    ("long-III", None, False, True),
+    ("long-III", None, True, True),
+    ("long-IV", True, False, None),
+    ("long-IV", True, False, False),
+    ("long-IV", True, False, True),
+    ("long-IV", True, True, True),
+    ("short-I", False, None, None),
+    ("short-I", False, None, False),
+    ("short-I", False, None, True),
+    ("short-I", False, False, None),
+    ("short-I", False, False, False),
+    ("short-I", False, False, True),
+    ("short-I", False, True, None),
+    ("short-I", False, True, False),
+    ("short-I", False, True, True),
+    ("short-I", None, None, None),
+    ("short-I", None, None, False),
+    ("short-I", None, None, True),
+    ("short-I", None, False, None),
+    ("short-I", None, False, False),
+    ("short-I", None, False, True),
+    ("short-I", None, True, None),
+    ("short-I", None, True, False),
+    ("short-I", None, True, True),
+    ("short-II", True, None, None),
+    ("short-II", True, None, False),
+    ("short-II", True, None, True),
+    ("short-II", True, False, None),
+    ("short-II", True, False, False),
+    ("short-II", True, False, True),
+    ("short-II", True, True, None),
+    ("short-II", True, True, False),
+    ("short-II", True, True, True),
+}
+SWITCH_GRID = list(
+    itertools.product(CASE_IDS, (False, True, None), (None, False, True), (None, False, True))
+)
+
+
+def test_accepted_switch_grid():
+    assert len(SWITCH_GRID) == 162 and len(ACCEPTED) == 41
+    accepted = set()
+    for case_id, omega, sigma, chi in SWITCH_GRID:
+        try:
+            case = PlancherelCase(case_id, omega_ramified=omega, sigma_induced=sigma, chi2chiprime_ramified=chi)
+        except PlancherelError:
+            continue
+        accepted.add((case_id, omega, sigma, chi))
+        assert case_of(case.root_kind, omega, sigma, chi) == case_id
+    assert accepted == ACCEPTED | {("long-I", None, True, False)}
+
+
+def test_case_of_refusals():
+    with pytest.raises(PlancherelError, match="sigma = sigma\\(tau\\) flag"):
+        case_of("long", False)
+    with pytest.raises(PlancherelError, match="bad root kind"):
+        case_of("medium", False)
+    with pytest.raises(PlancherelError, match="the ramification switches select long-I, not long-II"):
+        PlancherelCase("long-II", omega_ramified=False, sigma_induced=True, chi2chiprime_ramified=False)
+
+
+def test_depth_zero_rows_take_their_case_from_the_selector():
+    rows = [r for fam in FAMILIES for r in table_rows(fam) if r.descriptor.depth_class == "depth-zero"]
+    assert len(rows) == 8
+    for r in rows:
+        d = r.descriptor
+        assert r.classification.mu_case == case_of(
+            d.root_kind, d.omega_ramified, d.chi_cubic, d.chi2chiprime_ramified
+        ), r.index
 
 
 def test_prefactor_is_opaque_and_positive_symbol():

@@ -14,17 +14,19 @@ equals the row's descriptor, except that a row whose phi_0 restriction is
 * the order of the stabilizer of the inducing supercuspidal inside the
   unramified twist torus (2 / ramification index).
 
-All rows live in one ordered table giving each row's descriptor, datum,
-measure case, R(O) for a trivial W_O, and G0-side presentation; one builder
-derives the rest.  A depth-zero row's case comes from its switches through
+All rows live in one ordered table giving each row's descriptor, measure
+case, R(O) for a trivial W_O, and G0-side presentation; one builder derives
+the rest.  A row's family and printed datum are read off its descriptor.
+A depth-zero row's case comes from its switches through
 ``plancherel.case_of``; only positive-depth rows set it by hand.  Rows with
 a measure case are classified through the Plancherel pipeline: the weight
 labels come from ``plancherel.labels(mu(case))`` and the Weyl verdict from
 the unit-circle zeros of the factored measure, never from hand-copied
 constants.
 The four canonical tables (long/short x depth-zero/positive) are emitted in
-a fixed reading order and are frozen as golden JSON files; rows the tables
-leave undetermined carry a first-class "unknown" R-group state.
+a fixed reading order and are frozen as golden JSON files, read through
+``golden_table``; rows the tables leave undetermined carry a first-class
+"unknown" R-group state.
 
 The classification assumes the residual characteristic is not a bad prime
 of G2 (``rootdata.bad_primes``); callers that cannot grant the assumption
@@ -32,6 +34,8 @@ get a refusal.
 """
 
 from __future__ import annotations
+
+import json
 
 from ._record import record, replace
 from .hecke import AffineHeckePresentation, RGroup, WeightFunction
@@ -45,6 +49,7 @@ __all__ = [
     "FAMILIES",
     "classify",
     "emit_table",
+    "golden_table",
     "table_rows",
     "render_text_table",
     "check_weyl_iso",
@@ -225,11 +230,12 @@ def check_ro_reduction(c: BlockClassification) -> bool:
 
 @record(frozen=True)
 class TableRow:
-    family: str
     index: int
     descriptor: BlockDescriptor
     classification: BlockClassification
-    datum_display: str
+
+    family = property(lambda self: self.descriptor.family)
+    datum_display = property(lambda self: _DATUM[self.descriptor.g0_kind])
 
     def matches(self, d: BlockDescriptor) -> bool:
         """Descriptor equality; a row whose phi_0 restriction is "both" takes any."""
@@ -276,34 +282,41 @@ def _pd(root_kind: str, g0_kind: str, l_over_f: str, phi0: str, phi1: bool) -> B
 
 _UNKNOWN, _TRIVIAL, _NONTRIVIAL = RGroup.unknown(), RGroup.trivial(), RGroup.nontrivial()
 _C_O = _crossed(_TRIVIAL)  # the commutative algebra C[O]
-_DATUM_R0 = "((G,M),(y,iota),(M_{y,0},rho_M))"
-_DATUM_RNE0 = "(((M,G),M),(y,iota),(r,0),(phi,1),(M_{y,0},rho_M))"
+# the datum printed for a row, fixed by its twisted Levi
+_DATUM = {
+    "G": "((G,M),(y,iota),(M_{y,0},rho_M))",
+    "M0=M": "(((M,G),M),(y,iota),(r,0),(phi,1),(M_{y,0},rho_M))",
+    "U_eps(1,1)": "(U_eps(1,1),G)",
+    "U_pi(1,1)": "(U_pi'(1,1),G)",
+    "torus": "(M0,G)",
+    "chain": "(M0,M,G)",
+}
 
 
 def _dz(root_kind: str, **switches) -> tuple:
     """A depth-zero row (G0 = G, R(O) unknown); its switches select its case."""
     d = BlockDescriptor(root_kind, "G", "unramified", **switches)
     case_id = case_of(root_kind, d.omega_ramified, d.chi_cubic, d.chi2chiprime_ramified)
-    return d, _DATUM_R0, case_id, _UNKNOWN, None
+    return d, case_id, _UNKNOWN, None
 
 
 def _edz(root_kind: str, omega_ramified: bool) -> tuple:
     """An r != 0 row (G0 = M): no measure case, C[O] on both sides."""
-    return BlockDescriptor(root_kind, "M0=M", "unramified", omega_ramified), _DATUM_RNE0, None, _TRIVIAL, _C_O
+    return BlockDescriptor(root_kind, "M0=M", "unramified", omega_ramified), None, _TRIVIAL, _C_O
 
 
 def _toral_rows(root_kind: str, l_over_f: str) -> list:
     """The two C[O] rows over a torus: (M0, G) and the chain (M0, M, G)."""
     return [
-        (_pd(root_kind, "torus", l_over_f, "other-nontrivial", True), "(M0,G)", None, _TRIVIAL, _C_O),
-        (_pd(root_kind, "chain", l_over_f, "both", False), "(M0,M,G)", None, _TRIVIAL, _C_O),
+        (_pd(root_kind, "torus", l_over_f, "other-nontrivial", True), None, _TRIVIAL, _C_O),
+        (_pd(root_kind, "chain", l_over_f, "both", False), None, _TRIVIAL, _C_O),
     ]
 
 
-# All rows in reading order: (descriptor, datum, measure case or None for
-# C[O], R(O) when W_O is trivial, G0-side presentation or None when G0 = G).
-# Only positive-depth rows set their case by hand; ``_dz`` selects it.  The
-# family comes from the descriptor, the index from the position in it.
+# All rows in reading order: (descriptor, measure case or None for C[O],
+# R(O) when W_O is trivial, G0-side presentation or None when G0 = G).
+# Only positive-depth rows set their case by hand; ``_dz`` selects it.
+# Family and datum come from the descriptor, the index from the position.
 _ROWS = (
     # long root, depth zero: four cubic-character rows, then "chi not cubic"
     _dz("long", omega_ramified=False, chi_cubic=True, chi2chiprime_ramified=False),
@@ -315,11 +328,9 @@ _ROWS = (
     # r != 0: G0 = M, everything collapses to the translation algebra
     _edz("long", True),
     # long root, positive depth: T_{beta,pi'} (ramified torus), then T_{beta,eps}
-    (_pd("long", "U_pi(1,1)", "ramified", "sign-character", False),
-     "(U_pi'(1,1),G)", "long-IV", _NONTRIVIAL, _crossed(_NONTRIVIAL)),
+    (_pd("long", "U_pi(1,1)", "ramified", "sign-character", False), "long-IV", _NONTRIVIAL, _crossed(_NONTRIVIAL)),
     *_toral_rows("long", "ramified"),
-    (_pd("long", "U_eps(1,1)", "unramified", "trivial", True),
-     "(U_eps(1,1),G)", "long-III", _TRIVIAL, _noncomm(1, 1)),
+    (_pd("long", "U_eps(1,1)", "unramified", "trivial", True), "long-III", _TRIVIAL, _noncomm(1, 1)),
     *_toral_rows("long", "unramified"),
     # short root, depth zero
     _dz("short", omega_ramified=False),
@@ -327,13 +338,10 @@ _ROWS = (
     _edz("short", False),
     _edz("short", True),
     # short root, positive depth: T_{alpha,pi'} (ramified torus), then T_{alpha,eps}
-    (_pd("short", "U_pi(1,1)", "ramified", "trivial", True),
-     "(U_pi'(1,1),G)", "short-I", _TRIVIAL, _noncomm(1, 1)),
-    (_pd("short", "U_pi(1,1)", "ramified", "sign-character", False),
-     "(U_pi'(1,1),G)", "short-II", _NONTRIVIAL, _crossed(_NONTRIVIAL)),
+    (_pd("short", "U_pi(1,1)", "ramified", "trivial", True), "short-I", _TRIVIAL, _noncomm(1, 1)),
+    (_pd("short", "U_pi(1,1)", "ramified", "sign-character", False), "short-II", _NONTRIVIAL, _crossed(_NONTRIVIAL)),
     *_toral_rows("short", "ramified"),
-    (_pd("short", "U_eps(1,1)", "unramified", "trivial", True),
-     "(U_eps(1,1),G)", "short-I", _TRIVIAL, _noncomm(1, 1)),
+    (_pd("short", "U_eps(1,1)", "unramified", "trivial", True), "short-I", _TRIVIAL, _noncomm(1, 1)),
     *_toral_rows("short", "unramified"),
 )
 
@@ -346,10 +354,27 @@ def table_rows(family: str) -> list:
     if family not in _CACHE:
         specs = [spec for spec in _ROWS if spec[0].family == family]
         _CACHE[family] = [
-            TableRow(family, i, desc, _classify_row(desc, case_id, r_o, h_g0), datum)
-            for i, (desc, datum, case_id, r_o, h_g0) in enumerate(specs, start=1)
+            TableRow(i, desc, _classify_row(desc, case_id, r_o, h_g0))
+            for i, (desc, case_id, r_o, h_g0) in enumerate(specs, start=1)
         ]
     return _CACHE[family]
+
+
+_GOLDEN: dict = {}
+
+
+def golden_table(family: str) -> dict:
+    """The packaged golden JSON document for one family, read once per process."""
+    if family not in _GOLDEN:
+        _GOLDEN[family] = _read_golden(family)
+    return _GOLDEN[family]
+
+
+def _read_golden(family: str) -> dict:
+    from importlib import resources
+
+    path = resources.files("g2hecke").joinpath(f"data/tables/{family.replace('-', '_')}.json")
+    return json.loads(path.read_text())
 
 
 def emit_table(family: str) -> dict:

@@ -47,32 +47,17 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _golden_table(family: str) -> dict:
-    from importlib import resources
-
-    path = resources.files("g2hecke").joinpath(
-        f"data/tables/{family.replace('-', '_')}.json"
-    )
-    with path.open() as f:
-        return json.load(f)
-
-
 def _check_tables(golden_dir: str | None) -> list:
     results = []
     for family in blocks.FAMILIES:
         emitted = blocks.emit_table(family)
         if golden_dir is None:
-            want = _golden_table(family)
+            want = blocks.golden_table(family)
         else:
             want = _read_json(f"{golden_dir}/{family.replace('-', '_')}.json", "golden table")
         ok = emitted == want
-        results.append(
-            {
-                "name": f"tables/{family}",
-                "ok": ok,
-                "detail": f"{len(emitted['rows'])} rows" if ok else "regenerated table differs from golden",
-            }
-        )
+        detail = f"{len(emitted['rows'])} rows" if ok else "regenerated table differs from golden"
+        results.append({"name": f"tables/{family}", "ok": ok, "detail": detail})
     return results
 
 
@@ -89,15 +74,8 @@ def _check_hecke(degree_bound: int) -> list:
     )
     for lam, lam_star in pairs:
         report = hecke.verify_relations(blocks._noncomm(lam, lam_star), degree_bound)
-        results.append(
-            {
-                "name": f"hecke/relations({lam},{lam_star})",
-                "ok": report.ok,
-                "detail": "; ".join(
-                    f"{c.name}: {'ok' if c.passed else 'FAIL'}" for c in report.checks
-                ),
-            }
-        )
+        detail = "; ".join(f"{c.name}: {'ok' if c.passed else 'FAIL'}" for c in report.checks)
+        results.append({"name": f"hecke/relations({lam},{lam_star})", "ok": report.ok, "detail": detail})
     return results
 
 

@@ -51,7 +51,6 @@ or closed-form quotient.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -605,13 +604,12 @@ def verify_relations(pres: AffineHeckePresentation, degree_bound: int = 3) -> Re
 
 
 def default_lusztig_allowed() -> set:
-    """Label pairs shipped as data; every table row lands in this set."""
-    from importlib import resources
+    """The (lambda, lambda*) pairs of H_G and H_G0 in the packaged golden tables: the
+    tables' own label column, not an independent admissible set (pass one as ``allowed``)."""
+    from .blocks import FAMILIES, golden_table  # blocks imports this module
 
-    path = resources.files("g2hecke").joinpath("data/lusztig_allowed.json")
-    with path.open() as f:
-        data = json.load(f)
-    return {tuple(p) for p in data["allowed_pairs"]}
+    rows = [row["classification"] for family in FAMILIES for row in golden_table(family)["rows"]]
+    return {(h["lambda"], h["lambda_star"]) for c in rows for h in (c["H_G"], c["H_G0"]) if "lambda" in h}
 
 
 def check_lusztig(weights: WeightFunction, allowed: set | None = None) -> bool:

@@ -71,11 +71,14 @@ def case_of(root_kind: str, omega_ramified, sigma_induced=None, chi2chiprime_ram
     """The case id that the ramification switches (each True, False or None) select.
 
     An absent central-character switch reads as unramified.  A long root needs
-    the sigma = sigma(tau) flag, and an induced sigma the chi^2 chi'^-1 flag.
+    the sigma = sigma(tau) flag, and an induced sigma the chi^2 chi'^-1 flag;
+    a short root takes neither.
     """
     if root_kind not in ("long", "short"):
         raise PlancherelError(f"bad root kind {root_kind!r}")
     if root_kind == "short":
+        if sigma_induced is not None or chi2chiprime_ramified is not None:
+            raise PlancherelError("the sigma = sigma(tau) and chi^2 chi'^-1 switches belong to the long root")
         return "short-II" if omega_ramified else "short-I"
     if sigma_induced is None:
         raise PlancherelError("long-root cases need the sigma = sigma(tau) flag")
@@ -99,7 +102,7 @@ class PlancherelCase:
     """
 
     case_id: str
-    omega_ramified: bool
+    omega_ramified: bool | None
     sigma_induced: bool | None = None  # sigma = sigma(tau) for the long root
     chi2chiprime_ramified: bool | None = None
     residue_degree: int = 2

@@ -364,6 +364,22 @@ def test_check_blocks_reads_the_lusztig_pairs_once(monkeypatch, capsys):
     assert len(reads) == 1
 
 
+def test_check_suite_reads_each_golden_table_once(monkeypatch):
+    # the tables diff and the default Lusztig set share one memoized reader
+    honest = blocks._read_golden
+    reads = []
+
+    def counting(family):
+        reads.append(family)
+        return honest(family)
+
+    monkeypatch.setattr(blocks, "_GOLDEN", {})
+    monkeypatch.setattr(blocks, "_read_golden", counting)
+    report = cli.run_check_suite()
+    assert report["failures"] == 0
+    assert sorted(reads) == sorted(blocks.FAMILIES)
+
+
 def test_text_tables_match_fixture_byte_for_byte(capsys):
     fixture = (Path(__file__).resolve().parent / "data" / "tables_all.txt").read_bytes()
     assert hashlib.sha256(fixture).hexdigest() == (

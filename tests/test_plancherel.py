@@ -140,11 +140,12 @@ def test_descriptor_validation():
 
 
 # The (case, omega_ramified, sigma_induced, chi2chiprime_ramified) points of
-# SWITCH_GRID that the per-case rules accepted before case_of replaced them.
-# The selector accepts these plus ("long-I", None, True, False): it reads an
-# absent central-character switch as unramified for every case.
+# SWITCH_GRID that PlancherelCase accepts.  An absent central-character
+# switch reads as unramified for every case; a short root takes neither
+# long-root switch.
 ACCEPTED = {
     ("long-I", False, True, False),
+    ("long-I", None, True, False),
     ("long-II", True, True, False),
     ("long-III", False, False, None),
     ("long-III", False, False, False),
@@ -159,32 +160,8 @@ ACCEPTED = {
     ("long-IV", True, False, True),
     ("long-IV", True, True, True),
     ("short-I", False, None, None),
-    ("short-I", False, None, False),
-    ("short-I", False, None, True),
-    ("short-I", False, False, None),
-    ("short-I", False, False, False),
-    ("short-I", False, False, True),
-    ("short-I", False, True, None),
-    ("short-I", False, True, False),
-    ("short-I", False, True, True),
     ("short-I", None, None, None),
-    ("short-I", None, None, False),
-    ("short-I", None, None, True),
-    ("short-I", None, False, None),
-    ("short-I", None, False, False),
-    ("short-I", None, False, True),
-    ("short-I", None, True, None),
-    ("short-I", None, True, False),
-    ("short-I", None, True, True),
     ("short-II", True, None, None),
-    ("short-II", True, None, False),
-    ("short-II", True, None, True),
-    ("short-II", True, False, None),
-    ("short-II", True, False, False),
-    ("short-II", True, False, True),
-    ("short-II", True, True, None),
-    ("short-II", True, True, False),
-    ("short-II", True, True, True),
 }
 SWITCH_GRID = list(
     itertools.product(CASE_IDS, (False, True, None), (None, False, True), (None, False, True))
@@ -192,7 +169,7 @@ SWITCH_GRID = list(
 
 
 def test_accepted_switch_grid():
-    assert len(SWITCH_GRID) == 162 and len(ACCEPTED) == 41
+    assert len(SWITCH_GRID) == 162 and len(ACCEPTED) == 18
     accepted = set()
     for case_id, omega, sigma, chi in SWITCH_GRID:
         try:
@@ -201,7 +178,7 @@ def test_accepted_switch_grid():
             continue
         accepted.add((case_id, omega, sigma, chi))
         assert case_of(case.root_kind, omega, sigma, chi) == case_id
-    assert accepted == ACCEPTED | {("long-I", None, True, False)}
+    assert accepted == ACCEPTED
 
 
 def test_case_of_refusals():
@@ -211,6 +188,8 @@ def test_case_of_refusals():
         case_of("medium", False)
     with pytest.raises(PlancherelError, match="the ramification switches select long-I, not long-II"):
         PlancherelCase("long-II", omega_ramified=False, sigma_induced=True, chi2chiprime_ramified=False)
+    with pytest.raises(PlancherelError, match="switches belong to the long root"):
+        PlancherelCase("short-I", omega_ramified=False, sigma_induced=True, chi2chiprime_ramified=True)
 
 
 def test_depth_zero_rows_take_their_case_from_the_selector():

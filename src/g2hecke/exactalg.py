@@ -511,12 +511,9 @@ def _shift_slot(f: dict, slot: int, d: int) -> dict:
     """f times x_slot^d."""
     if not d:
         return f
-    out = {}
-    for e, c in f.items():
-        e2 = list(e)
-        e2[slot] += d
-        out[tuple(e2)] = c
-    return out
+    shift = [0] * len(next(iter(f)))
+    shift[slot] = d
+    return _term_mul(f, shift, 1)
 
 
 def _poly_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
@@ -855,15 +852,6 @@ class RationalExpr:
 # ---------------------------------------------------------------------------
 
 
-def _vanishes_at(f: LaurentExpr, slot: int, sign: int) -> bool:
-    """Whether f is zero after x_slot -> sign, in one pass over its terms."""
-    out: dict = {}
-    for e, c in f.terms.items():
-        key = e[:slot] + (0,) + e[slot + 1:]
-        out[key] = out.get(key, 0) + (-c if sign < 0 and e[slot] % 2 else c)
-    return not any(out.values())
-
-
 def eval_unit_circle_zeros(f: RationalExpr, var: str) -> set:
     """The signs s in {+1, -1} at which ``f`` vanishes for ``var`` = s.
 
@@ -875,7 +863,8 @@ def eval_unit_circle_zeros(f: RationalExpr, var: str) -> set:
     """
     num = f.num if isinstance(f, RationalExpr) else f
     slot = num.ring.index[var]
-    return {s for s in (1, -1) if _vanishes_at(num, slot, s)}
+    _, (poly,) = _shift_to_poly(num)
+    return {s for s in (1, -1) if not (poly and _eval_slot(poly, slot, s))}
 
 
 # ---------------------------------------------------------------------------
@@ -956,14 +945,11 @@ def parse_expr(ctx: RingContext, text: str):
                 return node
 
     def parse_unary():
-        kind, _ = toks.peek()
-        if kind == "-":
-            toks.next()
-            return -parse_unary()
-        if kind == "+":
-            toks.next()
-            return parse_unary()
-        return parse_power()
+        negate = False
+        while toks.peek()[0] in ("-", "+"):
+            negate ^= toks.next()[0] == "-"
+        node = parse_power()
+        return -node if negate else node
 
     def parse_power():
         base = parse_atom()
@@ -1000,7 +986,10 @@ def parse_expr(ctx: RingContext, text: str):
             return node
         raise ValueError(f"unexpected token {val!r}")
 
-    node = parse_sum()
+    try:
+        node = parse_sum()
+    except RecursionError:
+        raise ValueError("expression nests too deeply") from None
     kind, val = toks.peek()
     if kind is not None:
         raise ValueError(f"trailing input at {val!r}")

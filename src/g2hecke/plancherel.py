@@ -2,12 +2,15 @@
 
 Which of the six formulas (four for the long-root Levi, two for the
 short-root Levi) gives the measure is fixed by the ramification switches;
-``case_of`` is the one map from switches to case, and the depth-zero block
-rows take their case from it.  The measure is assembled symbolically in a
-single variable X, normalized so that one X is one unit step of the
-unramified twist; the recorded substitutions say what X means case by case.
-Conductor powers and the positive constant in front are bundled into one
-opaque positive symbol c, which never affects zeros or labels.
+``case_of`` is the one map from switches to case: the depth-zero block rows
+take their case from it, and ``PlancherelCase.from_id`` takes the first
+switches it maps to a case.  The six formulas are the rows of one table,
+``_CASES``, of factor pairs and substitutions.  The measure is assembled
+symbolically in a single variable X, normalized so that one X is one unit
+step of the unramified twist; the recorded substitutions say what X means
+case by case.  Conductor powers and the positive constant in front are
+bundled into one opaque positive symbol c, which never affects zeros or
+labels.
 
 The measure is kept as its factors (1 +- q^-k X^e), each paired over
 e = 1 and e = -1, and everything is read off them.  The denominator pair
@@ -58,7 +61,19 @@ class PlancherelError(ValueError):
     pass
 
 
-CASE_IDS = ("long-I", "long-II", "long-III", "long-IV", "short-I", "short-II")
+# Each case as (numerator pairs, denominator pairs, substitutions); a pair
+# (sign, qexp) stands for the factors (1 + sign * q^-qexp * X^+-1), and a
+# denominator qexp of None for the residue degree f.
+_OMEGA = "X = omega(pi_F) q^(-2s)"
+_CASES = {
+    "long-I": ([(-1, 0), (1, 0)], [(-1, 1), (1, None)], (_OMEGA, "X = -chi^2 chi'^(-1)(pi_L) q_L^(-s)")),
+    "long-II": ([(-1, 0)], [(-1, None)], ("X = chi^2 chi'^(-1)(pi_L) q_L^(-s)",)),
+    "long-III": ([(-1, 0)], [(-1, 1)], (_OMEGA,)),
+    "long-IV": ([], [], ()),
+    "short-I": ([(-1, 0)], [(-1, 1)], (_OMEGA,)),
+    "short-II": ([], [], ()),
+}
+CASE_IDS = tuple(_CASES)
 
 W_TRIVIAL = "trivial"
 W_ORDER_2 = "order-2"
@@ -122,28 +137,24 @@ class PlancherelCase:
 
     @property
     def root_kind(self) -> str:
-        return "long" if self.case_id.startswith("long") else "short"
+        return _root_kind(self.case_id)
 
     @staticmethod
     def from_id(case_id: str, residue_degree: int = 2, omega_unit: int = 1, chi_unit: int = -1) -> "PlancherelCase":
-        """The canonical descriptor realizing a given case formula."""
-        table = {
-            "long-I": dict(omega_ramified=False, sigma_induced=True, chi2chiprime_ramified=False),
-            "long-II": dict(omega_ramified=True, sigma_induced=True, chi2chiprime_ramified=False),
-            "long-III": dict(omega_ramified=False, sigma_induced=False, chi2chiprime_ramified=None),
-            "long-IV": dict(omega_ramified=True, sigma_induced=False, chi2chiprime_ramified=None),
-            "short-I": dict(omega_ramified=False),
-            "short-II": dict(omega_ramified=True),
-        }
-        if case_id not in table:
+        """The canonical descriptor: the first switches that ``case_of`` maps to ``case_id``."""
+        if case_id not in _CASES:
             raise PlancherelError(f"unknown case {case_id!r}")
-        return PlancherelCase(
-            case_id,
-            residue_degree=residue_degree,
-            omega_unit=omega_unit,
-            chi_unit=chi_unit,
-            **table[case_id],
+        root_kind = _root_kind(case_id)
+        # omega unramified first; for a long root, an induced sigma with unramified chi^2 chi'^-1 first
+        rest = ((True, False), (False, None)) if root_kind == "long" else ((None, None),)
+        switches = next(
+            (omega, *more) for more in rest for omega in (False, True) if case_of(root_kind, omega, *more) == case_id
         )
+        return PlancherelCase(case_id, *switches, residue_degree, omega_unit, chi_unit)
+
+
+def _root_kind(case_id: str) -> str:
+    return "long" if case_id.startswith("long") else "short"
 
 
 @record(frozen=True)
@@ -217,32 +228,11 @@ def silberger_form(a_exp: int, b_exp: int) -> RationalExpr:
     return RationalExpr(*_silberger_products(a_exp, b_exp))
 
 
-def _case_pairs(case_id: str, f: int) -> tuple:
-    """(numerator pairs, denominator pairs) of one case, as (sign, qexp)."""
-    return {
-        "long-I": ([(-1, 0), (1, 0)], [(-1, 1), (1, f)]),
-        "long-II": ([(-1, 0)], [(-1, f)]),
-        "long-III": ([(-1, 0)], [(-1, 1)]),
-        "long-IV": ([], []),
-        "short-I": ([(-1, 0)], [(-1, 1)]),
-        "short-II": ([], []),
-    }[case_id]
-
-
-_SUBSTITUTIONS = {
-    "long-I": ("X = omega(pi_F) q^(-2s)", "X = -chi^2 chi'^(-1)(pi_L) q_L^(-s)"),
-    "long-II": ("X = chi^2 chi'^(-1)(pi_L) q_L^(-s)",),
-    "long-III": ("X = omega(pi_F) q^(-2s)",),
-    "long-IV": (),
-    "short-I": ("X = omega(pi_F) q^(-2s)",),
-    "short-II": (),
-}
-
-
 def mu(case: PlancherelCase) -> MuFunction:
     """The factored measure of one case; no rational function is built."""
-    num, den = _case_pairs(case.case_id, case.residue_degree)
-    return MuFunction(case.case_id, _SUBSTITUTIONS[case.case_id], _expand(num), _expand(den))
+    num, den, substitutions = _CASES[case.case_id]
+    den = [(sign, case.residue_degree if qexp is None else qexp) for sign, qexp in den]
+    return MuFunction(case.case_id, substitutions, _expand(num), _expand(den))
 
 
 def labels(m: MuFunction) -> WeightFunction:

@@ -322,3 +322,29 @@ def test_classify_on_every_valid_descriptor():
         found[tuple(d.to_json().values())] = (row.family, row.index)
     assert unmatched == 732
     assert found == CLASSIFIED_DESCRIPTORS
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: table_rows("bogus"), f"unknown family 'bogus'; choose from {FAMILIES}"),
+        (lambda: BlockDescriptor("medium", "G", "unramified"), "bad root kind 'medium'"),
+        (lambda: BlockDescriptor("long", "GL2", "unramified"), "bad twisted Levi kind 'GL2'"),
+        (lambda: BlockDescriptor("long", "G", "wild"), "bad extension kind 'wild'"),
+        (
+            lambda: BlockDescriptor("long", "torus", "unramified", phi0_restriction="cubic"),
+            "bad phi_0 restriction 'cubic'",
+        ),
+        (
+            lambda: BlockClassification(
+                AffineHeckePresentation(WeightFunction(1, 1), RGroup.nontrivial()), blocks._C_O, 1
+            ),
+            "an order-2 Weyl part forces a trivial R-group in rank 1",
+        ),
+    ],
+    ids=["family", "root-kind", "g0-kind", "L-over-F", "phi0-restriction", "order-2-with-R-group"],
+)
+def test_library_refusals(build, message):
+    with pytest.raises(BlocksError) as err:
+        build()
+    assert str(err.value) == message

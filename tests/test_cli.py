@@ -119,6 +119,37 @@ def test_hecke_subcommand(capsys):
     assert code == EXIT_USAGE
 
 
+HECKE_JSON_CHECKS = [
+    "quadratic", "quadratic-s1", "bernstein-exact-division", "group-algebra-degeneration", "representation",
+]
+
+
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-finite number {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+HECKE_JSON_ARGV = ("hecke", "--weights", "3,1", "--degree-bound", "2", "--format", "json")
+
+
+def test_hecke_json(capsys):
+    code, out, err = run(capsys, *HECKE_JSON_ARGV)
+    assert code == EXIT_OK and err == ""
+    doc = strict_json(out)
+    assert list(doc) == ["schema_version", "weights", "ok", "checks"]
+    assert doc["weights"] == [3, 1] and doc["ok"] is True
+    assert [c["name"] for c in doc["checks"]] == HECKE_JSON_CHECKS
+    assert all(c["passed"] for c in doc["checks"])
+
+
+def test_hecke_json_reports_a_failed_relation(constant_term_flipped, capsys):
+    code, out, err = run(capsys, *HECKE_JSON_ARGV)
+    assert code == EXIT_CHECK_FAILED and err == ""
+    assert strict_json(out)["ok"] is False
+
+
 def test_hecke_negative_degree_bound(capsys):
     # bound 0 would leave the centrality check empty, so it is rejected too
     for bound in ("-1", "0"):
@@ -242,6 +273,19 @@ def test_torsion_level_above_cap(capsys):
     code, out, err = run(capsys, "extquot", "--torsion-level", str(extquot.MAX_TORSION_LEVEL + 1))
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: torsion level must be between 1 and {extquot.MAX_TORSION_LEVEL}\n"
+
+
+def test_a_wrong_oracle_count_fails_the_extquot_check(monkeypatch, capsys):
+    honest = extquot.crossed_product_irr_count
+
+    def off_by_one(m):
+        return honest(m) + (m.size == 5 and m.gamma is None)
+
+    monkeypatch.setattr(extquot, "crossed_product_irr_count", off_by_one)
+    code, out, _ = run(capsys, "check", "--part", "extquot", "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    (result,) = json.loads(out)["results"]
+    assert result == {"name": "extquot/oracle-sweep", "ok": False, "detail": "mismatches: [(5, 'trivial', 0)]"}
 
 
 def test_check_extquot_builds_no_records(monkeypatch, capsys):

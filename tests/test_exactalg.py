@@ -460,6 +460,18 @@ def test_parse_rejects_garbage():
         parse_expr(R, "(1 + X")
 
 
+def test_parse_takes_deep_input_without_a_recursion_error():
+    # unary signs are read in a loop and sums iteratively; nesting past the
+    # interpreter's stack is a ValueError, not a RecursionError
+    R = make_ring()
+    X = R.var("X")
+    assert parse_expr(R, "-" * 1200 + "X") == X
+    assert parse_expr(R, "+-" * 601 + "X") == -X
+    assert parse_expr(R, " + ".join(["X"] * 3000)) == 3000 * X
+    with pytest.raises(ValueError, match="^expression nests too deeply$"):
+        parse_expr(R, "(" * 400 + "X" + ")" * 400)
+
+
 def test_substitute():
     R = make_ring()
     v, X, one = R.var("v"), R.var("X"), R.one()

@@ -326,3 +326,27 @@ def test_a_target_short_of_one_point_is_not_a_bijection(monkeypatch):
     monkeypatch.setattr(extquot, "_quotient_pairs", lambda m: honest(m)[:-1] if m is m2 else honest(m))
     with pytest.raises(ExtQuotError, match="transfer is not a bijection onto the target"):
         matching_bijection(m1, m2, shift)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FiniteOrbitModel([], {}), "a model needs at least one point"),
+        (lambda: torsion_model(5, "shift-half"), "shift-half needs an even torsion level"),
+        (lambda: torsion_model(4, "bogus"), "unknown symmetry kind 'bogus'"),
+        # check_property returns its verdict; matching_bijection raises on it
+        (
+            lambda: matching_bijection(torsion_model(4), torsion_model(2), {0: 0, 1: 1, 2: 0, 3: 1}),
+            "refusing to construct the matching: models have different sizes",
+        ),
+        (
+            lambda: matching_bijection(torsion_model(2), torsion_model(2, "identity"), {0: 0, 1: 1}),
+            "refusing to construct the matching: symmetry groups have different orders",
+        ),
+    ],
+    ids=["no-points", "odd-shift-half", "unknown-symmetry", "sizes-differ", "symmetry-orders-differ"],
+)
+def test_library_refusals(build, message):
+    with pytest.raises(ExtQuotError) as err:
+        build()
+    assert str(err.value) == message

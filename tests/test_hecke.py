@@ -202,6 +202,15 @@ def test_verify_relations_all_pairs(pair):
     assert [c.name for c in rep.checks] == HARNESS_CHECKS
 
 
+def test_group_algebra_degeneration_sees_a_wrong_constant_term(constant_term_flipped):
+    # at q = 1 the coefficient g is 2, not 0, so the product is no longer
+    # the group algebra's
+    rep = verify_relations(pres(3, 1), 3)
+    failed = {c.name: c.detail for c in rep.failures}
+    assert set(failed) == {"quadratic-s1", "group-algebra-degeneration", "representation"}
+    assert failed["group-algebra-degeneration"] == "q->1 failed on (0, 1)*(-3, 0)"
+
+
 def test_verify_relations_reports_sabotage(monkeypatch):
     negate_rule_sign(monkeypatch)
     rep = verify_relations(pres(1, 1), 2)

@@ -181,6 +181,40 @@ def test_accepted_switch_grid():
     assert accepted == ACCEPTED
 
 
+# the switches of each canonical descriptor: unramified omega first, and for
+# the long root an induced sigma with unramified chi^2 chi'^-1 first
+CANONICAL_SWITCHES = {
+    "long-I": (False, True, False),
+    "long-II": (True, True, False),
+    "long-III": (False, False, None),
+    "long-IV": (True, False, None),
+    "short-I": (False, None, None),
+    "short-II": (True, None, None),
+}
+
+
+@pytest.mark.parametrize("f", (1, 2))
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_from_id_takes_the_first_switches_that_select_the_case(case_id, f):
+    case = PlancherelCase.from_id(case_id, residue_degree=f)
+    assert case == PlancherelCase(case_id, *CANONICAL_SWITCHES[case_id], residue_degree=f)
+    assert (case.omega_unit, case.chi_unit) == (1, -1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PlancherelCase.from_id("long-I", omega_unit=2), "unit values are restricted to +1 and -1"),
+        (lambda: PlancherelCase.from_id("long-V"), "unknown case 'long-V'"),
+    ],
+    ids=["unit-value", "unknown-case"],
+)
+def test_from_id_refusals(build, message):
+    with pytest.raises(PlancherelError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_case_of_refusals():
     with pytest.raises(PlancherelError, match="sigma = sigma\\(tau\\) flag"):
         case_of("long", False)

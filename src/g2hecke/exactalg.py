@@ -9,7 +9,7 @@ exponent vectors to nonzero rational coefficients.  The monomial order is
 lexicographic on the declared variable order and is not configurable, so
 canonical forms are reproducible.
 
-Two conventions matter for the rest of the package:
+Three conventions matter for the rest of the package:
 
 * A variable may be declared with a *square alias* (typically ``v`` with
   alias ``q``, encoding q = v^2 so that half-integer powers of q stay
@@ -23,7 +23,13 @@ Two conventions matter for the rest of the package:
   first.  It then tries the heuristic integer gcd GCDHEU (evaluate at a
   large integer, take the integer gcd, rebuild the candidate from its
   digits, keep it only if it divides both inputs exactly) and runs the
-  primitive pseudo-remainder sequence only when no candidate divides.
+  primitive pseudo-remainder sequence only when no candidate divides.  A
+  monomial denominator is a unit and skips the gcd on the same path.
+* :class:`RationalExpr` alone promotes mixed operands: a
+  :class:`LaurentExpr` operator returns ``NotImplemented`` for a fraction,
+  so Python calls the fraction's reflected operator.  Equal values hash
+  alike: a constant hashes as its ``int`` or ``Fraction`` value, and a
+  fraction with denominator 1 as its numerator.
 
 Roots of unity never appear as floats: all implemented cases only need units
 of order 1 or 2, which are the rational constants +1 and -1.
@@ -31,6 +37,7 @@ of order 1 or 2, which are the rational constants +1 and -1.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -125,15 +132,16 @@ class RingContext:
             return self.zero()
         return _laurent(self, {(0,) * self.nvars: c})
 
+    def _slot(self, name: str) -> int:
+        """The exponent slot of a declared variable; an alias name has none."""
+        try:
+            return self.index[name]
+        except KeyError:
+            raise RingError(f"unknown variable {name!r} in ring {self.names!r}") from None
+
     def var(self, name: str, power: int = 1) -> "LaurentExpr":
         """The monomial ``name**power``; alias names expand to the base variable."""
-        if name in self._alias_to_var:
-            return self.var(self._alias_to_var[name], 2 * power)
-        if name not in self.index:
-            raise RingError(f"unknown variable {name!r} in ring {self.names!r}")
-        exps = [0] * self.nvars
-        exps[self.index[name]] = power
-        return _laurent(self, {tuple(exps): 1})
+        return self.monomial({name: power})
 
     def monomial(
         self, exponents: Mapping[str, int] | Iterable[int], coeff: int | Fraction = 1
@@ -143,9 +151,7 @@ class RingContext:
             for name, e in exponents.items():
                 if name in self._alias_to_var:
                     name, e = self._alias_to_var[name], 2 * e
-                if name not in self.index:
-                    raise RingError(f"unknown variable {name!r}")
-                exps[self.index[name]] += e
+                exps[self._slot(name)] += e
         else:
             exps = list(exponents)
             if len(exps) != self.nvars:
@@ -221,8 +227,6 @@ class LaurentExpr:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
-        if isinstance(other, RationalExpr):
-            return RationalExpr(self, self.ring.one()) + other
         if not isinstance(other, LaurentExpr):
             return NotImplemented
         _check_same_ring(self, other)
@@ -234,9 +238,7 @@ class LaurentExpr:
         return _laurent(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, RationalExpr):
-            return RationalExpr(self, self.ring.one()) - other
-        return self + (-other if isinstance(other, LaurentExpr) else -_exact(other))
+        return self + (-other if isinstance(other, (LaurentExpr, RationalExpr)) else -_exact(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -247,8 +249,6 @@ class LaurentExpr:
             if c == 0:
                 return self.ring.zero()
             return _laurent(self.ring, {e: _exact(c0 * c) for e, c0 in self.terms.items()})
-        if isinstance(other, RationalExpr):
-            return RationalExpr(self, self.ring.one()) * other
         if not isinstance(other, LaurentExpr):
             return NotImplemented
         _check_same_ring(self, other)
@@ -265,14 +265,13 @@ class LaurentExpr:
             e, c = self.leading()
             inv = _laurent(self.ring, {tuple(-x for x in e): _div(1, c)})
             return inv ** (-n)
-        out = self.ring.one()
-        base = self
-        k = n
-        while k:
-            if k & 1:
+        out, base = self.ring.one(), self
+        while n:
+            if n & 1:
                 out = out * base
-            base = base * base
-            k >>= 1
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __truediv__(self, other):
@@ -281,8 +280,6 @@ class LaurentExpr:
             if c == 0:
                 raise ZeroDivisionError("division by zero")
             return _laurent(self.ring, {e: _div(c0, c) for e, c0 in self.terms.items()})
-        if isinstance(other, RationalExpr):
-            return RationalExpr(self, self.ring.one()) / other
         if not isinstance(other, LaurentExpr):
             return NotImplemented
         _check_same_ring(self, other)
@@ -294,13 +291,14 @@ class LaurentExpr:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
-        if isinstance(other, RationalExpr):
-            return other == self
         if not isinstance(other, LaurentExpr):
             return NotImplemented
         return self.ring.names == other.ring.names and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its int or Fraction value, so it hashes as that value
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.ring.names, frozenset(self.terms.items())))
 
     # -- substitution ------------------------------------------------------
@@ -311,7 +309,7 @@ class LaurentExpr:
         The value must be invertible when negative exponents occur: a nonzero
         rational constant or a single-term Laurent expression.
         """
-        i = self.ring.index[name]
+        i = self.ring._slot(name)
         if isinstance(value, (int, Fraction)):
             value = self.ring.const(value)
         _check_same_ring(self, value)
@@ -330,7 +328,7 @@ class LaurentExpr:
 
     def invert_variable(self, name: str) -> "LaurentExpr":
         """Apply the ring automorphism name -> name^-1."""
-        i = self.ring.index[name]
+        i = self.ring._slot(name)
         return _laurent(
             self.ring,
             {tuple((-x if j == i else x) for j, x in enumerate(e)): c for e, c in self.terms.items()},
@@ -396,23 +394,10 @@ def _shift_to_poly(*exprs: LaurentExpr):
     Returns (shift vector, shifted term dicts); per slot, the minimum exponent
     across all inputs becomes 0.
     """
-    nv = exprs[0].ring.nvars
-    mins = [0] * nv
-    seen = False
-    for f in exprs:
-        for e in f.terms:
-            if not seen:
-                mins = list(e)
-                seen = True
-            else:
-                mins = [min(m, x) for m, x in zip(mins, e)]
-    if not seen:
-        mins = [0] * nv
-    shifted = [
-        {tuple(x - m for x, m in zip(e, mins)): c for e, c in f.terms.items()}
-        for f in exprs
-    ]
-    return tuple(mins), shifted
+    exps = [e for f in exprs for e in f.terms]
+    mins = tuple(map(min, zip(*exps))) or (0,) * exprs[0].ring.nvars
+    down = tuple(-m for m in mins)
+    return mins, [_term_mul(f.terms, down, 1) for f in exprs]
 
 
 def _term_mul(terms: dict, e0: tuple, c0: int) -> dict:
@@ -735,27 +720,21 @@ class RationalExpr:
             self.num = ctx.zero()
             self.den = ctx.one()
             return
-        if len(den.terms) == 1:
-            # a monomial c*m is a unit of the Laurent ring: no gcd to take
-            (m, c), = den.terms.items()
-            shifted = {tuple(a - b for a, b in zip(e, m)): _div(d, c) for e, d in num.terms.items()}
-            self.num = _laurent(ctx, shifted)
-            self.den = ctx.one()
-            return
         _, (np_, dp) = _shift_to_poly(num, den)
-        g = _poly_gcd(np_, dp, 0, ctx.nvars)
-        if g != {(0,) * ctx.nvars: 1}:
-            np2 = _poly_div_exact(np_, g)
-            dp2 = _poly_div_exact(dp, g)
-            if np2 is None or dp2 is None:
-                raise NonExactDivision("the gcd does not divide numerator and denominator")
-            np_, dp = np2, dp2
+        # a monomial denominator is a unit of the Laurent ring: no gcd to take
+        if len(dp) > 1:
+            g = _poly_gcd(np_, dp, 0, ctx.nvars)
+            if g != {(0,) * ctx.nvars: 1}:
+                np2 = _poly_div_exact(np_, g)
+                dp2 = _poly_div_exact(dp, g)
+                if np2 is None or dp2 is None:
+                    raise NonExactDivision("the gcd does not divide numerator and denominator")
+                np_, dp = np2, dp2
         # anchor the denominator at exponent 0 per slot; the numerator absorbs
         # the shift and may legitimately stay Laurent
-        dmin = [min(e[i] for e in dp) for i in range(ctx.nvars)]
-        if any(dmin):
-            np_ = {tuple(a - m for a, m in zip(e, dmin)): c for e, c in np_.items()}
-            dp = {tuple(a - m for a, m in zip(e, dmin)): c for e, c in dp.items()}
+        down = tuple(-m for m in map(min, zip(*dp)))
+        if any(down):
+            np_, dp = _term_mul(np_, down, 1), _term_mul(dp, down, 1)
         lead = dp[max(dp)]
         if lead != 1:
             np_ = {e: _div(c, lead) for e, c in np_.items()}
@@ -779,12 +758,13 @@ class RationalExpr:
         return self.num.is_zero()
 
     @staticmethod
-    def _coerce(other, ctx: RingContext) -> "RationalExpr":
-        if isinstance(other, RationalExpr):
-            return other
-        if isinstance(other, LaurentExpr):
-            return RationalExpr(other, ctx.one())
-        return RationalExpr(ctx.const(other), ctx.one())
+    def _coerce(value, ctx: RingContext) -> "RationalExpr":
+        """``value`` as a fraction: the one place a Laurent polynomial or constant is promoted."""
+        if isinstance(value, RationalExpr):
+            return value
+        if isinstance(value, LaurentExpr):
+            return RationalExpr(value, ctx.one())
+        return RationalExpr(ctx.const(value), ctx.one())
 
     def __add__(self, other):
         o = self._coerce(other, self.ring)
@@ -823,14 +803,14 @@ class RationalExpr:
         return RationalExpr(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, LaurentExpr)):
-            other = self._coerce(other, self.ring)
-        if not isinstance(other, RationalExpr):
+        if not isinstance(other, (int, Fraction, LaurentExpr, RationalExpr)):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        o = self._coerce(other, self.ring)
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a value with denominator 1 equals its numerator, so it hashes as that
+        return hash(self.num) if self.den.is_one() else hash((self.num, self.den))
 
     def substitute(self, name: str, value) -> "RationalExpr":
         return RationalExpr(self.num.substitute(name, value), self.den.substitute(name, value))
@@ -862,7 +842,7 @@ def eval_unit_circle_zeros(f: RationalExpr, var: str) -> set:
     The zero expression vanishes at both.
     """
     num = f.num if isinstance(f, RationalExpr) else f
-    slot = num.ring.index[var]
+    slot = num.ring._slot(var)
     _, (poly,) = _shift_to_poly(num)
     return {s for s in (1, -1) if not (poly and _eval_slot(poly, slot, s))}
 
@@ -872,31 +852,17 @@ def eval_unit_circle_zeros(f: RationalExpr, var: str) -> set:
 # ---------------------------------------------------------------------------
 
 
+# an integer literal, a name, an operator, or any other non-space character
+_TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^()])|(\S)")
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.toks = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", text[i:j]))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("name", text[i:j]))
-                i = j
-            elif ch in "+-*/^()":
-                self.toks.append((ch, ch))
-                i += 1
-            else:
-                raise ValueError(f"unexpected character {ch!r} in expression")
+        for num, name, op, bad in _TOKEN.findall(text):
+            if bad:
+                raise ValueError(f"unexpected character {bad!r} in expression")
+            self.toks.append(("int", num) if num else ("name", name) if name else (op, op))
         self.pos = 0
 
     def peek(self):

@@ -1,5 +1,7 @@
+import operator
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -79,6 +81,8 @@ def test_inexact_coefficients_are_refused():
         with pytest.raises(TypeError):
             X + bad
         with pytest.raises(TypeError):
+            X - bad
+        with pytest.raises(TypeError):
             X / bad
 
 
@@ -99,6 +103,47 @@ def test_integral_coefficients_are_int():
     assert exactalg._div(Fraction(3, 2), Fraction(1, 2)) == 3 and type(exactalg._div(Fraction(3, 2), Fraction(1, 2))) is int
     r = silberger_form(2, 1)
     assert all(type(c) is int for part in (r.num, r.den) for c in part.terms.values())
+
+
+def test_mixed_operands_promote_through_the_fraction():
+    # a LaurentExpr on the left hands a RationalExpr operand to the reflected method
+    R = make_ring()
+    v, X, one = R.var("v"), R.var("X"), R.one()
+    L = one - v * X + X ** -2
+    r = RationalExpr(v + X, one - v ** 2 * X)
+    lifted = RationalExpr(L, one)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        got = op(L, r)
+        assert type(got) is RationalExpr and got == op(lifted, r), op.__name__
+    for other in (r, lifted, RationalExpr(L + one, one)):
+        assert (L == other) == (other == L)
+    assert L == lifted and L - lifted == 0
+
+
+def test_equal_values_hash_alike():
+    R = make_ring()
+    X, one = R.var("X"), R.one()
+    assert len({RationalExpr(X, one), X}) == 1
+    assert len({R.const(3), 3}) == 1
+    assert len({R.const(Fraction(1, 2)), Fraction(1, 2), RationalExpr(R.const(1), R.const(2))}) == 1
+    assert len({R.zero(), 0, RationalExpr(R.zero(), X)}) == 1
+
+
+@pytest.mark.parametrize("name", ["y", "q"], ids=["unknown", "alias"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, name: f.substitute(name, 1),
+        lambda f, name: f.invert_variable(name),
+        lambda f, name: eval_unit_circle_zeros(f, name),
+        lambda f, name: (f / (f + 1)).substitute(name, 1),
+    ],
+    ids=["substitute", "invert_variable", "eval_unit_circle_zeros", "rational-substitute"],
+)
+def test_unknown_variable_is_a_ring_error(call, name):
+    R = make_ring()
+    with pytest.raises(RingError, match=rf"^unknown variable '{name}' in ring \('v', 'X'\)$"):
+        call(R.var("X"), name)
 
 
 def test_ring_mismatch():
@@ -333,6 +378,25 @@ def test_power_reduces_once(monkeypatch):
     assert r ** 12 == repeated
 
 
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 1), (2, 2), (8, 4), (13, 6)])
+def test_power_squares_only_while_bits_remain(monkeypatch, n, products):
+    # popcount(n) + bit_length(n) - 1 products: no squaring after the top bit,
+    # whose square would be the largest product and unused
+    honest = exactalg._poly_mul
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return honest(a, b)
+
+    R = make_ring()
+    base = R.one() + R.var("X")
+    expected = parse_expr(R, " + ".join(f"{comb(n, k)}*X^{k}" for k in range(n + 1)))
+    monkeypatch.setattr(exactalg, "_poly_mul", counting)
+    assert base ** n == expected
+    assert len(calls) == products
+
+
 def test_monomial_denominator_needs_no_gcd(monkeypatch):
     from g2hecke.plancherel import MU_RING
 
@@ -458,6 +522,39 @@ def test_parse_rejects_garbage():
         parse_expr(R, "1 + y")
     with pytest.raises(ValueError):
         parse_expr(R, "(1 + X")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1 + $", (ValueError, "unexpected character '$' in expression")),
+        ("1 + y", (RingError, "unknown variable 'y' in ring ('v', 'X')")),
+        ("2X", (ValueError, "trailing input at 'X'")),
+        ("X\u00b2", (RingError, "unknown variable 'X\u00b2' in ring ('v', 'X')")),
+        ("\u00b2", (ValueError, None)),
+        ("\u0663*X", "3*X"),
+        ("X +\tX\n", "2*X"),
+        ("X_1", (RingError, "unknown variable 'X_1' in ring ('v', 'X')")),
+        ("\u00e9", (RingError, "unknown variable '\u00e9' in ring ('v', 'X')")),
+        ("", (ValueError, "unexpected token None")),
+        ("()", (ValueError, "unexpected token ')'")),
+        ("X^", (ValueError, "exponent must be an integer literal")),
+        ("X^y", (ValueError, "exponent must be an integer literal")),
+        ("1/(1-X) + X", "(X^2 - X - 1) / (X - 1)"),
+        ("X - 1/(1-X)", "(X^2 - X + 1) / (X - 1)"),
+    ],
+)
+def test_tokens(text, expected):
+    # a superscript digit is no decimal digit, so alone it is pinned only as
+    # a ValueError: the name pattern takes it and the ring refuses the name
+    R = make_ring()
+    if isinstance(expected, str):
+        assert parse_expr(R, text).render() == expected
+        return
+    kind, message = expected
+    with pytest.raises(kind) as caught:
+        parse_expr(R, text)
+    assert message is None or str(caught.value) == message
 
 
 def test_parse_takes_deep_input_without_a_recursion_error():

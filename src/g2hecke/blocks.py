@@ -36,6 +36,7 @@ get a refusal.
 from __future__ import annotations
 
 import json
+import os
 
 from ._record import record, replace
 from .hecke import AffineHeckePresentation, RGroup, WeightFunction
@@ -371,10 +372,9 @@ def golden_table(family: str) -> dict:
 
 
 def _read_golden(family: str) -> dict:
-    from importlib import resources
-
-    path = resources.files("g2hecke").joinpath(f"data/tables/{family.replace('-', '_')}.json")
-    return json.loads(path.read_text())
+    # the package's own loader reads a directory or a zip archive alike
+    name = f"{family.replace('-', '_')}.json"
+    return json.loads(__loader__.get_data(os.path.join(os.path.dirname(__file__), "data", "tables", name)))
 
 
 def emit_table(family: str) -> dict:

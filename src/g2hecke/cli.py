@@ -19,13 +19,14 @@ over flags).  Output is deterministic for a fixed configuration and seed.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from types import SimpleNamespace
 
 from . import blocks, extquot, hecke, plancherel
 
-__all__ = ["main", "run_check_suite"]
+__all__ = ["main", "run", "run_check_suite"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -92,8 +93,8 @@ def _oracle_agrees(memo: dict, row) -> bool:
 
 
 def _check_blocks(allowed) -> list:
-    if allowed is None:
-        allowed = hecke.default_lusztig_allowed()  # read once, not once per row
+    # read and converted once, not once per row
+    allowed = hecke._pair_set(hecke.default_lusztig_allowed() if allowed is None else allowed)
     results = []
     oracle: dict = {}
     for family in blocks.FAMILIES:
@@ -518,5 +519,14 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
+
+def run(argv=None) -> int:
+    """The process entry point: main's exit code, with every live object frozen
+    so that interpreter exit does not collect what the modules hold."""
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

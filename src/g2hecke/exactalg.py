@@ -40,7 +40,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import add, sub
 
 __all__ = [
@@ -146,6 +146,10 @@ class RingContext:
     def monomial(
         self, exponents: Mapping[str, int] | Iterable[int], coeff: int | Fraction = 1
     ) -> "LaurentExpr":
+        given = list(exponents.values() if isinstance(exponents, Mapping) else exponents)
+        for e in given:
+            if type(e) is not int:  # bool and float included
+                raise RingError(f"exponents must be int, not {type(e).__name__}")
         if isinstance(exponents, Mapping):
             exps = [0] * self.nvars
             for name, e in exponents.items():
@@ -153,7 +157,7 @@ class RingContext:
                     name, e = self._alias_to_var[name], 2 * e
                 exps[self._slot(name)] += e
         else:
-            exps = list(exponents)
+            exps = given
             if len(exps) != self.nvars:
                 raise RingError("exponent vector has wrong length")
         c = _exact(coeff)
@@ -799,8 +803,11 @@ class RationalExpr:
     def __pow__(self, n: int):
         if n < 0:
             return (self.ring.one() / self) ** (-n)
-        # powers of a reduced numerator and denominator stay coprime
-        return RationalExpr(self.num ** n, self.den ** n)
+        # powers of a reduced numerator and denominator stay coprime, and the power of an
+        # anchored monic denominator stays anchored and monic: the result needs no gcd
+        out = object.__new__(RationalExpr)
+        out.num, out.den = self.num ** n, self.den ** n
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, (int, Fraction, LaurentExpr, RationalExpr)):
@@ -851,6 +858,11 @@ def eval_unit_circle_zeros(f: RationalExpr, var: str) -> set:
 # Textual grammar: parse / print round trip
 # ---------------------------------------------------------------------------
 
+
+# the most terms parse_expr lets one power expand to, estimated as the number
+# of monomials of degree |e| in the base's terms (integer coefficients: under
+# 0.3 s at the cap; fraction coefficients can grow past that)
+MAX_POWER_TERMS = 500
 
 # an integer literal, a name, an operator, or any other non-space character
 _TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^()])|(\S)")
@@ -931,6 +943,9 @@ def parse_expr(ctx: RingContext, text: str):
             if kind2 != "int":
                 raise ValueError("exponent must be an integer literal")
             e = sign * int(val)
+            t = max(len(p.terms) for p in ((base.num, base.den) if isinstance(base, RationalExpr) else (base,)))
+            if comb(max(t, 1) - 1 + abs(e), abs(e)) > MAX_POWER_TERMS:
+                raise ValueError(f"a power of a {t}-term base expands past {MAX_POWER_TERMS} terms")
             if isinstance(base, RationalExpr):
                 return base ** e
             if e < 0 and not base.is_monomial():

@@ -612,9 +612,17 @@ def default_lusztig_allowed() -> set:
     return {(h["lambda"], h["lambda_star"]) for c in rows for h in (c["H_G"], c["H_G0"]) if "lambda" in h}
 
 
-def check_lusztig(weights: WeightFunction, allowed: set | None = None) -> bool:
-    """Membership of the rank-1 label pair in the allowed collection."""
-    pair = weights.pair()
+def check_lusztig(weights: WeightFunction, allowed=None) -> bool:
+    """Membership of the rank-1 label pair in the allowed collection of pairs.
+
+    A frozenset is taken as a set of tuples already, so a caller that checks
+    many rows converts its collection once (``_pair_set``).
+    """
     if allowed is None:
         allowed = default_lusztig_allowed()
-    return tuple(pair) in {tuple(p) for p in allowed}
+    return tuple(weights.pair()) in _pair_set(allowed)
+
+
+def _pair_set(allowed) -> frozenset:
+    """Any collection of (lambda, lambda*) pairs as a frozenset of tuples."""
+    return allowed if isinstance(allowed, frozenset) else frozenset(map(tuple, allowed))

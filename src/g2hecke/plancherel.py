@@ -251,14 +251,19 @@ def weyl_from_zeros(m: MuFunction) -> str:
 def agrees_with_oracle(m: MuFunction) -> bool:
     """Whether the readings off the factors survive the reduced measure.
 
-    The reduced measure must equal Silberger's normal form for the extracted
-    pair, and its unit-circle zeros, found by evaluation at X = +-1, must
-    equal the zeros read off the factors.  Both sides are compared
-    cross-multiplied, so the normal form needs no gcd of its own.
+    The reduced measure must be W-invariant, mu(X) = mu(X^-1), must equal
+    Silberger's normal form for the extracted pair, and its unit-circle
+    zeros, found by evaluation at X = +-1, must equal the zeros read off the
+    factors.  Each equation is compared cross-multiplied, so neither side
+    needs a gcd of its own.
     """
     expr = m.expr
     num, den = _silberger_products(*m.extracted())
-    return expr.num * den == num * expr.den and eval_unit_circle_zeros(expr, "X") == m.zeros()
+    return (
+        expr.num * expr.den.invert_variable("X") == expr.num.invert_variable("X") * expr.den
+        and expr.num * den == num * expr.den
+        and eval_unit_circle_zeros(expr, "X") == m.zeros()
+    )
 
 
 def solve_matching(case: PlancherelCase) -> bool:

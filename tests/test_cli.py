@@ -84,6 +84,15 @@ def test_check_blocks_fails_on_sabotaged_reading(monkeypatch, capsys, method, sa
     assert "labels False" in out
 
 
+def test_check_blocks_fails_on_a_measure_that_is_not_w_invariant(monkeypatch, capsys):
+    # each factor (1 +- q^-k X) without its partner (1 +- q^-k X^-1): the normal
+    # form is built by the same _expand, so only the symmetry mu(X) = mu(X^-1) sees it
+    monkeypatch.setattr(plancherel, "_expand", lambda pairs: tuple((s, q, 1) for s, q in pairs for _ in "XY"))
+    code, out, _ = run(capsys, "check", "--part", "blocks")
+    assert code == EXIT_CHECK_FAILED
+    assert "labels False" in out
+
+
 def test_check_fails_on_tampered_golden(tmp_path, capsys):
     src = resources.files("g2hecke").joinpath("data/tables")
     for fam in ("long_depth_zero", "long_positive", "short_depth_zero", "short_positive"):
@@ -368,6 +377,59 @@ def test_module_entry_point():
     )
     assert proc.returncode == EXIT_OK
     assert "W_O: order-2" in proc.stdout
+
+
+def _child_env(pythonpath: str) -> dict:
+    return dict(os.environ, PYTHONPATH=pythonpath)
+
+
+def test_in_process_main_does_not_freeze_the_gc(capsys):
+    import gc
+
+    before = gc.get_freeze_count()
+    assert run(capsys, "tables", "--family", "short-positive")[0] == EXIT_OK
+    assert gc.get_freeze_count() == before
+
+
+def test_the_process_entry_freezes_the_gc_before_exit(tmp_path):
+    # python -m g2hecke runs __main__, which exits through cli.run; an atexit
+    # hook registered first sees the frozen generation
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}'))\n"
+        "sys.argv = ['g2hecke', 'mu', '--case', 'short-I']\n"
+        "runpy.run_module('g2hecke', run_name='__main__')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
+                          env=_child_env(src), timeout=60)
+    assert proc.returncode == EXIT_OK
+    assert "W_O: order-2" in proc.stdout  # stdout still flushes at exit
+    assert proc.stderr.startswith("frozen ") and int(proc.stderr.split()[1]) > 0
+
+
+def test_golden_tables_read_from_a_zipped_package(tmp_path):
+    import zipfile
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    archive = tmp_path / "g2hecke.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted((src / "g2hecke").rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(src).as_posix())
+    code = (
+        "import sys\n"
+        "from g2hecke import blocks, cli\n"
+        "print(blocks.__file__)\n"
+        "sys.exit(cli.main(['check', '--part', 'tables', '--part', 'blocks']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
+                          env=_child_env(str(archive)), timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    where, *lines = proc.stdout.splitlines()
+    assert where.startswith(str(archive))
+    assert "[ok ] tables/long-depth-zero: 7 rows" in lines
+    assert lines[-1] == "0 failures"
 
 
 def test_allowed_lusztig_override(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import operator
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -364,8 +365,9 @@ def test_small_mu_ring_sum_does_not_stall(monkeypatch):
 
 
 def test_power_reduces_once(monkeypatch):
-    # the powers of a reduced numerator and denominator are coprime; reducing
-    # after every factor made 28 _poly_gcd calls here
+    # the powers of a reduced numerator and denominator are coprime and stay in
+    # canonical form; reducing after every factor made 28 _poly_gcd calls here,
+    # and reducing the power once made 2
     from g2hecke.plancherel import silberger_form
 
     r = silberger_form(1, 2)
@@ -373,8 +375,7 @@ def test_power_reduces_once(monkeypatch):
     for _ in range(12):
         repeated = repeated * r
     assert r ** 0 == 1
-    budget = _gcd_budget(monkeypatch)
-    budget["left"] = 2
+    _gcd_budget(monkeypatch)  # a budget of no gcd call
     assert r ** 12 == repeated
 
 
@@ -567,6 +568,31 @@ def test_parse_takes_deep_input_without_a_recursion_error():
     assert parse_expr(R, " + ".join(["X"] * 3000)) == 3000 * X
     with pytest.raises(ValueError, match="^expression nests too deeply$"):
         parse_expr(R, "(" * 400 + "X" + ")" * 400)
+
+
+def test_parse_refuses_a_power_past_the_term_cap():
+    # (1 + v + X)^200 has 20301 terms and ran for more than half a minute;
+    # the refusal reads only the base's term count and the exponent
+    R = make_ring()
+    for text in ("(1 + v + X)^200", "(1 + X)^-500", "((1 + X)/(1 - v))^500", "(1 + X)^" + "9" * 1000):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"expands past {exactalg.MAX_POWER_TERMS} terms$"):
+            parse_expr(R, text)
+        assert time.perf_counter() - start < 0.1, text
+    X, one = R.var("X"), R.one()
+    assert parse_expr(R, "(1 + X)^499") == (one + X) ** 499  # 500 terms: at the cap
+    assert parse_expr(R, "X^100000") == X ** 100000  # a monomial power has one term
+
+
+@pytest.mark.parametrize("exponent", [0.5, True, Fraction(1, 2), Fraction(2)])
+def test_monomial_refuses_a_non_int_exponent(exponent):
+    R = make_ring()
+    with pytest.raises(RingError, match=f"^exponents must be int, not {type(exponent).__name__}$"):
+        R.var("X", exponent)
+    with pytest.raises(RingError):
+        R.monomial((0, exponent))
+    with pytest.raises(RingError):
+        R.monomial({"q": exponent})
 
 
 def test_substitute():

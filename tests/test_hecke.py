@@ -531,6 +531,10 @@ def test_lusztig_membership():
     assert not check_lusztig(WeightFunction(0, 0))
     assert not check_lusztig(WeightFunction(4, 2))
     assert check_lusztig(WeightFunction(4, 2), allowed={(4, 2)})
+    # any collection of pairs will do, and a frozenset of tuples is used as it is
+    assert check_lusztig(WeightFunction(4, 2), allowed=[[4, 2]])
+    assert check_lusztig(WeightFunction(4, 2), allowed=frozenset({(4, 2)}))
+    assert not check_lusztig(WeightFunction(3, 1), allowed=iter([[4, 2]]))
     assert default_lusztig_allowed() == {(1, 1), (2, 2), (3, 1)}
     # the default set is the golden label pairs, on either side
     golden = set()

@@ -54,7 +54,6 @@ __all__ = [
     "table_rows",
     "render_text_table",
     "check_weyl_iso",
-    "check_ro_reduction",
 ]
 
 SCHEMA_VERSION = 1
@@ -217,11 +216,6 @@ def _q_params(p: AffineHeckePresentation) -> list:
 def check_weyl_iso(c: BlockClassification) -> bool:
     """The two block algebras have equal presentation data."""
     return c.h_g == c.h_g0
-
-
-def check_ro_reduction(c: BlockClassification) -> bool:
-    """R(O) and W_O agree with their depth-zero companions, state by state."""
-    return c.r_o.state == c.r_o0.state and c.w_o == c.w_o0
 
 
 # ---------------------------------------------------------------------------

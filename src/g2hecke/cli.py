@@ -100,7 +100,6 @@ def _check_blocks(allowed) -> list:
     for family in blocks.FAMILIES:
         rows = blocks.table_rows(family)
         iso = all(blocks.check_weyl_iso(r.classification) for r in rows)
-        red = all(blocks.check_ro_reduction(r.classification) for r in rows)
         lus = all(
             hecke.check_lusztig(r.classification.h_g.weights, allowed)
             for r in rows
@@ -108,8 +107,8 @@ def _check_blocks(allowed) -> list:
         )
         lab = all(_oracle_agrees(oracle, r) for r in rows)
         results.append(
-            {"name": f"blocks/{family}", "ok": iso and red and lus and lab,
-             "detail": f"weyl-iso {iso}, ro-reduction {red}, lusztig {lus}, labels {lab}"}
+            {"name": f"blocks/{family}", "ok": iso and lus and lab,
+             "detail": f"weyl-iso {iso}, lusztig {lus}, labels {lab}"}
         )
     return results
 

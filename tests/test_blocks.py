@@ -10,7 +10,6 @@ from g2hecke.blocks import (
     BlockClassification,
     BlockDescriptor,
     BlocksError,
-    check_ro_reduction,
     check_weyl_iso,
     classify,
     emit_table,
@@ -68,8 +67,9 @@ def test_unknown_r_group_only_on_starred_rows():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_weyl_iso_and_ro_reduction_hold_on_every_row(family):
     for r in table_rows(family):
-        assert check_weyl_iso(r.classification), (family, r.index)
-        assert check_ro_reduction(r.classification), (family, r.index)
+        c = r.classification
+        assert check_weyl_iso(c), (family, r.index)
+        assert c.r_o == c.r_o0 and c.w_o == c.w_o0, (family, r.index)
 
 
 def test_weyl_iso_negative_control():
@@ -82,11 +82,12 @@ def test_weyl_iso_negative_control():
         base.mu_case,
     )
     assert not check_weyl_iso(mismatched)
-    assert check_ro_reduction(mismatched)
+    assert mismatched.r_o == mismatched.r_o0 and mismatched.w_o == mismatched.w_o0
 
 
 def test_ro_reduction_negative_control():
-    # an H(G^0) that is a crossed product with a nontrivial R-group under C[O]
+    # an H(G^0) that is a crossed product with a nontrivial R-group under C[O]:
+    # R(O) and W_O are read off the presentations, so weyl-iso sees the mismatch
     base = table_rows("short-positive")[2].classification
     assert base.h_g == base.h_g0 == AffineHeckePresentation(None, RGroup.trivial())
     mismatched = BlockClassification(
@@ -96,10 +97,11 @@ def test_ro_reduction_negative_control():
         base.mu_case,
     )
     assert mismatched.r_o0 == RGroup.nontrivial() and mismatched.w_o0 == mismatched.w_o
-    assert not check_ro_reduction(mismatched)
+    assert mismatched.r_o != mismatched.r_o0
     assert not check_weyl_iso(mismatched)
     unknown_pair = table_rows("long-depth-zero")[3].classification
-    assert unknown_pair.r_o.state == "unknown" and check_ro_reduction(unknown_pair)
+    assert unknown_pair.r_o.state == "unknown" and unknown_pair.r_o == unknown_pair.r_o0
+    assert check_weyl_iso(unknown_pair)
 
 
 def test_lusztig_on_every_noncommutative_row():

@@ -190,9 +190,7 @@ def test_length_additive_t_products():
 
 
 # check's hecke detail string lists these names, so a change to them is deliberate
-HARNESS_CHECKS = [
-    "quadratic", "quadratic-s1", "bernstein-exact-division", "group-algebra-degeneration", "representation",
-]
+HARNESS_CHECKS = ["quadratic-s1", "group-algebra-degeneration", "representation"]
 
 
 @pytest.mark.parametrize("pair", TABLE_PAIRS)
@@ -216,6 +214,39 @@ def test_verify_relations_reports_sabotage(monkeypatch):
     rep = verify_relations(pres(1, 1), 2)
     assert not rep.ok
     assert any(c.name == "representation" for c in rep.failures)
+
+
+@pytest.mark.parametrize("pair", TABLE_PAIRS)
+def test_quadratic_s1_alone_sees_a_product_that_keeps_a_zero_term(monkeypatch, pair):
+    # a zero coefficient left in the product of operands with several terms:
+    # the T_s1 relation multiplies such operands, and the basis products of
+    # the other checks have one term each
+    honest = hecke.multiply
+
+    def mul(a, b):
+        product = honest(a, b)
+        if len(a.terms) > 1 or len(b.terms) > 1:
+            product.terms.setdefault((0, 0, 0), 0)
+        return product
+
+    monkeypatch.setattr(hecke, "multiply", mul)
+    rep = verify_relations(pres(*pair), 3)
+    assert [c.name for c in rep.failures] == ["quadratic-s1"]
+
+
+@pytest.mark.parametrize("pair", TABLE_PAIRS)
+def test_group_algebra_degeneration_alone_sees_a_wrong_specialization(monkeypatch, pair):
+    # v^e is added to each coefficient instead of multiplied into it: only the
+    # q -> 1 check specializes v
+    def added(self, value):
+        out: dict = {}
+        for (x, w, e), c in self.terms.items():
+            out[x, w] = out.get((x, w), 0) + c + Fraction(value) ** e
+        return {k: c for k, c in out.items() if c}
+
+    monkeypatch.setattr(HeckeElement, "specialize_v", added)
+    rep = verify_relations(pres(*pair), 3)
+    assert [c.name for c in rep.failures] == ["group-algebra-degeneration"]
 
 
 def test_representation_sees_a_product_wrong_only_off_x_zero(monkeypatch):
@@ -257,21 +288,20 @@ def test_verify_relations_over_a_trivial_finite_part():
     rep = verify_relations(p, 3)
     assert rep.ok, rep.summary()
     assert [c.name for c in rep.checks] == HARNESS_CHECKS
-    # nothing is compared there, so no check claims a range of x
+    # there is no T_s1 there, so the relation check says it compared nothing
     details = {c.name: c.detail for c in rep.checks}
-    for name in ("quadratic", "quadratic-s1", "bernstein-exact-division"):
-        assert details[name] == "trivial finite part", name
+    assert details["quadratic-s1"] == "trivial finite part"
 
 
 def test_product_uses_the_one_closed_form(monkeypatch):
     # negate every sign of the closed form; a product carrying its own copy of
-    # it would pass both checks
+    # it would pass both the representation check and the T_s1 relation
     honest = hecke._commutation_quotient
     monkeypatch.setattr(hecke, "_commutation_quotient", lambda y: [(k, -s) for k, s in honest(y)])
     assert first_representation_mismatch(pres(3, 1), multiply) is not None
     rep = verify_relations(pres(3, 1), 3)
     failed = {c.name for c in rep.failures}
-    assert "bernstein-exact-division" in failed
+    assert "quadratic-s1" in failed
     assert "representation" in failed
 
 
@@ -279,7 +309,7 @@ def test_product_uses_the_one_closed_form(monkeypatch):
 def test_verify_relations_forms_core_products_once(monkeypatch, pair):
     # each of the 196 basis products is formed once and shared by the q -> 1
     # check and the representation check, whose v-power operands take 2 more
-    # for each of the 28 pairs at x = 0; the quadratic relations take 3
+    # for each of the 28 pairs at x = 0; the T_s1 relation takes 2
     calls = []
     honest = hecke.multiply
 
@@ -289,7 +319,7 @@ def test_verify_relations_forms_core_products_once(monkeypatch, pair):
 
     monkeypatch.setattr(hecke, "multiply", counted)
     assert verify_relations(pres(*pair), 3).ok
-    assert len(calls) == 196 + 56 + 3
+    assert len(calls) == 196 + 56 + 2
 
 
 @pytest.mark.parametrize("bound", [1, 3, 8])
@@ -359,7 +389,7 @@ def test_warm_divisions_still_catch_a_wrong_closed_form(monkeypatch):
     honest = hecke._commutation_quotient
     monkeypatch.setattr(hecke, "_commutation_quotient", lambda y: [(k, -s) for k, s in honest(y)])
     failed = {c.name for c in verify_relations(pres(3, 1), 3).failures}
-    assert {"bernstein-exact-division", "representation"} <= failed
+    assert {"quadratic-s1", "representation"} <= failed
 
 
 def random_pairs(p, seed, count=40):
@@ -406,10 +436,10 @@ def test_equal_but_distinct_presentations_build_their_own_tables(monkeypatch):
     assert len(built) == 2 and built[0] is a and built[1] is b
 
 
-@pytest.mark.parametrize("bound, calls", [(1, 9), (3, 21), (8, 51)])
+@pytest.mark.parametrize("bound, calls", [(1, 6), (3, 14), (8, 34)])
 def test_verify_relations_takes_each_quotient_once_per_table_entry(monkeypatch, bound, calls):
-    # one call per (y, u) entry the products reach, plus one per x for the
-    # closed-form check; the 63, 255 and 1,295 products add none
+    # one call per (y, u) entry the products reach; the 62, 254 and 1,294
+    # products add none
     seen = []
     honest = hecke._commutation_quotient
 
@@ -429,7 +459,7 @@ def test_verify_relations_reports_sabotaged_quotient(monkeypatch):
     monkeypatch.setattr(hecke, "_commutation_quotient", lambda y: honest(y)[1:])
     rep = verify_relations(pres(3, 1), 2)
     failed = {c.name for c in rep.failures}
-    assert "bernstein-exact-division" in failed
+    assert "quadratic-s1" in failed
     assert "representation" in failed
 
 
@@ -461,6 +491,30 @@ def test_specialize_v_at_zero_is_an_error():
     for zero in (0, Fraction(0)):
         with pytest.raises(HeckeError):
             h.specialize_v(zero)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, "1/3", True, None], ids=["float", "integral-float", "str", "bool", "none"])
+def test_specialize_v_takes_only_int_or_fraction(value):
+    # the rule the constructor applies to coefficients; Fraction(0.1) would
+    # silently give the binary value of the float
+    h = HeckeElement(pres(1, 1), {(0, 0, 0): 1, (1, 0, -1): 2})
+    with pytest.raises(HeckeError):
+        h.specialize_v(value)
+
+
+def test_operators_refuse_operands_that_are_neither_elements_nor_scalars():
+    p = pres(1, 1)
+    e = HeckeElement(p, {(0, 1, 0): 1, (1, 0, 2): Fraction(1, 2)})
+    for op in (
+        lambda: e * 0.5, lambda: 0.5 * e, lambda: e * True, lambda: e * "2",
+        lambda: e + 1, lambda: 1 + e, lambda: e - 1, lambda: 1 - e, lambda: e + None,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    # scalars are int or Fraction, on either side
+    assert e * 2 == 2 * e == e + e
+    assert (Fraction(1, 2) * e).terms == {(0, 1, 0): Fraction(1, 2), (1, 0, 2): Fraction(1, 4)}
+    assert e - e == HeckeElement(p, {})
 
 
 @pytest.mark.parametrize(

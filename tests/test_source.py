@@ -125,4 +125,5 @@ def test_readme_names_the_relation_checks():
     pres = AffineHeckePresentation(WeightFunction(3, 1), RGroup.trivial())
     names = [c.name for c in verify_relations(pres, 1).checks]
     assert [n for n in names if f"`{n}`" not in readme] == []
-    assert [n for n in ("associativity", "bernstein-center", "braid-length") if n in readme] == []
+    gone = ("associativity", "bernstein-center", "braid-length", "`quadratic`", "bernstein-exact-division", "ro-reduction")
+    assert [n for n in gone if n in readme] == []

@@ -35,7 +35,6 @@ get a refusal.
 
 from __future__ import annotations
 
-import json
 import os
 
 from ._record import record, replace
@@ -366,6 +365,8 @@ def golden_table(family: str) -> dict:
 
 
 def _read_golden(family: str) -> dict:
+    import json  # only the readers of a file load json's decoder
+
     # the package's own loader reads a directory or a zip archive alike
     name = f"{family.replace('-', '_')}.json"
     return json.loads(__loader__.get_data(os.path.join(os.path.dirname(__file__), "data", "tables", name)))

@@ -15,12 +15,16 @@ Exit codes: 0 success, 1 check failure, 2 usage error, reported as one
 ``error:`` line.  One option table, ``_COMMANDS``, drives parsing, ``-h`` and
 ``--config`` (one ``key = value`` per line, ``#`` comments; its values win
 over flags).  Output is deterministic for a fixed configuration and seed.
+A ``check`` part that raises reports one failed ``PART/error`` result.  JSON
+is written by ``_print_json``, byte for byte as ``json.dumps(doc, indent=2,
+allow_nan=False)``; ``json`` itself is imported only where a file is read.
 """
 
 from __future__ import annotations
 
 import gc
-import json
+import math
+import re
 import sys
 from types import SimpleNamespace
 
@@ -41,6 +45,10 @@ EXTQUOT_MAX_SIZE = 8
 
 class UsageError(Exception):
     pass
+
+
+# what a command reports as one error line with exit 2: bad input, not a fault
+_USAGE_ERRORS = (UsageError, blocks.BlocksError, plancherel.PlancherelError, extquot.ExtQuotError, hecke.HeckeError)
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +229,17 @@ def run_check_suite(
     parts: set | None = None,
 ) -> dict:
     parts = parts or set(_PARTS)
+    checks = {"tables": lambda: _check_tables(golden_dir), "hecke": lambda: _check_hecke(degree_bound),
+              "blocks": lambda: _check_blocks(allowed), "extquot": _check_extquot,
+              "matching": lambda: _check_matching(seed)}
     results = []
-    if "tables" in parts:
-        results += _check_tables(golden_dir)
-    if "hecke" in parts:
-        results += _check_hecke(degree_bound)
-    if "blocks" in parts:
-        results += _check_blocks(allowed)
-    if "extquot" in parts:
-        results += _check_extquot()
-    if "matching" in parts:
-        results += _check_matching(seed)
+    for part in [p for p in _PARTS if p in parts]:
+        try:
+            results += checks[part]()
+        except _USAGE_ERRORS:
+            raise
+        except Exception as e:  # a fault that raises fails its part alone; the others still report
+            results.append({"name": f"{part}/error", "ok": False, "detail": f"raised {type(e).__name__}: {e}"})
     failures = sum(1 for r in results if not r["ok"])
     return {
         "schema_version": blocks.SCHEMA_VERSION,
@@ -266,6 +274,8 @@ def _load_config(path: str) -> dict:
 
 def _read_json(path: str, what: str):
     """The JSON document in a user-named file; any failure is a usage error."""
+    import json  # the decoder is loaded only where a file is read
+
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
@@ -287,8 +297,56 @@ def _load_allowed(path: str | None):
     return {tuple(p) for p in pairs}
 
 
+# json's own escape rule for ensure_ascii, its [\\"]|[^ -~] as one class, which
+# searches faster: a quote, a backslash or anything outside printable ASCII
+_ESCAPE = re.compile(r"[^ !#-\[\]-~]")
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(match) -> str:
+    c = match.group()
+    n = ord(c) - 0x10000
+    if n >= 0:  # outside the BMP: a UTF-16 surrogate pair
+        return "\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF)
+    return _ESCAPES.get(c) or "\\u%04x" % ord(c)
+
+
+def _quote(s: str) -> str:
+    return '"' + (_ESCAPE.sub(_escape, s) if _ESCAPE.search(s) else s) + '"'
+
+
+def _json_key(k) -> str:
+    if not (k is None or isinstance(k, (str, int, float))):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return _quote(k if isinstance(k, str) else _json_text(k, ""))
+
+
+def _json_text(o, pad: str) -> str:
+    """``o`` as ``json.dumps(o, indent=2, allow_nan=False)`` writes it, after ``pad``, a line break and
+    indent; plain ``str`` keys and ``int`` values, most of every document, skip the type tests."""
+    inner = pad + "  "
+    if isinstance(o, dict):
+        items = [(_quote(k) if type(k) is str else _json_key(k)) + ": "
+                 + (repr(v) if type(v) is int else _json_text(v, inner)) for k, v in o.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(o, (list, tuple)):
+        items = [repr(x) if type(x) is int else _json_text(x, inner) for x in o]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if not math.isfinite(o):  # NaN and Infinity are not JSON
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _print_json(doc):
-    print(json.dumps(doc, indent=2, allow_nan=False))  # NaN and Infinity are not JSON
+    print(_json_text(doc, "\n"))
 
 
 def _fail(message: str):
@@ -513,8 +571,7 @@ def main(argv=None) -> int:
     try:
         command, opts = _parse(sys.argv[1:] if argv is None else list(argv))
         return _COMMANDS[command][0](SimpleNamespace(**opts))
-    except (UsageError, blocks.BlocksError, plancherel.PlancherelError, extquot.ExtQuotError,
-            hecke.HeckeError) as e:
+    except _USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -3,7 +3,8 @@
 Everything is computed exactly over the rationals, with no floating point
 anywhere: a coefficient is an ``int``, or a ``fractions.Fraction`` only when
 it is not an integer, and every division goes through one exact-quotient
-helper.  A :class:`RingContext` fixes an ordered tuple of variable names
+helper, which imports ``fractions`` (and so ``decimal``) only for a quotient
+that is not integral.  A :class:`RingContext` fixes an ordered tuple of variable names
 once; Laurent polynomials over that context are sparse maps from integer
 exponent vectors to nonzero rational coefficients.  The monomial order is
 lexicographic on the declared variable order and is not configurable, so
@@ -38,8 +39,8 @@ of order 1 or 2, which are the rational constants +1 and -1.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 from operator import add, sub
 
@@ -64,6 +65,15 @@ class NonExactDivision(ArithmeticError):
     """Raised when an exact polynomial quotient was required but does not exist."""
 
 
+def _is_number(c) -> bool:
+    """Whether ``c`` is an ``int`` (``bool`` included) or a ``Fraction``, which exists only once
+    ``fractions`` is loaded: the test looks the module up instead of importing it."""
+    if isinstance(c, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(c, fractions.Fraction)
+
+
 def _exact(c):
     """``c`` as a coefficient: an ``int`` when integral, else a ``Fraction``.
 
@@ -71,7 +81,7 @@ def _exact(c):
     """
     if type(c) is int:
         return c
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+    if isinstance(c, bool) or not _is_number(c):
         raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
     return c.numerator if c.denominator == 1 else c
 
@@ -84,7 +94,11 @@ def _div(a, b):
     """
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
+        if not r:
+            return q
+        from fractions import Fraction
+
+        return Fraction(a, b)
     q = a / b
     return q.numerator if q.denominator == 1 else q
 
@@ -229,7 +243,7 @@ class LaurentExpr:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_number(other):
             other = self.ring.const(other)
         if not isinstance(other, LaurentExpr):
             return NotImplemented
@@ -248,7 +262,7 @@ class LaurentExpr:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_number(other):
             c = _exact(other)
             if c == 0:
                 return self.ring.zero()
@@ -279,7 +293,7 @@ class LaurentExpr:
         return out
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_number(other):
             c = _exact(other)
             if c == 0:
                 raise ZeroDivisionError("division by zero")
@@ -293,7 +307,7 @@ class LaurentExpr:
         return RationalExpr(self.ring.const(other), self)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_number(other):
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, LaurentExpr):
             return NotImplemented
@@ -314,7 +328,7 @@ class LaurentExpr:
         rational constant or a single-term Laurent expression.
         """
         i = self.ring._slot(name)
-        if isinstance(value, (int, Fraction)):
+        if _is_number(value):
             value = self.ring.const(value)
         _check_same_ring(self, value)
         needs_inverse = any(e[i] < 0 for e in self.terms)
@@ -810,7 +824,7 @@ class RationalExpr:
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, (int, Fraction, LaurentExpr, RationalExpr)):
+        if not (_is_number(other) or isinstance(other, (LaurentExpr, RationalExpr))):
             return NotImplemented
         o = self._coerce(other, self.ring)
         return self.num == o.num and self.den == o.den
@@ -861,7 +875,8 @@ def eval_unit_circle_zeros(f: RationalExpr, var: str) -> set:
 
 # the most terms parse_expr lets one power expand to, estimated as the number
 # of monomials of degree |e| in the base's terms (integer coefficients: under
-# 0.3 s at the cap; fraction coefficients can grow past that)
+# 0.3 s at the cap; fraction coefficients can grow past that); the term counts
+# of the two operands of a product or quotient may multiply to its square
 MAX_POWER_TERMS = 500
 
 # an integer literal, a name, an operator, or any other non-space character
@@ -896,6 +911,9 @@ def parse_expr(ctx: RingContext, text: str):
     """
     toks = _Tokens(text)
 
+    def size(node) -> int:  # the term count of a polynomial, or of a fraction's larger side
+        return max(len(p.terms) for p in ((node.num, node.den) if isinstance(node, RationalExpr) else (node,)))
+
     def parse_sum():
         node = parse_product()
         while True:
@@ -913,14 +931,13 @@ def parse_expr(ctx: RingContext, text: str):
         node = parse_unary()
         while True:
             kind, _ = toks.peek()
-            if kind == "*":
-                toks.next()
-                node = node * parse_unary()
-            elif kind == "/":
-                toks.next()
-                node = node / parse_unary()
-            else:
+            if kind not in ("*", "/"):
                 return node
+            toks.next()
+            other = parse_unary()
+            if size(node) * size(other) > MAX_POWER_TERMS ** 2:
+                raise ValueError(f"a product of {size(node)} and {size(other)} terms passes {MAX_POWER_TERMS ** 2}")
+            node = node * other if kind == "*" else node / other
 
     def parse_unary():
         negate = False
@@ -943,7 +960,7 @@ def parse_expr(ctx: RingContext, text: str):
             if kind2 != "int":
                 raise ValueError("exponent must be an integer literal")
             e = sign * int(val)
-            t = max(len(p.terms) for p in ((base.num, base.den) if isinstance(base, RationalExpr) else (base,)))
+            t = size(base)
             if comb(max(t, 1) - 1 + abs(e), abs(e)) > MAX_POWER_TERMS:
                 raise ValueError(f"a power of a {t}-term base expands past {MAX_POWER_TERMS} terms")
             if isinstance(base, RationalExpr):

@@ -51,10 +51,9 @@ on every T_s theta_y product with |y| up to the bound.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 
 from ._record import record
-from .exactalg import LaurentExpr, exact_div, ring
+from .exactalg import LaurentExpr, _div, _exact, _is_number, exact_div, ring
 from .rootdata import affine_mul
 
 __all__ = [
@@ -221,10 +220,9 @@ class HeckeElement:
         """Nonzero coefficients of theta_x T_w with v set to a nonzero int or Fraction."""
         if not _is_scalar(value) or not value:
             raise HeckeError(f"v must be specialized to a nonzero int or Fraction, not {value!r}")
-        value = Fraction(value)
-        # one power per distinct exponent; integral powers stay int, so int sums stay int
-        powers = {e: value ** e for e in {e for (_, _, e) in self.terms}}
-        powers = {e: p.numerator if p.denominator == 1 else p for e, p in powers.items()}
+        # one exact power per distinct exponent; integral powers stay int, so int sums stay int
+        exponents = {e for (_, _, e) in self.terms}
+        powers = {e: _exact(value ** e) if e >= 0 else _div(1, value ** -e) for e in exponents}
         out: dict = {}
         for (x, w, e), c in self.terms.items():
             out[x, w] = out.get((x, w), 0) + c * powers[e]
@@ -235,7 +233,7 @@ class HeckeElement:
             return "0"
         coeffs: dict = {}
         for (x, w, e), c in self.terms.items():
-            coeffs.setdefault((x, w), {})[e, 0] = Fraction(c)
+            coeffs.setdefault((x, w), {})[e, 0] = c
         parts = []
         for (x, w) in sorted(coeffs):
             tw = "T[0]" if w else "T[]"
@@ -250,7 +248,7 @@ class HeckeElement:
 
 def _is_scalar(c) -> bool:
     """An exact scalar is an int or a Fraction; a bool is not one."""
-    return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+    return type(c) is int or (_is_number(c) and not isinstance(c, bool))
 
 
 def _check_pres(a: HeckeElement, b: HeckeElement):

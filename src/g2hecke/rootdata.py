@@ -15,7 +15,6 @@ layer compares against it.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
 from ._record import record
 
@@ -50,6 +49,13 @@ def _mat_mul(a, b):
 
 def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _rational(x):
+    """``x`` as a ``Fraction``; ``fractions`` loads only once a datum is built."""
+    from fractions import Fraction
+
+    return Fraction(x)
 
 
 @record(frozen=True)
@@ -88,7 +94,7 @@ class BasedRootDatum:
         pos = [tuple(r) for r in positive_roots]
         self.positive_roots = tuple(pos)
         self.roots = tuple(pos + [tuple(-x for x in r) for r in pos])
-        self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
+        self.gram = tuple(tuple(_rational(x) for x in row) for row in gram)
         self.cartan_type = cartan_type
         self.simple = tuple(
             tuple(1 if i == j else 0 for j in range(self.rank)) for i in range(self.rank)
@@ -101,7 +107,7 @@ class BasedRootDatum:
     def pairing(self, x: Sequence, y: Sequence) -> Fraction:
         """The symmetric form (x|y) in simple-root coordinates."""
         return sum(
-            Fraction(x[i]) * self.gram[i][j] * y[j]
+            _rational(x[i]) * self.gram[i][j] * y[j]
             for i in range(self.rank)
             for j in range(self.rank)
         )
@@ -147,7 +153,7 @@ class BasedRootDatum:
         simple = self.simple_root_vectors()
         for r in self.positive_roots:
             for c, e in zip(r, self.simple):
-                if c < 0 or Fraction(c).denominator != 1 or (c != 0 and e not in simple):
+                if c < 0 or _rational(c).denominator != 1 or (c != 0 and e not in simple):
                     raise RootDatumError(
                         f"positive root {r} is not a nonnegative integer combination of the basis"
                     )

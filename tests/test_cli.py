@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from g2hecke import blocks, cli, extquot, plancherel
+from g2hecke import blocks, cli, extquot, hecke, plancherel
 from g2hecke.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -754,3 +755,88 @@ def test_flag_values_that_start_with_a_dash(capsys):
     assert minus_seven == two and json.loads(two)["count"] == 6
     code, out, _ = run(capsys, "check", "--part", "matching", "--seed", "-1", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["seed"] == -1
+
+
+def test_a_check_part_that_raises_fails_alone(monkeypatch, capsys):
+    # a fault that makes the Hecke harness raise is a failed result, not a
+    # traceback: the other parts still report and the exit code is 1
+    def broken(pres):
+        raise TypeError("no structure constants")
+
+    monkeypatch.setattr(hecke, "_TABLE", (None, None))
+    monkeypatch.setattr(hecke, "_structure_constants", broken)
+    code, out, err = run(capsys, "check", "--all", "--format", "json")
+    assert code == EXIT_CHECK_FAILED and err == ""
+    doc = strict_json(out)
+    error = {"name": "hecke/error", "ok": False, "detail": "raised TypeError: no structure constants"}
+    assert [r for r in doc["results"] if not r["ok"]] == [error] and doc["failures"] == 1
+    parts = [r["name"].split("/")[0] for r in doc["results"]]
+    assert parts == ["tables"] * 4 + ["hecke"] + ["blocks"] * 4 + ["extquot"] * 2
+    code, out, _ = run(capsys, "check", "--part", "hecke")
+    assert code == EXIT_CHECK_FAILED
+    assert out == "[FAIL] hecke/error: raised TypeError: no structure constants\n1 failures\n"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("tables", "--family", "all", "--format", "json"),
+         "db66599bcc9a274bf6906c29d926bbb124bceef39609d114aa97aee2f5e2de25"),
+        (("hecke", "--weights", "3,1", "--format", "json"),
+         "af9410189aaa78fd0729f8d826277cc0056f676ce57c8ab8c1ee9352b49e1d57"),
+        (("extquot", "--torsion-level", "1000", "--gamma", "shift-half", "--format", "json"),
+         "c718a69f3c6c97f884b2079f9d6906223c7aa6805ebbdb4e5abf8192cefa1f83"),
+    ],
+    ids=["tables", "hecke", "extquot"],
+)
+def test_json_output_matches_pinned_bytes(capsys, argv, digest):
+    # the bytes json.dumps(indent=2) wrote before the package had its own writer
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if argv[0] == "tables":
+        assert len(out.encode()) == 24790
+
+
+_TEXT = ["", "plain", '"', "\\", "\b\f\n\r\t", "\x00\x1f\x7f", " ~", "é", " ", "\ud800", "￿",
+         "\U0001f600", "\U0010ffff", "a\"b\\c\nd\U0001d11e"]
+
+
+def _random_document(rng, depth=0):
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice(_TEXT) + "".join(chr(rng.randrange(0x110000)) for _ in range(rng.randrange(3)))
+    if kind == 1:
+        return rng.choice([0, -1, 7, 10 ** 40, -(10 ** 40), rng.randrange(-(2 ** 70), 2 ** 70)])
+    if kind == 2:
+        return rng.choice([0.0, -0.0, 1e300, -1e-300, 0.1, 2.5, rng.uniform(-1e6, 1e6)])
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind == 4:
+        return rng.choice([[], (), {}])
+    items = [_random_document(rng, depth + 1) for _ in range(rng.randrange(1, 4))]
+    if kind == 5:
+        return items
+    if kind == 6:
+        return tuple(items)
+    keys = [rng.choice(_TEXT + ["key", 3, -2.5, True, False, None]) for _ in items]
+    return dict(zip(keys, items))
+
+
+def test_print_json_writes_what_json_dumps_writes(capsys):
+    rng = random.Random(2028)
+    for _ in range(400):
+        doc = _random_document(rng)
+        cli._print_json(doc)
+        assert capsys.readouterr().out == json.dumps(doc, indent=2, allow_nan=False) + "\n", doc
+    for bad in ({"k": object()}, {object(): 1}, [{1, 2}]):
+        with pytest.raises(TypeError):
+            cli._print_json(bad)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_print_json_refuses_non_finite_numbers(capsys, value):
+    for doc in (value, [1, value], {"k": value}, {value: 1}):
+        with pytest.raises(ValueError):
+            cli._print_json(doc)
+    assert capsys.readouterr().out == ""

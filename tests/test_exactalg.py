@@ -584,6 +584,20 @@ def test_parse_refuses_a_power_past_the_term_cap():
     assert parse_expr(R, "X^100000") == X ** 100000  # a monomial power has one term
 
 
+def test_parse_refuses_a_product_past_the_squared_term_cap():
+    # every power lies inside the cap, but four of them multiplied took 3.8 s; a
+    # product or quotient may multiply at most MAX_POWER_TERMS ** 2 pairs of terms
+    R = make_ring()
+    cap = exactalg.MAX_POWER_TERMS ** 2
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^a product of 1891 and 496 terms passes {cap}$"):
+        parse_expr(R, "(1+v+X)^30*(1+v+X)^30*(1+v+X)^30*(1+v+X)^30")
+    assert time.perf_counter() - start < 2
+    with pytest.raises(ValueError, match=f"^a product of 500 and 501 terms passes {cap}$"):
+        parse_expr(R, "(1 + X)^499 / ((1 + v)^499 + X^1000)")
+    assert len(parse_expr(R, "(1+v+X)^30*(1+v+X)^30").terms) == 1891  # 496 * 496 pairs: inside the cap
+
+
 @pytest.mark.parametrize("exponent", [0.5, True, Fraction(1, 2), Fraction(2)])
 def test_monomial_refuses_a_non_int_exponent(exponent):
     R = make_ring()

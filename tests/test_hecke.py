@@ -486,6 +486,26 @@ def test_specialize_v_leaves_out_cancelled_coefficients():
     assert all(type(c) is int for c in r.specialize_v(-2).values())
 
 
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        (2, {(0, 1): 3, (1, 0): Fraction(3, 2), (2, 0): Fraction(1), (3, 1): Fraction(-1, 4), (4, 0): Fraction(1)}),
+        (-3, {(0, 1): 8, (1, 0): Fraction(-1), (2, 0): Fraction(-8, 27), (3, 1): Fraction(-1, 9),
+              (4, 0): Fraction(-3, 2)}),
+        (Fraction(2, 3), {(0, 1): Fraction(-5, 9), (1, 0): Fraction(9, 2), (2, 0): Fraction(27),
+                          (3, 1): Fraction(-9, 4), (4, 0): Fraction(1, 3)}),
+    ],
+)
+def test_specialize_v_keeps_values_and_types_over_negative_exponents(value, want):
+    # negative v-exponents divide exactly: an int power stays int, a quotient that
+    # is not integral becomes a Fraction, and sums keep the type Python gives them
+    h = HeckeElement(pres(3, 1), {(0, 1, 2): 1, (0, 1, 0): -1, (1, 0, -1): 3, (2, 0, -3): 8, (3, 1, -2): -1,
+                                  (4, 0, 1): Fraction(1, 2)})
+    got = h.specialize_v(value)
+    assert got == want
+    assert {k: type(c) for k, c in got.items()} == {k: type(c) for k, c in want.items()}
+
+
 def test_specialize_v_at_zero_is_an_error():
     h = HeckeElement(pres(1, 1), {(0, 0, 0): 1, (1, 0, -1): 2})
     for zero in (0, Fraction(0)):

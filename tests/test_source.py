@@ -52,8 +52,11 @@ def test_every_exported_name_resolves():
 
 def test_import_path_stays_lean():
     # every CLI command is a fresh process, so what `import g2hecke` pulls in
-    # is paid on each one; -S keeps site hooks from loading these first
-    heavy = ["dataclasses", "inspect", "typing", "importlib.resources", "argparse", "random"]
+    # is paid on each one; -S keeps site hooks from loading these first.
+    # fractions (with decimal and numbers, about 4 ms) loads only once a quotient
+    # is not integral, and json (about 3 ms) only where a file is decoded
+    heavy = ["dataclasses", "inspect", "typing", "importlib.resources", "argparse", "random",
+             "fractions", "decimal", "numbers", "json"]
     code = f"import sys, g2hecke; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
@@ -67,9 +70,13 @@ def test_command_path_loads_no_argparse():
     # and locale it loads cost about 7 ms of start-up on every command; the
     # golden tables are read through the package's loader, since
     # importlib.resources alone loads typing, pathlib, tempfile and zipfile
-    heavy = {"argparse", "gettext", "locale", "importlib.resources", "pathlib", "tempfile", "zipfile", "typing"}
+    # neither command makes a Fraction; check decodes the golden tables, and
+    # tables writes its JSON through cli's own writer, so it loads no json
+    heavy = {"argparse", "gettext", "locale", "importlib.resources", "pathlib", "tempfile", "zipfile", "typing",
+             "fractions", "decimal", "numbers"}
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    for command in (["tables", "--family", "all", "--format", "json"], ["check", "--all"]):
+    for command, avoid in ((["tables", "--family", "all", "--format", "json"], heavy | {"json"}),
+                           (["check", "--all"], heavy)):
         proc = subprocess.run(
             [sys.executable, "-S", "-X", "importtime", "-m", "g2hecke"] + command,
             env=env, capture_output=True, text=True, check=True, timeout=60,
@@ -78,7 +85,37 @@ def test_command_path_loads_no_argparse():
         lines = proc.stderr.splitlines()
         loaded = {line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")}
         assert "g2hecke.cli" in loaded
-        assert not loaded & heavy, command
+        assert not loaded & avoid, command
+
+
+def test_a_fraction_made_after_import_is_accepted():
+    # the type tests look fractions up in sys.modules, so a Fraction that exists
+    # only after import g2hecke must pass them, and a bool must still fail
+    code = """if True:
+        import sys
+        from g2hecke import blocks, exactalg, hecke
+        assert "fractions" not in sys.modules
+        from fractions import Fraction
+        R = exactalg.ring(["v", "X"])
+        assert exactalg.LaurentExpr(R, {(0, 1): Fraction(1, 2), (1, 0): Fraction(4, 2)}).terms == {
+            (0, 1): Fraction(1, 2), (1, 0): 2}
+        assert (R.var("X") * Fraction(1, 3)).terms == {(0, 1): Fraction(1, 3)}
+        assert exactalg._exact(Fraction(3, 2)) == Fraction(3, 2) and type(exactalg._exact(Fraction(4, 2))) is int
+        h = hecke.HeckeElement(blocks._noncomm(1, 1), {(0, 0, 0): Fraction(1, 3), (1, 0, -1): 2})
+        assert h.terms == {(0, 0, 0): Fraction(1, 3), (1, 0, -1): 2}
+        assert (Fraction(3) * h).terms == {(0, 0, 0): 1, (1, 0, -1): 6}
+        assert h.specialize_v(Fraction(1, 2)) == {(0, 0): Fraction(1, 3), (1, 0): 4}
+        for bad in (lambda: exactalg._exact(True), lambda: hecke.HeckeElement(h.pres, {(0, 0, 0): True})):
+            try:
+                bad()
+            except (TypeError, hecke.HeckeError):
+                continue
+            raise AssertionError("a bool was taken as a scalar")
+        print("ok")
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.stdout == "ok\n", out.stderr
 
 
 def _private_definitions(tree):

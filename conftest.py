@@ -22,3 +22,20 @@ def constant_term_flipped(monkeypatch):
         "_structure_constants",
         lambda p: [(s, e, -sign if (s, e) == (0, 0) else sign) for s, e, sign in honest(p)],
     )
+
+
+@pytest.fixture
+def golden_label_pairs():
+    """The (lambda, lambda*) pairs of H_G and H_G0 in the packaged golden tables:
+    the tables' own label column, read here and not through the package."""
+    import json
+    from importlib import resources
+
+    pairs = set()
+    for path in resources.files("g2hecke").joinpath("data/tables").iterdir():
+        for row in json.loads(path.read_text())["rows"]:
+            for side in ("H_G", "H_G0"):
+                h = row["classification"][side]
+                if "lambda" in h:
+                    pairs.add((h["lambda"], h["lambda_star"]))
+    return pairs

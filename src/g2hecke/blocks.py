@@ -24,9 +24,9 @@ labels come from ``plancherel.labels(mu(case))`` and the Weyl verdict from
 the unit-circle zeros of the factored measure, never from hand-copied
 constants.
 The four canonical tables (long/short x depth-zero/positive) are emitted in
-a fixed reading order and are frozen as golden JSON files, read through
-``golden_table``; rows the tables leave undetermined carry a first-class
-"unknown" R-group state.
+a fixed reading order and are frozen as golden JSON files, which only the
+``check`` command's table diff reads; rows the tables leave undetermined
+carry a first-class "unknown" R-group state.
 
 The classification assumes the residual characteristic is not a bad prime
 of G2 (``rootdata.bad_primes``); callers that cannot grant the assumption
@@ -49,7 +49,6 @@ __all__ = [
     "FAMILIES",
     "classify",
     "emit_table",
-    "golden_table",
     "table_rows",
     "render_text_table",
     "check_weyl_iso",
@@ -354,17 +353,8 @@ def table_rows(family: str) -> list:
     return _CACHE[family]
 
 
-_GOLDEN: dict = {}
-
-
-def golden_table(family: str) -> dict:
-    """The packaged golden JSON document for one family, read once per process."""
-    if family not in _GOLDEN:
-        _GOLDEN[family] = _read_golden(family)
-    return _GOLDEN[family]
-
-
 def _read_golden(family: str) -> dict:
+    """The packaged golden JSON document for one family."""
     import json  # only the readers of a file load json's decoder
 
     # the package's own loader reads a directory or a zip archive alike

@@ -61,7 +61,7 @@ def _check_tables(golden_dir: str | None) -> list:
     for family in blocks.FAMILIES:
         emitted = blocks.emit_table(family)
         if golden_dir is None:
-            want = blocks.golden_table(family)
+            want = blocks._read_golden(family)
         else:
             want = _read_json(f"{golden_dir}/{family.replace('-', '_')}.json", "golden table")
         ok = emitted == want
@@ -89,35 +89,30 @@ def _check_hecke(degree_bound: int) -> list:
 
 
 def _oracle_agrees(memo: dict, row) -> bool:
-    """The measure oracle for a row's case, run once per (case, f)."""
+    """The measure oracle for a row's case, run once per distinct measure: it reads only the factors."""
     case_id = row.classification.mu_case
     if case_id is None:
         return True
-    key = (case_id, row.descriptor.residue_degree)
+    m = plancherel.mu(plancherel.PlancherelCase.from_id(case_id, residue_degree=row.descriptor.residue_degree))
+    key = (m.num_factors, m.den_factors)
     if key not in memo:
-        case = plancherel.PlancherelCase.from_id(case_id, residue_degree=key[1])
-        memo[key] = plancherel.agrees_with_oracle(plancherel.mu(case))
+        memo[key] = plancherel.agrees_with_oracle(m)
     return memo[key]
 
 
 def _check_blocks(allowed) -> list:
-    # read and converted once, not once per row
-    allowed = hecke._pair_set(hecke.default_lusztig_allowed() if allowed is None else allowed)
+    pairs = None if allowed is None else hecke._pair_set(allowed)  # converted once, not once per row
     results = []
     oracle: dict = {}
     for family in blocks.FAMILIES:
         rows = blocks.table_rows(family)
-        iso = all(blocks.check_weyl_iso(r.classification) for r in rows)
-        lus = all(
-            hecke.check_lusztig(r.classification.h_g.weights, allowed)
-            for r in rows
-            if r.classification.h_g.weights is not None
-        )
-        lab = all(_oracle_agrees(oracle, r) for r in rows)
-        results.append(
-            {"name": f"blocks/{family}", "ok": iso and lus and lab,
-             "detail": f"weyl-iso {iso}, lusztig {lus}, labels {lab}"}
-        )
+        flags = {"weyl-iso": all(blocks.check_weyl_iso(r.classification) for r in rows)}
+        if pairs is not None:
+            flags["lusztig"] = all(hecke.check_lusztig(r.classification.h_g.weights, pairs)
+                                   for r in rows if r.classification.h_g.weights is not None)
+        flags["labels"] = all(_oracle_agrees(oracle, r) for r in rows)
+        results.append({"name": f"blocks/{family}", "ok": all(flags.values()),
+                        "detail": ", ".join(f"{name} {ok}" for name, ok in flags.items())})
     return results
 
 
@@ -229,6 +224,8 @@ def run_check_suite(
     parts: set | None = None,
 ) -> dict:
     parts = parts or set(_PARTS)
+    if "hecke" in parts:  # a bad bound is a usage error, raised before any part runs
+        hecke._check_bound(degree_bound)
     checks = {"tables": lambda: _check_tables(golden_dir), "hecke": lambda: _check_hecke(degree_bound),
               "blocks": lambda: _check_blocks(allowed), "extquot": _check_extquot,
               "matching": lambda: _check_matching(seed)}
@@ -236,7 +233,7 @@ def run_check_suite(
     for part in [p for p in _PARTS if p in parts]:
         try:
             results += checks[part]()
-        except _USAGE_ERRORS:
+        except UsageError:  # an unreadable --golden-dir file
             raise
         except Exception as e:  # a fault that raises fails its part alone; the others still report
             results.append({"name": f"{part}/error", "ok": False, "detail": f"raised {type(e).__name__}: {e}"})

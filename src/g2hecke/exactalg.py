@@ -874,10 +874,13 @@ def eval_unit_circle_zeros(f: RationalExpr, var: str) -> set:
 
 
 # the most terms parse_expr lets one power expand to, estimated as the number
-# of monomials of degree |e| in the base's terms (integer coefficients: under
-# 0.3 s at the cap; fraction coefficients can grow past that); the term counts
-# of the two operands of a product or quotient may multiply to its square
+# of monomials of degree |e| in the base's terms; the term counts of the two
+# operands of a product or quotient may multiply to its square
 MAX_POWER_TERMS = 500
+# the most coefficient bits a power may write, estimated as its terms times |e|
+# times the base's widest coefficient (numerator plus denominator bits): the
+# work of a power grows about as the square of that estimate
+MAX_POWER_BITS = 10 ** 6
 
 # an integer literal, a name, an operator, or any other non-space character
 _TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^()])|(\S)")
@@ -961,8 +964,14 @@ def parse_expr(ctx: RingContext, text: str):
                 raise ValueError("exponent must be an integer literal")
             e = sign * int(val)
             t = size(base)
-            if comb(max(t, 1) - 1 + abs(e), abs(e)) > MAX_POWER_TERMS:
+            terms = comb(max(t, 1) - 1 + abs(e), abs(e))
+            if terms > MAX_POWER_TERMS:
                 raise ValueError(f"a power of a {t}-term base expands past {MAX_POWER_TERMS} terms")
+            sides = (base.num, base.den) if isinstance(base, RationalExpr) else (base,)
+            bits = max((c.numerator.bit_length() + c.denominator.bit_length() for p in sides for c in p.terms.values()),
+                       default=0)
+            if terms * abs(e) * bits > MAX_POWER_BITS:
+                raise ValueError(f"a power of a base with {bits}-bit coefficients writes past {MAX_POWER_BITS} bits")
             if isinstance(base, RationalExpr):
                 return base ** e
             if e < 0 and not base.is_monomial():

@@ -67,7 +67,6 @@ __all__ = [
     "RelationReport",
     "CheckResult",
     "check_lusztig",
-    "default_lusztig_allowed",
     "theta",
     "t_basis",
     "basis_element",
@@ -471,6 +470,11 @@ def _act(terms: dict, images: dict) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+def _check_bound(degree_bound: int):
+    if not 1 <= degree_bound <= MAX_DEGREE_BOUND:
+        raise HeckeError(f"degree bound must be between 1 and {MAX_DEGREE_BOUND}")
+
+
 def verify_relations(pres: AffineHeckePresentation, degree_bound: int = 3) -> RelationReport:
     """Run the consistency suite on one presentation; failures are reported.
 
@@ -503,8 +507,7 @@ def verify_relations(pres: AffineHeckePresentation, degree_bound: int = 3) -> Re
     degenerates exactly when its x = 0 product does; only the x = 0 products
     and any that failed the shift are specialized.
     """
-    if not 1 <= degree_bound <= MAX_DEGREE_BOUND:
-        raise HeckeError(f"degree bound must be between 1 and {MAX_DEGREE_BOUND}")
+    _check_bound(degree_bound)
     checks = []
     b = degree_bound
 
@@ -590,23 +593,12 @@ def verify_relations(pres: AffineHeckePresentation, degree_bound: int = 3) -> Re
 # ---------------------------------------------------------------------------
 
 
-def default_lusztig_allowed() -> set:
-    """The (lambda, lambda*) pairs of H_G and H_G0 in the packaged golden tables: the
-    tables' own label column, not an independent admissible set (pass one as ``allowed``)."""
-    from .blocks import FAMILIES, golden_table  # blocks imports this module
-
-    rows = [row["classification"] for family in FAMILIES for row in golden_table(family)["rows"]]
-    return {(h["lambda"], h["lambda_star"]) for c in rows for h in (c["H_G"], c["H_G0"]) if "lambda" in h}
-
-
-def check_lusztig(weights: WeightFunction, allowed=None) -> bool:
-    """Membership of the rank-1 label pair in the allowed collection of pairs.
+def check_lusztig(weights: WeightFunction, allowed) -> bool:
+    """Membership of the rank-1 label pair in ``allowed``, any collection of pairs.
 
     A frozenset is taken as a set of tuples already, so a caller that checks
     many rows converts its collection once (``_pair_set``).
     """
-    if allowed is None:
-        allowed = default_lusztig_allowed()
     return tuple(weights.pair()) in _pair_set(allowed)
 
 

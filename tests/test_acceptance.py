@@ -94,14 +94,14 @@ def test_criterion_3_weyl_iso_and_ro_reduction():
     _report(3, "presentation equality and R/W reduction hold on every row", t0, 1.0)
 
 
-def test_criterion_4_lusztig_membership():
+def test_criterion_4_lusztig_membership(golden_label_pairs):
     t0 = time.monotonic()
     checked = 0
     for family in FAMILIES:
         for r in table_rows(family):
             p = r.classification.h_g
             if p.weyl_order == 2:
-                assert check_lusztig(p.weights), (family, r.index)
+                assert check_lusztig(p.weights, golden_label_pairs), (family, r.index)
                 checked += 1
     assert checked >= 8
     _report(4, f"all {checked} noncommutative rows pass the weight membership", t0, None)

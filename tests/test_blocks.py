@@ -104,12 +104,12 @@ def test_ro_reduction_negative_control():
     assert check_weyl_iso(unknown_pair)
 
 
-def test_lusztig_on_every_noncommutative_row():
+def test_lusztig_on_every_noncommutative_row(golden_label_pairs):
     for fam in FAMILIES:
         for r in table_rows(fam):
             p = r.classification.h_g
             if p.weyl_order == 2:
-                assert check_lusztig(p.weights), (fam, r.index)
+                assert check_lusztig(p.weights, golden_label_pairs), (fam, r.index)
 
 
 def test_label_pipeline_agreement():

@@ -12,6 +12,7 @@ import pytest
 
 from g2hecke import blocks, cli, extquot, hecke, plancherel
 from g2hecke.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from g2hecke.hecke import WeightFunction
 
 
 def run(capsys, *argv):
@@ -453,24 +454,8 @@ def test_allowed_lusztig_override(tmp_path, capsys):
         assert err.startswith("error:")
 
 
-def test_check_blocks_reads_the_lusztig_pairs_once(monkeypatch, capsys):
-    from g2hecke import hecke
-
-    honest = hecke.default_lusztig_allowed
-    reads = []
-
-    def counting():
-        reads.append(1)
-        return honest()
-
-    monkeypatch.setattr(hecke, "default_lusztig_allowed", counting)
-    code, out, _ = run(capsys, "check", "--part", "blocks")
-    assert code == EXIT_OK and "lusztig True" in out
-    assert len(reads) == 1
-
-
 def test_check_suite_reads_each_golden_table_once(monkeypatch):
-    # the tables diff and the default Lusztig set share one memoized reader
+    # the tables diff is the only reader of the packaged golden tables
     honest = blocks._read_golden
     reads = []
 
@@ -478,7 +463,6 @@ def test_check_suite_reads_each_golden_table_once(monkeypatch):
         reads.append(family)
         return honest(family)
 
-    monkeypatch.setattr(blocks, "_GOLDEN", {})
     monkeypatch.setattr(blocks, "_read_golden", counting)
     report = cli.run_check_suite()
     assert report["failures"] == 0
@@ -518,7 +502,7 @@ def test_check_output_matches_fixture_byte_for_byte(capsys):
     # the JSON suite at seeds 0, 1 and 2, then the text suite
     fixture = (Path(__file__).resolve().parent / "data" / "check_all.txt").read_bytes()
     assert hashlib.sha256(fixture).hexdigest() == (
-        "937831e086ebda7d7f984e1d60ef6357b0950725342a3d8dc4482b105bd6b683"
+        "fc71a6d4558d3d1d6f68838aad4da1e6e2f6b759b9fb6099330883aff83432e5"
     )
     chunks = []
     for argv in [["check", "--all", "--format", "json", "--seed", s] for s in "012"] + [["check", "--all"]]:
@@ -775,6 +759,61 @@ def test_a_check_part_that_raises_fails_alone(monkeypatch, capsys):
     code, out, _ = run(capsys, "check", "--part", "hecke")
     assert code == EXIT_CHECK_FAILED
     assert out == "[FAIL] hecke/error: raised TypeError: no structure constants\n1 failures\n"
+
+
+def test_a_usage_error_raised_inside_a_part_fails_that_part_alone(monkeypatch, capsys):
+    # HeckeError is what bad input raises, but raised from inside the harness it
+    # is a fault of the hecke part: only an unreadable --golden-dir file ends the suite
+    def broken(pres):
+        raise hecke.HeckeError("internal")
+
+    monkeypatch.setattr(hecke, "_TABLE", (None, None))
+    monkeypatch.setattr(hecke, "_structure_constants", broken)
+    code, out, err = run(capsys, "check", "--all", "--format", "json")
+    assert code == EXIT_CHECK_FAILED and err == ""
+    doc = strict_json(out)
+    error = {"name": "hecke/error", "ok": False, "detail": "raised HeckeError: internal"}
+    assert [r for r in doc["results"] if not r["ok"]] == [error]
+    parts = [r["name"].split("/")[0] for r in doc["results"]]
+    assert parts == ["tables"] * 4 + ["hecke"] + ["blocks"] * 4 + ["extquot"] * 2
+
+
+def test_a_bad_degree_bound_ends_check_before_any_part(capsys):
+    for bound in ("0", "33"):
+        code, out, err = run(capsys, "check", "--all", "--degree-bound", bound)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: degree bound must be between 1 and 32\n"
+
+
+def test_the_measure_oracle_runs_once_per_distinct_measure(monkeypatch, capsys):
+    # the oracle reads only a measure's factors; the rows with a measure case use 4 pairs of them
+    honest = plancherel.agrees_with_oracle
+    measures = []
+
+    def counting(m):
+        measures.append((m.num_factors, m.den_factors))
+        return honest(m)
+
+    monkeypatch.setattr(plancherel, "agrees_with_oracle", counting)
+    code, _, _ = run(capsys, "check", "--part", "blocks")
+    assert code == EXIT_OK
+    assert len(measures) == len(set(measures)) == 4
+
+
+def test_shifted_labels_fail_check_without_a_lusztig_set(monkeypatch, capsys):
+    # every label pair one higher: the tables diff sees it on every family, and
+    # the blocks part still fails where a shifted pair breaks the Weyl isomorphism
+    honest = blocks.labels
+    monkeypatch.setattr(blocks, "labels", lambda m: WeightFunction(*(x + 1 for x in honest(m).pair())))
+    monkeypatch.setattr(blocks, "_CACHE", {})
+    code, out, _ = run(capsys, "check", "--all", "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    failed = [r["name"] for r in strict_json(out)["results"] if not r["ok"]]
+    assert [n for n in failed if n.startswith("tables/")] == [f"tables/{f}" for f in blocks.FAMILIES]
+    code, out, _ = run(capsys, "check", "--part", "blocks")
+    assert code == EXIT_CHECK_FAILED
+    for family in ("long-positive", "short-positive"):
+        assert f"[FAIL] blocks/{family}: weyl-iso False, labels True" in out.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -584,6 +584,25 @@ def test_parse_refuses_a_power_past_the_term_cap():
     assert parse_expr(R, "X^100000") == X ** 100000  # a monomial power has one term
 
 
+def test_parse_refuses_a_power_past_the_coefficient_bit_cap():
+    # ^499 of this two-term fraction lies inside the term cap but ran for over half a minute:
+    # its 32-bit coefficients grow to about 16,000 bits in each of 500 terms
+    R = make_ring()
+    base = "((70001*v-50003*X)/(30007*v+110003*X))"
+    for e in (499, 200, -499):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^a power of a base with 32-bit coefficients writes past "
+                                             f"{exactalg.MAX_POWER_BITS} bits$"):
+            parse_expr(R, f"{base}^{e}")
+        assert time.perf_counter() - start < 1
+    assert parse_expr(R, f"{base}^2") == parse_expr(R, f"{base}*{base}")  # 3 * 2 * 32 bits
+    X, v, one = R.var("X"), R.var("v"), R.one()
+    # 500 terms * 499 * 3 bits (the 3 over an integer denominator): inside the cap
+    assert parse_expr(R, "((v + X)/(3 - X))^499") == ((v + X) / (3 - X)) ** 499
+    assert parse_expr(R, "X^100000") == X ** 100000  # one term of 2 bits
+    assert parse_expr(R, "0^7") == R.zero()  # no coefficients at all
+
+
 def test_parse_refuses_a_product_past_the_squared_term_cap():
     # every power lies inside the cap, but four of them multiplied took 3.8 s; a
     # product or quotient may multiply at most MAX_POWER_TERMS ** 2 pairs of terms

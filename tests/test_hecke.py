@@ -1,7 +1,5 @@
-import json
 import random
 from fractions import Fraction
-from importlib import resources
 
 import pytest
 
@@ -16,7 +14,6 @@ from g2hecke.hecke import (
     WeightFunction,
     basis_element,
     check_lusztig,
-    default_lusztig_allowed,
     multiply,
     one,
     t_basis,
@@ -599,48 +596,20 @@ def test_mixed_presentation_arithmetic_rejected():
         multiply(t_basis(pres(1, 1), 1), t_basis(pres(2, 2), 1))
 
 
-def test_lusztig_membership():
-    assert check_lusztig(WeightFunction(3, 1))
-    assert check_lusztig(WeightFunction(2, 2))
-    assert not check_lusztig(WeightFunction(0, 0))
-    assert not check_lusztig(WeightFunction(4, 2))
+def test_lusztig_membership(golden_label_pairs):
+    assert golden_label_pairs == {(1, 1), (2, 2), (3, 1)}
+    assert check_lusztig(WeightFunction(3, 1), golden_label_pairs)
+    assert check_lusztig(WeightFunction(2, 2), golden_label_pairs)
+    assert not check_lusztig(WeightFunction(0, 0), golden_label_pairs)
+    assert not check_lusztig(WeightFunction(4, 2), golden_label_pairs)
     assert check_lusztig(WeightFunction(4, 2), allowed={(4, 2)})
     # any collection of pairs will do, and a frozenset of tuples is used as it is
     assert check_lusztig(WeightFunction(4, 2), allowed=[[4, 2]])
     assert check_lusztig(WeightFunction(4, 2), allowed=frozenset({(4, 2)}))
     assert not check_lusztig(WeightFunction(3, 1), allowed=iter([[4, 2]]))
-    assert default_lusztig_allowed() == {(1, 1), (2, 2), (3, 1)}
-    # the default set is the golden label pairs, on either side
-    golden = set()
-    for path in resources.files("g2hecke").joinpath("data/tables").iterdir():
-        for row in json.loads(path.read_text())["rows"]:
-            for side in ("H_G", "H_G0"):
-                h = row["classification"][side]
-                if "lambda" in h:
-                    golden.add((h["lambda"], h["lambda_star"]))
-    assert default_lusztig_allowed() == golden
-
-
-def test_default_lusztig_set_follows_the_golden_tables(tmp_path, monkeypatch):
-    # the golden tables are the only copy of the label pairs: edit one pair
-    # in a copy of them, point the reader at the copy, and the default follows
-    from g2hecke import blocks
-
-    for path in resources.files("g2hecke").joinpath("data/tables").iterdir():
-        (tmp_path / path.name).write_text(path.read_text())
-    edited = tmp_path / "long_depth_zero.json"
-    doc = json.loads(edited.read_text())
-    h_g0 = doc["rows"][0]["classification"]["H_G0"]
-    assert (h_g0["lambda"], h_g0["lambda_star"]) == (3, 1)
-    h_g0["lambda"], h_g0["lambda_star"] = 4, 2
-    edited.write_text(json.dumps(doc))
-
-    monkeypatch.setattr(blocks, "_GOLDEN", {})
-    monkeypatch.setattr(
-        blocks, "_read_golden", lambda family: json.loads((tmp_path / f"{family.replace('-', '_')}.json").read_text())
-    )
-    assert default_lusztig_allowed() == {(1, 1), (2, 2), (3, 1), (4, 2)}
-    assert check_lusztig(WeightFunction(4, 2))
+    # the set is required: the package holds no default copy of the label column
+    with pytest.raises(TypeError):
+        check_lusztig(WeightFunction(3, 1))
 
 
 def test_render_element_grammar():

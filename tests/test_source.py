@@ -70,13 +70,14 @@ def test_command_path_loads_no_argparse():
     # and locale it loads cost about 7 ms of start-up on every command; the
     # golden tables are read through the package's loader, since
     # importlib.resources alone loads typing, pathlib, tempfile and zipfile
-    # neither command makes a Fraction; check decodes the golden tables, and
-    # tables writes its JSON through cli's own writer, so it loads no json
+    # no command here makes a Fraction; only check's tables part decodes the
+    # golden tables, and tables writes its JSON through cli's own writer, so
+    # tables and the blocks part load no json
     heavy = {"argparse", "gettext", "locale", "importlib.resources", "pathlib", "tempfile", "zipfile", "typing",
              "fractions", "decimal", "numbers"}
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for command, avoid in ((["tables", "--family", "all", "--format", "json"], heavy | {"json"}),
-                           (["check", "--all"], heavy)):
+                           (["check", "--part", "blocks"], heavy | {"json"}), (["check", "--all"], heavy)):
         proc = subprocess.run(
             [sys.executable, "-S", "-X", "importtime", "-m", "g2hecke"] + command,
             env=env, capture_output=True, text=True, check=True, timeout=60,

@@ -353,13 +353,11 @@ def table_rows(family: str) -> list:
     return _CACHE[family]
 
 
-def _read_golden(family: str) -> dict:
-    """The packaged golden JSON document for one family."""
-    import json  # only the readers of a file load json's decoder
-
+def _read_golden(family: str) -> bytes:
+    """The bytes of the packaged golden JSON file for one family."""
     # the package's own loader reads a directory or a zip archive alike
     name = f"{family.replace('-', '_')}.json"
-    return json.loads(__loader__.get_data(os.path.join(os.path.dirname(__file__), "data", "tables", name)))
+    return __loader__.get_data(os.path.join(os.path.dirname(__file__), "data", "tables", name))
 
 
 def emit_table(family: str) -> dict:

@@ -17,7 +17,8 @@ Exit codes: 0 success, 1 check failure, 2 usage error, reported as one
 over flags).  Output is deterministic for a fixed configuration and seed.
 A ``check`` part that raises reports one failed ``PART/error`` result.  JSON
 is written by ``_print_json``, byte for byte as ``json.dumps(doc, indent=2,
-allow_nan=False)``; ``json`` itself is imported only where a file is read.
+allow_nan=False)``; ``json`` itself is imported only where a file is decoded,
+and ``check`` compares the golden tables as bytes.
 """
 
 from __future__ import annotations
@@ -56,15 +57,23 @@ _USAGE_ERRORS = (UsageError, blocks.BlocksError, plancherel.PlancherelError, ext
 # ---------------------------------------------------------------------------
 
 
-def _check_tables(golden_dir: str | None) -> list:
+def _golden_bytes(golden_dir: str | None, family: str) -> bytes:
+    """The bytes of one family's golden table; an unreadable ``--golden-dir`` file is a usage error."""
+    if golden_dir is None:
+        return blocks._read_golden(family)
+    try:
+        with open(f"{golden_dir}/{family.replace('-', '_')}.json", "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise UsageError(f"unreadable golden table: {e}")
+
+
+def _check_tables(goldens: dict) -> list:
+    """Each regenerated table, as ``_print_json`` writes it, against the bytes of its golden file."""
     results = []
     for family in blocks.FAMILIES:
         emitted = blocks.emit_table(family)
-        if golden_dir is None:
-            want = blocks._read_golden(family)
-        else:
-            want = _read_json(f"{golden_dir}/{family.replace('-', '_')}.json", "golden table")
-        ok = emitted == want
+        ok = (_json_text(emitted, "\n") + "\n").encode() == goldens[family]
         detail = f"{len(emitted['rows'])} rows" if ok else "regenerated table differs from golden"
         results.append({"name": f"tables/{family}", "ok": ok, "detail": detail})
     return results
@@ -224,17 +233,17 @@ def run_check_suite(
     parts: set | None = None,
 ) -> dict:
     parts = parts or set(_PARTS)
-    if "hecke" in parts:  # a bad bound is a usage error, raised before any part runs
+    # bad input is a usage error, raised before any part runs: a bad bound or an unreadable golden table
+    if "hecke" in parts:
         hecke._check_bound(degree_bound)
-    checks = {"tables": lambda: _check_tables(golden_dir), "hecke": lambda: _check_hecke(degree_bound),
+    goldens = {f: _golden_bytes(golden_dir, f) for f in blocks.FAMILIES} if "tables" in parts else {}
+    checks = {"tables": lambda: _check_tables(goldens), "hecke": lambda: _check_hecke(degree_bound),
               "blocks": lambda: _check_blocks(allowed), "extquot": _check_extquot,
               "matching": lambda: _check_matching(seed)}
     results = []
     for part in [p for p in _PARTS if p in parts]:
         try:
             results += checks[part]()
-        except UsageError:  # an unreadable --golden-dir file
-            raise
         except Exception as e:  # a fault that raises fails its part alone; the others still report
             results.append({"name": f"{part}/error", "ok": False, "detail": f"raised {type(e).__name__}: {e}"})
     failures = sum(1 for r in results if not r["ok"])

@@ -20,12 +20,13 @@ Three conventions matter for the rest of the package:
 * Rational functions are stored reduced (multivariate gcd removed, common
   monomial factors cleared) with a monic denominator under the lex order,
   which makes equality a dictionary comparison.  Monomials are units of the
-  Laurent ring, so the gcd strips the monomial content of each variable
-  first.  It then tries the heuristic integer gcd GCDHEU (evaluate at a
-  large integer, take the integer gcd, rebuild the candidate from its
-  digits, keep it only if it divides both inputs exactly) and runs the
-  primitive pseudo-remainder sequence only when no candidate divides.  A
-  monomial denominator is a unit and skips the gcd on the same path.
+  Laurent ring, so the one gcd entry strips each input's monomial content
+  first, and answers a one-term operand (a constant or monomial) itself
+  with gcd 1.  Otherwise it tries the heuristic integer gcd GCDHEU
+  (evaluate at a large integer, take the integer gcd, rebuild the
+  candidate from its digits, keep it only if it divides both inputs
+  exactly) and runs the primitive pseudo-remainder sequence only when no
+  candidate divides.
 * :class:`RationalExpr` alone promotes mixed operands: a
   :class:`LaurentExpr` operator returns ``NotImplemented`` for a fraction,
   so Python calls the fraction's reflected operator.  Equal values hash
@@ -42,7 +43,7 @@ import re
 import sys
 from collections.abc import Iterable, Mapping
 from math import comb, gcd, isqrt, lcm
-from operator import add, sub
+from operator import add, neg, sub
 
 __all__ = [
     "RingContext",
@@ -140,7 +141,8 @@ class RingContext:
     def one(self) -> "LaurentExpr":
         return self.const(1)
 
-    def const(self, c: int | Fraction) -> "LaurentExpr":
+    def const(self, c) -> "LaurentExpr":
+        """The constant ``c``, an ``int`` or ``Fraction``."""
         c = _exact(c)
         if c == 0:
             return self.zero()
@@ -157,9 +159,8 @@ class RingContext:
         """The monomial ``name**power``; alias names expand to the base variable."""
         return self.monomial({name: power})
 
-    def monomial(
-        self, exponents: Mapping[str, int] | Iterable[int], coeff: int | Fraction = 1
-    ) -> "LaurentExpr":
+    def monomial(self, exponents: Mapping[str, int] | Iterable[int], coeff=1) -> "LaurentExpr":
+        """``coeff``, an ``int`` or ``Fraction``, times a monomial given by name or as an exponent vector."""
         given = list(exponents.values() if isinstance(exponents, Mapping) else exponents)
         for e in given:
             if type(e) is not int:  # bool and float included
@@ -205,7 +206,7 @@ class LaurentExpr:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring_ctx: RingContext, terms: Mapping[tuple, int | Fraction]):
+    def __init__(self, ring_ctx: RingContext, terms: Mapping):
         clean = {}
         for e, c in terms.items():
             c = _exact(c)
@@ -228,7 +229,8 @@ class LaurentExpr:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def constant_value(self) -> int | Fraction:
+    def constant_value(self):
+        """The value of a constant expression, an ``int`` or ``Fraction``."""
         if not self.is_constant():
             raise ValueError("not a constant expression")
         return next(iter(self.terms.values()), 0)
@@ -283,14 +285,16 @@ class LaurentExpr:
             e, c = self.leading()
             inv = _laurent(self.ring, {tuple(-x for x in e): _div(1, c)})
             return inv ** (-n)
-        out, base = self.ring.one(), self
+        # raised over the integers and divided by d^n once: Fraction products cost about 10 times more
+        d, terms = _integral(self.terms)
+        dn, out, base = d ** n, self.ring.one(), _laurent(self.ring, terms)
         while n:
             if n & 1:
                 out = out * base
             n >>= 1
             if n:
                 base = base * base
-        return out
+        return out if dn == 1 else _laurent(self.ring, {e: _div(c, dn) for e, c in out.terms.items()})
 
     def __truediv__(self, other):
         if _is_number(other):
@@ -510,39 +514,26 @@ def _monic(f: dict) -> dict:
     return {e: _div(c, lc) for e, c in f.items()}
 
 
-def _shift_slot(f: dict, slot: int, d: int) -> dict:
-    """f times x_slot^d."""
-    if not d:
-        return f
-    shift = [0] * len(next(iter(f)))
-    shift[slot] = d
-    return _term_mul(f, shift, 1)
-
-
 def _poly_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
     """Multivariate gcd over Q of the variables from ``slot`` on, monic under lex order.
 
-    At each slot the lowest power of x_slot is divided out of both inputs
-    first, since gcd(x^a f, x^b g) = x^min(a, b) gcd(f, g) for f, g prime to
-    x: in the Laurent ring monomials are units.  Then the heuristic integer
-    gcd (``_heu_gcd``) is tried; only when it finds no verified candidate
-    does the primitive pseudo-remainder sequence (``_prs_gcd``) run.
+    The inputs may be Laurent.  Each is divided by its own lowest power of
+    every variable first, since gcd(m f, n g) = gcd(m, n) gcd(f, g) for
+    monomials m, n and f, g prime to every variable: in the Laurent ring
+    monomials are units.  A one-term operand then has gcd 1 with anything.
+    Otherwise the heuristic integer gcd (``_heu_gcd``) is tried; only when it
+    finds no verified candidate does the primitive pseudo-remainder sequence
+    (``_prs_gcd``) run.
     """
-    if not f:
-        return _monic(g)
-    if not g:
-        return _monic(f)
-    if slot >= nvars:
-        return {(0,) * nvars: 1}
-    lo_f = min(e[slot] for e in f)
-    lo_g = min(e[slot] for e in g)
-    if lo_f or lo_g:
-        inner = _poly_gcd(_shift_slot(f, slot, -lo_f), _shift_slot(g, slot, -lo_g), slot, nvars)
-        return _shift_slot(inner, slot, min(lo_f, lo_g))
-    if not any(e[slot] for e in f) and not any(e[slot] for e in g):
-        return _poly_gcd(f, g, slot + 1, nvars)
-    h = _heu_gcd(f, g, slot, nvars)
-    return h if h is not None else _prs_gcd(f, g, slot, nvars)
+    if not f or not g:
+        return _monic(f or g)
+    lo_f, lo_g = tuple(map(min, zip(*f))), tuple(map(min, zip(*g)))
+    f, g = _term_mul(f, tuple(map(neg, lo_f)), 1), _term_mul(g, tuple(map(neg, lo_g)), 1)
+    if len(f) == 1 or len(g) == 1:
+        h = {(0,) * nvars: 1}
+    else:
+        h = _heu_gcd(f, g, slot, nvars) or _prs_gcd(f, g, slot, nvars)
+    return _term_mul(h, tuple(map(min, lo_f, lo_g)), 1)
 
 
 # GCDHEU: Char, Geddes, Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm
@@ -552,15 +543,15 @@ def _poly_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
 _HEU_TRIES = 4  # evaluation points per variable before giving up
 
 
-def _integral(f: dict) -> dict:
-    """f times the lcm of its denominators: an integer polynomial."""
+def _integral(f: dict):
+    """(d, f times d) for d the lcm of f's denominators: the second is an integer polynomial."""
     d = 1
     for c in f.values():
         if type(c) is not int:
             d = lcm(d, c.denominator)
     if d == 1:
-        return f
-    return {e: c * d if type(c) is int else c.numerator * (d // c.denominator) for e, c in f.items()}
+        return d, f
+    return d, {e: c * d if type(c) is int else c.numerator * (d // c.denominator) for e, c in f.items()}
 
 
 def _int_primitive(f: dict):
@@ -637,7 +628,7 @@ def _heu(f: dict, g: dict, slots: tuple):
 
 def _heu_gcd(f: dict, g: dict, slot: int, nvars: int):
     """The monic gcd of the variables from ``slot`` on by GCDHEU, or None to fall back."""
-    h = _heu(_integral(f), _integral(g), tuple(range(slot, nvars)))
+    h = _heu(_integral(f)[1], _integral(g)[1], tuple(range(slot, nvars)))
     return None if h is None else _monic(h)
 
 
@@ -693,8 +684,7 @@ def _prs_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
 def laurent_gcd(f: LaurentExpr, g: LaurentExpr) -> LaurentExpr:
     """A gcd of two Laurent polynomials, normalized monic; defined up to units."""
     _check_same_ring(f, g)
-    _, (fp, gp) = _shift_to_poly(f, g)
-    return _laurent(f.ring, _poly_gcd(fp, gp, 0, f.ring.nvars))
+    return _laurent(f.ring, _poly_gcd(f.terms, g.terms, 0, f.ring.nvars))
 
 
 def exact_div(f: LaurentExpr, g: LaurentExpr) -> LaurentExpr:
@@ -739,15 +729,13 @@ class RationalExpr:
             self.den = ctx.one()
             return
         _, (np_, dp) = _shift_to_poly(num, den)
-        # a monomial denominator is a unit of the Laurent ring: no gcd to take
-        if len(dp) > 1:
-            g = _poly_gcd(np_, dp, 0, ctx.nvars)
-            if g != {(0,) * ctx.nvars: 1}:
-                np2 = _poly_div_exact(np_, g)
-                dp2 = _poly_div_exact(dp, g)
-                if np2 is None or dp2 is None:
-                    raise NonExactDivision("the gcd does not divide numerator and denominator")
-                np_, dp = np2, dp2
+        g = _poly_gcd(np_, dp, 0, ctx.nvars)
+        if g != {(0,) * ctx.nvars: 1}:
+            np2 = _poly_div_exact(np_, g)
+            dp2 = _poly_div_exact(dp, g)
+            if np2 is None or dp2 is None:
+                raise NonExactDivision("the gcd does not divide numerator and denominator")
+            np_, dp = np2, dp2
         # anchor the denominator at exponent 0 per slot; the numerator absorbs
         # the shift and may legitimately stay Laurent
         down = tuple(-m for m in map(min, zip(*dp)))

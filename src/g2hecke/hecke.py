@@ -157,7 +157,7 @@ class HeckeElement:
 
     __slots__ = ("pres", "terms")
 
-    def __init__(self, pres: AffineHeckePresentation, terms: Mapping[tuple, int | Fraction]):
+    def __init__(self, pres: AffineHeckePresentation, terms: Mapping):
         clean = {}
         for key, c in terms.items():
             try:

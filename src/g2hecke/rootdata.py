@@ -104,16 +104,16 @@ class BasedRootDatum:
 
     # -- bilinear structure --------------------------------------------------
 
-    def pairing(self, x: Sequence, y: Sequence) -> Fraction:
-        """The symmetric form (x|y) in simple-root coordinates."""
+    def pairing(self, x: Sequence, y: Sequence):
+        """The symmetric form (x|y) in simple-root coordinates, an int or Fraction."""
         return sum(
             _rational(x[i]) * self.gram[i][j] * y[j]
             for i in range(self.rank)
             for j in range(self.rank)
         )
 
-    def coroot_pairing(self, x: Sequence, gamma: Sequence) -> Fraction:
-        """<x, gamma^> = 2(x|gamma)/(gamma|gamma)."""
+    def coroot_pairing(self, x: Sequence, gamma: Sequence):
+        """<x, gamma^> = 2(x|gamma)/(gamma|gamma), an int or Fraction."""
         gg = self.pairing(gamma, gamma)
         if gg == 0:
             raise RootDatumError("isotropic vector has no coroot")

@@ -111,6 +111,20 @@ def test_check_fails_on_tampered_golden(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_tables_check_sees_booleans_written_as_numbers(monkeypatch, capsys):
+    # the golden tables are compared as bytes: decoded, 0 == False and 1 == True,
+    # and a descriptor that wrote its switches as numbers passed the diff
+    honest = blocks.BlockDescriptor.to_json
+
+    def numeric(self):
+        return {k: int(v) if type(v) is bool else v for k, v in honest(self).items()}
+
+    monkeypatch.setattr(blocks.BlockDescriptor, "to_json", numeric)
+    code, out, _ = run(capsys, "check", "--part", "tables")
+    assert code == EXIT_CHECK_FAILED
+    assert out.count("[FAIL] tables/") == len(blocks.FAMILIES) == 4
+
+
 def test_mu_text(capsys):
     code, out, _ = run(capsys, "mu", "--case", "long-IV")
     assert code == EXIT_OK

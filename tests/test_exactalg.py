@@ -291,6 +291,13 @@ def _count_prs(monkeypatch) -> list:
     return calls
 
 
+def _count_gcd_work(monkeypatch) -> list:
+    """Record every call of GCDHEU or the PRS; GCDHEU then answers None, so the PRS follows."""
+    calls = _count_prs(monkeypatch)
+    monkeypatch.setattr(exactalg, "_heu_gcd", lambda *a: calls.append("heu"))
+    return calls
+
+
 class _OverBudget(Exception):
     pass
 
@@ -398,13 +405,60 @@ def test_power_squares_only_while_bits_remain(monkeypatch, n, products):
     assert len(calls) == products
 
 
+def test_fraction_power_equals_repeated_products(monkeypatch):
+    # a base with Fraction coefficients is raised over the integers and divided
+    # by d^n once, where d is the lcm of its denominators
+    R = make_ring()
+    rng = random.Random(499)
+    honest = exactalg._poly_mul
+    seen = []
+
+    def counting(a, b):
+        seen.extend(type(c) for c in (*a.values(), *b.values()))
+        return honest(a, b)
+
+    for _ in range(12):
+        base = _random_expr(R, rng, nterms=3)
+        if all(type(c) is int for c in base.terms.values()):
+            continue
+        n = rng.randint(1, 9)
+        repeated = R.one()
+        for _ in range(n):
+            repeated = repeated * base
+        monkeypatch.setattr(exactalg, "_poly_mul", counting)
+        raised = base ** n
+        monkeypatch.setattr(exactalg, "_poly_mul", honest)
+        assert raised == repeated
+    assert seen and set(seen) == {int}
+
+
 def test_monomial_denominator_needs_no_gcd(monkeypatch):
+    # a one-term operand has gcd 1: the gcd answers it without GCDHEU or the PRS
     from g2hecke.plancherel import MU_RING
 
-    budget = _gcd_budget(monkeypatch)
+    calls = _count_gcd_work(monkeypatch)
     r = RationalExpr(MU_RING.one(), MU_RING.one())
     assert r.is_laurent() and r.num.is_one()
-    assert budget["left"] == 0
+    assert calls == []
+
+
+def test_constant_over_a_polynomial_needs_no_gcd_work(monkeypatch):
+    # GCDHEU took 55 s on the quotient below, evaluating the 1,700-bit
+    # denominator at a point of that size for a gcd with the constant 1
+    R = ring(["v", "X"], {"v": "q"})
+    den = parse_expr(R, "(70001*v-50003*X)^100")
+    calls = _count_gcd_work(monkeypatch)
+    r = parse_expr(R, "1/(70001*v-50003*X)^100")
+    rng = random.Random(7)
+    quotients = []
+    for _ in range(20):
+        f = _random_expr(R, rng, nterms=3)
+        c = R.const(rng.choice([1, -3, Fraction(2, 5)]))
+        if not f.is_zero():
+            quotients.append((c, f, RationalExpr(c, f)))
+    assert calls == []
+    assert r.num * den == r.den and not r.is_laurent()
+    assert all(q.num * f == c * q.den for c, f, q in quotients)
 
 
 @pytest.mark.parametrize(

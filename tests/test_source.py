@@ -50,6 +50,32 @@ def test_every_exported_name_resolves():
     assert not missing, f"names in __all__ that do not resolve: {missing}"
 
 
+def test_every_annotation_resolves():
+    # annotations are strings under `from __future__ import annotations`, so one
+    # naming a class its module does not bind (Fraction) fails only when read
+    import inspect
+    import typing
+
+    checked, broken = 0, []
+    for path in SOURCES:
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module("g2hecke" if path.stem == "__init__" else f"g2hecke.{path.stem}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for f in members:
+                f = getattr(f, "fget", getattr(f, "__func__", f))
+                if inspect.isfunction(f):
+                    checked += 1
+                    try:
+                        typing.get_type_hints(f)
+                    except NameError as e:
+                        broken.append(f"{f.__qualname__}: {e}")
+    assert checked > 300 and not broken, broken
+
+
 def test_import_path_stays_lean():
     # every CLI command is a fresh process, so what `import g2hecke` pulls in
     # is paid on each one; -S keeps site hooks from loading these first.
@@ -70,14 +96,13 @@ def test_command_path_loads_no_argparse():
     # and locale it loads cost about 7 ms of start-up on every command; the
     # golden tables are read through the package's loader, since
     # importlib.resources alone loads typing, pathlib, tempfile and zipfile
-    # no command here makes a Fraction; only check's tables part decodes the
-    # golden tables, and tables writes its JSON through cli's own writer, so
-    # tables and the blocks part load no json
+    # no command here makes a Fraction; check compares the golden tables as
+    # bytes, and JSON is written by cli's own writer, so none loads json
     heavy = {"argparse", "gettext", "locale", "importlib.resources", "pathlib", "tempfile", "zipfile", "typing",
-             "fractions", "decimal", "numbers"}
+             "fractions", "decimal", "numbers", "json"}
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    for command, avoid in ((["tables", "--family", "all", "--format", "json"], heavy | {"json"}),
-                           (["check", "--part", "blocks"], heavy | {"json"}), (["check", "--all"], heavy)):
+    for command in (["tables", "--family", "all", "--format", "json"], ["check", "--part", "blocks"],
+                    ["check", "--all"]):
         proc = subprocess.run(
             [sys.executable, "-S", "-X", "importtime", "-m", "g2hecke"] + command,
             env=env, capture_output=True, text=True, check=True, timeout=60,
@@ -86,7 +111,7 @@ def test_command_path_loads_no_argparse():
         lines = proc.stderr.splitlines()
         loaded = {line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")}
         assert "g2hecke.cli" in loaded
-        assert not loaded & avoid, command
+        assert not loaded & heavy, command
 
 
 def test_a_fraction_made_after_import_is_accepted():

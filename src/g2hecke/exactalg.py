@@ -453,12 +453,14 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _poly_div_exact(f: dict, g: dict):
+def _poly_div_exact(f: dict, g: dict, integral: bool = False):
     """Quotient f/g when g divides f exactly (lex division); else None.
 
     Inputs must be polynomial dicts (all exponents >= 0).  Degrees add under
     multiplication in every variable, at the top and at the bottom, so a
-    quotient term outside those ranges ends the division early.
+    quotient term outside those ranges ends the division early.  With
+    ``integral``, for integer inputs, a quotient coefficient that is not an
+    integer ends it too, so no ``Fraction`` is made.
     """
     if not g:
         raise ZeroDivisionError("division by zero polynomial")
@@ -478,6 +480,8 @@ def _poly_div_exact(f: dict, g: dict):
         re = max(r)
         qe = tuple(map(sub, re, ge))
         if any(x < a or x > b for x, a, b in zip(qe, lo, hi)):
+            return None
+        if integral and r[re] % gc:
             return None
         qc = q[qe] = _div(r.pop(re), gc)
         for e, c in rest:
@@ -600,9 +604,13 @@ def _heu(f: dict, g: dict, slots: tuple):
     candidate rebuilt from its digits is accepted only if it divides both
     primitive parts exactly.  For xi > 2 min(|f|, |g|) + 2 (max-norms of
     the primitive parts) such a candidate is their gcd (Char, Geddes and
-    Gonnet, Theorem 1).  xi starts at 2 max(|f|, |g|) + 3, which outgrows
-    chance common factors of the larger polynomial's values more often than
-    a start from the smaller norm.  After a rejected xi the next is
+    Gonnet, Theorem 1), so xi starts at 2 min(|f|, |g|) + 3; a start from
+    the larger norm would evaluate a small operand, such as v + X against
+    (70001 v - 50003 X)^100, at a point of the large one's size.  The
+    candidate is primitive and f, g are integral, so by Gauss's lemma it
+    divides them over Q only with an integral quotient: the trial division
+    stops at the first quotient coefficient that is not an integer, and no
+    ``Fraction`` is made.  After a rejected xi the next is
     xi * isqrt(xi) + 1, so that a fixed common factor of the values, such
     as the 2^6 that (xi^2 - 1)^2 carries at every odd xi, is outgrown
     within a few tries.
@@ -614,13 +622,13 @@ def _heu(f: dict, g: dict, slots: tuple):
     if not present:
         return {next(iter(f)): c}
     slot, rest = present[0], tuple(present[1:])
-    xi = 2 * max(max(map(abs, f.values())), max(map(abs, g.values()))) + 3
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 3
     for _ in range(_HEU_TRIES):
         fe, ge = _eval_slot(f, slot, xi), _eval_slot(g, slot, xi)
         h = _heu(fe, ge, rest) if fe and ge else None
         if h is not None:
             cand = _int_primitive(_xi_adic(h, slot, xi))[1]
-            if _poly_div_exact(f, cand) is not None and _poly_div_exact(g, cand) is not None:
+            if _poly_div_exact(f, cand, True) is not None and _poly_div_exact(g, cand, True) is not None:
                 return {e: c * v for e, v in cand.items()}
         xi = xi * isqrt(xi) + 1
     return None
@@ -679,12 +687,6 @@ def _prs_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
         a, b = b, r
     _, pp = primitive(a)
     return _monic(_poly_mul(cont_gcd, pp))
-
-
-def laurent_gcd(f: LaurentExpr, g: LaurentExpr) -> LaurentExpr:
-    """A gcd of two Laurent polynomials, normalized monic; defined up to units."""
-    _check_same_ring(f, g)
-    return _laurent(f.ring, _poly_gcd(f.terms, g.terms, 0, f.ring.nvars))
 
 
 def exact_div(f: LaurentExpr, g: LaurentExpr) -> LaurentExpr:

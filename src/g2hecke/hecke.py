@@ -67,8 +67,6 @@ __all__ = [
     "RelationReport",
     "CheckResult",
     "check_lusztig",
-    "theta",
-    "t_basis",
     "basis_element",
 ]
 
@@ -256,19 +254,8 @@ def _check_pres(a: HeckeElement, b: HeckeElement):
 
 
 def basis_element(pres: AffineHeckePresentation, x: int, w: int, coeff=1) -> HeckeElement:
+    """coeff * theta_x T_w, with w = 0 for the identity and 1 for the reflection."""
     return HeckeElement(pres, {(x, w, 0): coeff})
-
-
-def theta(pres: AffineHeckePresentation, x: int) -> HeckeElement:
-    return basis_element(pres, x, 0)
-
-
-def t_basis(pres: AffineHeckePresentation, w: int) -> HeckeElement:
-    return basis_element(pres, 0, w)
-
-
-def one(pres: AffineHeckePresentation) -> HeckeElement:
-    return basis_element(pres, 0, 0)
 
 
 def _commutation_quotient(y: int) -> list:

@@ -69,9 +69,6 @@ class WeylElement:
     def length(self) -> int:
         return len(self.word)
 
-    def act(self, vec: Sequence) -> Vec:
-        return _mat_vec(self.matrix, vec)
-
 
 class BasedRootDatum:
     """A based root datum carried by explicit vectors and a Gram matrix.
@@ -141,9 +138,10 @@ class BasedRootDatum:
 
     def _validate(self):
         root_set = set(self.roots)
+        # <a, a^> = 2(a|a)/(a|a) is 2 for every root that is not isotropic
         for g in self.roots:
-            if self.coroot_pairing(g, g) != 2:
-                raise RootDatumError(f"<a, a^> != 2 for root {g}")
+            if self.pairing(g, g) == 0:
+                raise RootDatumError(f"isotropic root {g} has no coroot")
         for m in self.simple_reflections():
             for r in self.roots:
                 if _mat_vec(m, r) not in root_set:

@@ -332,16 +332,29 @@ def test_check_extquot_builds_no_records(monkeypatch, capsys):
         ["--config", "{file}", "tables"],
         ["extquot", "--model", "{file}"],
         ["check", "--part", "blocks", "--allowed-lusztig", "{file}"],
-        ["check", "--part", "tables", "--golden-dir", "{dir}"],
     ],
-    ids=["config", "model", "allowed-lusztig", "golden-dir"],
+    ids=["config", "model", "allowed-lusztig"],
 )
 def test_input_file_not_utf8(tmp_path, capsys, argv):
-    bad = tmp_path / "long_depth_zero.json"
+    bad = tmp_path / "input.json"
     bad.write_bytes(b"\xff\xfe")
-    code, _, err = run(capsys, *(a.format(file=bad, dir=tmp_path) for a in argv))
+    code, _, err = run(capsys, *(a.format(file=bad) for a in argv))
     assert code == EXIT_USAGE
     assert err.startswith("error: unreadable") and err.count("\n") == 1
+
+
+def test_golden_file_not_utf8_is_a_differing_table(tmp_path, capsys):
+    # check compares the golden tables as bytes without decoding them, so a
+    # non-UTF-8 file among three valid ones is one table that differs
+    src = resources.files("g2hecke").joinpath("data/tables")
+    for fam in ("long_positive", "short_depth_zero", "short_positive"):
+        shutil.copy(str(src / f"{fam}.json"), tmp_path / f"{fam}.json")
+    (tmp_path / "long_depth_zero.json").write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "check", "--part", "tables", "--golden-dir", str(tmp_path), "--format", "json")
+    assert code == EXIT_CHECK_FAILED and err == ""
+    doc = json.loads(out)
+    assert [r["name"] for r in doc["results"] if not r["ok"]] == ["tables/long-depth-zero"]
+    assert doc["failures"] == 1
 
 
 def test_config_file_overrides_flags(tmp_path, capsys):

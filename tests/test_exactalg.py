@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 import time
 from fractions import Fraction
 from math import comb
@@ -14,7 +15,6 @@ from g2hecke.exactalg import (
     RingError,
     eval_unit_circle_zeros,
     exact_div,
-    laurent_gcd,
     parse_expr,
     ring,
 )
@@ -119,6 +119,11 @@ def test_mixed_operands_promote_through_the_fraction():
     for other in (r, lifted, RationalExpr(L + one, one)):
         assert (L == other) == (other == L)
     assert L == lifted and L - lifted == 0
+    # a number on the left, and negative powers of a fraction and of a parsed sum
+    assert 3 / L == RationalExpr(R.const(3), L)
+    assert 2 - r == RationalExpr(2 * r.den - r.num, r.den)
+    assert r ** -2 == RationalExpr(r.den ** 2, r.num ** 2)
+    assert parse_expr(R, "(1+X)^-2") == RationalExpr(one, (one + X) ** 2)
 
 
 def test_equal_values_hash_alike():
@@ -204,10 +209,13 @@ def test_gcd_divides_both():
     X, one = R.var("X"), R.one()
     f = (one - X) * (one + X)
     g = (one - X) * (one - X ** -1)
-    d = laurent_gcd(f, g)
+    d = LaurentExpr(R, exactalg._poly_gcd(f.terms, g.terms, 0, R.nvars))
     assert exact_div(f, d) is not None
     assert exact_div(g, d) is not None
     assert not d.is_constant()
+    # g = -(X - 1)^2 / X, so the reduced f / g keeps one factor X - 1 of two
+    r = f / g
+    assert r.den == X - one and r.num == X ** 2 + X
 
 
 def test_canonicalization_is_idempotent():
@@ -461,6 +469,28 @@ def test_constant_over_a_polynomial_needs_no_gcd_work(monkeypatch):
     assert all(q.num * f == c * q.den for c, f, q in quotients)
 
 
+def _at(p, point):
+    """The Laurent polynomial p at a point, one nonzero value per ring variable, in Fraction."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        term = Fraction(c)
+        for x, k in zip(point, e):
+            term *= Fraction(x) ** k
+        total += term
+    return total
+
+
+def test_two_term_quotient_by_a_wide_power_is_fast():
+    # GCDHEU started xi from the larger norm, evaluating v + X at a 1,700-bit
+    # point, and this quotient took 47 s
+    R = make_ring()
+    start = time.perf_counter()
+    r = parse_expr(R, "(v+X)/(70001*v-50003*X)^100")
+    assert time.perf_counter() - start < 2
+    for v, x in [(1, 2), (3, -1), (-2, 5), (7, 7)]:
+        assert _at(r.num, (v, x)) / _at(r.den, (v, x)) == Fraction(v + x, (70001 * v - 50003 * x) ** 100)
+
+
 @pytest.mark.parametrize(
     "c", [3, -2, Fraction(2, 3), Fraction(-5, 4)], ids=["int", "neg-int", "frac", "neg-frac"]
 )
@@ -516,6 +546,99 @@ def test_heuristic_gcd_agrees_with_the_prs_on_a_seeded_corpus(monkeypatch):
             compared += 1
             assert (fast.num.terms, fast.den.terms) == (slow.num.terms, slow.den.terms)
     assert compared >= 280 and compared + over == 320
+
+
+def _random_text(rng, depth=0):
+    """A random expression over v, X, c and the alias q, in the parser's grammar."""
+    if depth == 3 or (depth and rng.random() < 0.3):
+        name, k = rng.choice("vXcq"), rng.randint(-2, 3)
+        leaf = name if k == 1 else f"{name}^{k}"
+        return leaf if rng.random() < 0.5 else f"{leaf} {rng.choice('+-')} {rng.randint(0, 9)}"
+    a, b = _random_text(rng, depth + 1), _random_text(rng, depth + 1)
+    op = rng.choice("+-*//^")
+    if op in "+-":
+        return f"{a} {op} {b}"
+    if op == "^":
+        return f"({a})^{rng.randint(-2, 3)}"
+    return f"({a}){op}({b})"
+
+
+def _eval_text(text, v, x, c):
+    """The text evaluated in Fraction arithmetic by Python itself, q being v^2."""
+    python = re.sub(r"\d+", lambda m: f"F({m.group()})", text).replace("^", "**")
+    F = Fraction
+    return eval(python, {"F": F}, {"v": F(v), "X": F(x), "c": F(c), "q": F(v) ** 2})
+
+
+def _gcd_degree(a, b):
+    """The degree of gcd(a, b) over Q, for coefficient lists (lowest first), by Euclid."""
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    a, b = trim(a), trim(b)
+    while b:
+        while len(a) >= len(b):
+            k, q = len(a) - len(b), a[-1] / b[-1]
+            for i, bc in enumerate(b):
+                a[k + i] -= q * bc
+            trim(a)
+        a, b = b, a
+    return len(a) - 1
+
+
+def _coefficients(p, slot, point):
+    """p as a polynomial in the variable ``slot``, the others set from ``point``, lowest first."""
+    low = min(e[slot] for e in p.terms)
+    out = [Fraction(0)] * (max(e[slot] for e in p.terms) - low + 1)
+    for e, c in p.terms.items():
+        term = Fraction(c)
+        for i, (x, k) in enumerate(zip(point, e)):
+            if i != slot:
+                term *= Fraction(x) ** k
+        out[e[slot] - low] += term
+    return out
+
+
+@pytest.mark.parametrize("heuristic", [True, False], ids=["gcdheu", "prs-only"])
+def test_parsed_texts_agree_with_their_values_and_are_reduced(monkeypatch, heuristic):
+    # an evaluation oracle that shares no code with the package: each text is
+    # evaluated by Python in Fraction arithmetic at integer points, and the parsed
+    # fraction must have that value, a monic denominator touching exponent 0 in
+    # every variable, and no common factor in any one variable at a random point;
+    # GCDHEU answers every gcd here, so a second pass switches it off for the PRS
+    if not heuristic:
+        monkeypatch.setattr(exactalg, "_heu_gcd", lambda *a: None)
+    R = ring(["v", "X", "c"], {"v": "q"})
+    rng = random.Random(2024)
+    compared = 0
+    for _ in range(300):
+        text = _random_text(rng)
+        points = [tuple(rng.choice([-7, -3, -2, -1, 1, 2, 3, 5, 11]) for _ in range(3)) for _ in range(3)]
+        try:
+            r = parse_expr(R, text)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                _eval_text(text, *points[0])
+            continue
+        num, den = (r.num, r.den) if isinstance(r, RationalExpr) else (r, R.one())
+        for point in points:
+            try:
+                value = _eval_text(text, *point)
+            except ZeroDivisionError:
+                continue
+            assert _at(num, point) / _at(den, point) == value, text
+            compared += 1
+        assert den.terms[max(den.terms)] == 1, text
+        assert all(min(e[i] for e in den.terms) == 0 for i in range(3)), text
+        if num.is_zero():
+            assert den.is_one(), text
+            continue
+        for slot in range(3):
+            point = [rng.randint(-10 ** 6, 10 ** 6) or 1 for _ in range(3)]
+            assert _gcd_degree(_coefficients(num, slot, point), _coefficients(den, slot, point)) == 0, text
+    assert compared >= 600
 
 
 def _silberger(R, a, b):

@@ -60,6 +60,8 @@ def test_bad_primes():
     weird = BasedRootDatum(("a",), [(1,)], [[2]], "H3?")
     with pytest.raises(RootDatumError):
         bad_primes(weird)
+    # a datum without roots has no bad primes, whatever its tag
+    assert bad_primes(BasedRootDatum(("a",), [], [[2]], "H3?")) == set()
 
 
 def test_length_changes_by_one_under_simple_reflection():
@@ -95,6 +97,33 @@ def test_invalid_datum_rejected():
 
     with pytest.raises(RootDatumError):
         BasedRootDatum(("a", "b"), [(1, 0), (0, 1), (1, 2)], [[2, -1], [-1, 2]], "A2?")
+
+
+@pytest.mark.parametrize(
+    "labels, positive, gram, match",
+    [
+        (("a",), [(1,)], [[0]], r"^isotropic root \(1,\) has no coroot$"),
+        (("a", "b"), [(1, 0), (0, 1)], [[2, 1], [1, 4]], "^non-integral reflection; not a root datum$"),
+        (("a",), [(1,), (-1,)], [[2]], r"^positive root \(-1,\) is not a nonnegative integer combination"),
+    ],
+    ids=["isotropic", "non-integral-reflection", "negative-positive-root"],
+)
+def test_each_datum_refusal(labels, positive, gram, match):
+    from g2hecke.rootdata import BasedRootDatum
+
+    with pytest.raises(RootDatumError, match=match):
+        BasedRootDatum(labels, positive, gram, "X")
+
+
+def test_isotropic_vector_has_no_coroot():
+    with pytest.raises(RootDatumError, match="^isotropic vector has no coroot$"):
+        g2_datum().coroot_pairing((1, 0), (0, 0))
+
+
+def test_weyl_closure_stops_at_its_growth_bound():
+    assert len(generate_weyl(g2_datum(), max_elements=12)) == 12
+    with pytest.raises(RootDatumError, match="growth bound"):
+        generate_weyl(g2_datum(), max_elements=11)
 
 
 def test_json_round_trip_is_stable():

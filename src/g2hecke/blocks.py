@@ -39,7 +39,7 @@ import os
 
 from ._record import record, replace
 from .hecke import AffineHeckePresentation, RGroup, WeightFunction
-from .plancherel import W_ORDER_2, W_TRIVIAL, PlancherelCase, case_of, labels, mu, weyl_from_zeros
+from .plancherel import W_ORDER_2, W_TRIVIAL, MuFunction, PlancherelCase, case_of, labels, mu, weyl_from_zeros
 from .rootdata import bad_primes, g2_datum
 
 __all__ = [
@@ -246,6 +246,11 @@ class TableRow:
         }
 
 
+def _measure(case_id: str, desc: BlockDescriptor) -> MuFunction:
+    """The factored measure of a row's case at the descriptor's residue degree."""
+    return mu(PlancherelCase.from_id(case_id, residue_degree=desc.residue_degree))
+
+
 def _classify_row(
     desc: BlockDescriptor,
     case_id: str | None,
@@ -262,7 +267,7 @@ def _classify_row(
     """
     h_g = _crossed(r_if_trivial_w)
     if case_id is not None:
-        m = mu(PlancherelCase.from_id(case_id, residue_degree=desc.residue_degree))
+        m = _measure(case_id, desc)
         if weyl_from_zeros(m) == W_ORDER_2:
             h_g = _noncomm(*labels(m).pair())
     h_g0 = h_g if h_g0 is None else h_g0
@@ -353,11 +358,15 @@ def table_rows(family: str) -> list:
     return _CACHE[family]
 
 
+def _golden_name(family: str) -> str:
+    """The file name of one family's golden table."""
+    return f"{family.replace('-', '_')}.json"
+
+
 def _read_golden(family: str) -> bytes:
     """The bytes of the packaged golden JSON file for one family."""
     # the package's own loader reads a directory or a zip archive alike
-    name = f"{family.replace('-', '_')}.json"
-    return __loader__.get_data(os.path.join(os.path.dirname(__file__), "data", "tables", name))
+    return __loader__.get_data(os.path.join(os.path.dirname(__file__), "data", "tables", _golden_name(family)))
 
 
 def emit_table(family: str) -> dict:

@@ -57,23 +57,26 @@ _USAGE_ERRORS = (UsageError, blocks.BlocksError, plancherel.PlancherelError, ext
 # ---------------------------------------------------------------------------
 
 
-def _golden_bytes(golden_dir: str | None, family: str) -> bytes:
-    """The bytes of one family's golden table; an unreadable ``--golden-dir`` file is a usage error."""
-    if golden_dir is None:
-        return blocks._read_golden(family)
+def _golden_bytes(golden_dir: str, family: str) -> bytes:
+    """The bytes of one family's golden table in ``--golden-dir``; an unreadable file is a usage error."""
     try:
-        with open(f"{golden_dir}/{family.replace('-', '_')}.json", "rb") as f:
+        with open(f"{golden_dir}/{blocks._golden_name(family)}", "rb") as f:
             return f.read()
     except OSError as e:
         raise UsageError(f"unreadable golden table: {e}")
 
 
-def _check_tables(goldens: dict) -> list:
-    """Each regenerated table, as ``_print_json`` writes it, against the bytes of its golden file."""
+def _check_tables(goldens: dict | None) -> list:
+    """Each regenerated table, as ``_print_json`` writes it, against the bytes of its golden file.
+
+    ``goldens`` holds the ``--golden-dir`` bytes; None reads the packaged
+    files here, so that a missing one fails this part alone.
+    """
     results = []
     for family in blocks.FAMILIES:
+        golden = blocks._read_golden(family) if goldens is None else goldens[family]
         emitted = blocks.emit_table(family)
-        ok = (_json_text(emitted, "\n") + "\n").encode() == goldens[family]
+        ok = (_json_text(emitted, "\n") + "\n").encode() == golden
         detail = f"{len(emitted['rows'])} rows" if ok else "regenerated table differs from golden"
         results.append({"name": f"tables/{family}", "ok": ok, "detail": detail})
     return results
@@ -102,7 +105,7 @@ def _oracle_agrees(memo: dict, row) -> bool:
     case_id = row.classification.mu_case
     if case_id is None:
         return True
-    m = plancherel.mu(plancherel.PlancherelCase.from_id(case_id, residue_degree=row.descriptor.residue_degree))
+    m = blocks._measure(case_id, row.descriptor)
     key = (m.num_factors, m.den_factors)
     if key not in memo:
         memo[key] = plancherel.agrees_with_oracle(m)
@@ -233,10 +236,11 @@ def run_check_suite(
     parts: set | None = None,
 ) -> dict:
     parts = parts or set(_PARTS)
-    # bad input is a usage error, raised before any part runs: a bad bound or an unreadable golden table
+    # bad input is a usage error, raised before any part runs: a bad bound or an unreadable --golden-dir file
     if "hecke" in parts:
         hecke._check_bound(degree_bound)
-    goldens = {f: _golden_bytes(golden_dir, f) for f in blocks.FAMILIES} if "tables" in parts else {}
+    read = golden_dir is not None and "tables" in parts
+    goldens = {f: _golden_bytes(golden_dir, f) for f in blocks.FAMILIES} if read else None
     checks = {"tables": lambda: _check_tables(goldens), "hecke": lambda: _check_hecke(degree_bound),
               "blocks": lambda: _check_blocks(allowed), "extquot": _check_extquot,
               "matching": lambda: _check_matching(seed)}

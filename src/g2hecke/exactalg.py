@@ -19,14 +19,16 @@ Three conventions matter for the rest of the package:
   the base variable.
 * Rational functions are stored reduced (multivariate gcd removed, common
   monomial factors cleared) with a monic denominator under the lex order,
-  which makes equality a dictionary comparison.  Monomials are units of the
-  Laurent ring, so the one gcd entry strips each input's monomial content
-  first, and answers a one-term operand (a constant or monomial) itself
-  with gcd 1.  Otherwise it tries the heuristic integer gcd GCDHEU
-  (evaluate at a large integer, take the integer gcd, rebuild the
-  candidate from its digits, keep it only if it divides both inputs
+  which makes equality a dictionary comparison.  Each normal form is set
+  in one place: ``_unshift`` alone computes monomial content, and the
+  :class:`RationalExpr` constructor alone scales to monic.  Monomials are
+  units of the Laurent ring, so the one gcd entry strips each input's
+  monomial content first, and answers a one-term operand (a constant or
+  monomial) itself with gcd 1.  Otherwise it tries the heuristic integer
+  gcd GCDHEU (evaluate at a large integer, take the integer gcd, rebuild
+  the candidate from its digits, keep it only if it divides both inputs
   exactly) and runs the primitive pseudo-remainder sequence only when no
-  candidate divides.
+  candidate divides.  Its answer is a gcd up to a rational factor.
 * :class:`RationalExpr` alone promotes mixed operands: a
   :class:`LaurentExpr` operator returns ``NotImplemented`` for a fraction,
   so Python calls the fraction's reflected operator.  Equal values hash
@@ -410,16 +412,14 @@ def _laurent(ring_ctx: RingContext, terms: dict) -> LaurentExpr:
 # ---------------------------------------------------------------------------
 
 
-def _shift_to_poly(*exprs: LaurentExpr):
-    """Joint monomial shift making all inputs honest polynomials.
+def _unshift(terms: dict):
+    """(m, terms / x^m) for x^m the monomial content: the lowest power of each variable in ``terms``.
 
-    Returns (shift vector, shifted term dicts); per slot, the minimum exponent
-    across all inputs becomes 0.
+    The one place the kernel computes monomial content; the quotient is an
+    honest polynomial touching exponent 0 in every variable.
     """
-    exps = [e for f in exprs for e in f.terms]
-    mins = tuple(map(min, zip(*exps))) or (0,) * exprs[0].ring.nvars
-    down = tuple(-m for m in mins)
-    return mins, [_term_mul(f.terms, down, 1) for f in exprs]
+    m = tuple(map(min, zip(*terms)))
+    return m, (_term_mul(terms, tuple(map(neg, m)), 1) if any(m) else terms)
 
 
 def _term_mul(terms: dict, e0: tuple, c0: int) -> dict:
@@ -510,33 +510,30 @@ def _coeff_in(f: dict, slot: int, d: int) -> dict:
 
 
 def _monic(f: dict) -> dict:
-    if not f:
-        return f
+    """A nonzero f divided by its lex-leading coefficient."""
     lc = f[max(f)]
-    if lc == 1:
-        return f
-    return {e: _div(c, lc) for e, c in f.items()}
+    return f if lc == 1 else {e: _div(c, lc) for e, c in f.items()}
 
 
-def _poly_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
-    """Multivariate gcd over Q of the variables from ``slot`` on, monic under lex order.
+def _poly_gcd(f: dict, g: dict, slot: int) -> dict:
+    """Multivariate gcd over Q of the variables from ``slot`` on, up to a rational factor.
 
-    The inputs may be Laurent.  Each is divided by its own lowest power of
-    every variable first, since gcd(m f, n g) = gcd(m, n) gcd(f, g) for
+    The inputs may be Laurent.  Each is divided by its own monomial content
+    first (``_unshift``), since gcd(m f, n g) = gcd(m, n) gcd(f, g) for
     monomials m, n and f, g prime to every variable: in the Laurent ring
     monomials are units.  A one-term operand then has gcd 1 with anything.
-    Otherwise the heuristic integer gcd (``_heu_gcd``) is tried; only when it
-    finds no verified candidate does the primitive pseudo-remainder sequence
-    (``_prs_gcd``) run.
+    Otherwise the heuristic integer gcd (``_heu``) is tried on the inputs
+    cleared of denominators; only when it finds no verified candidate does
+    the primitive pseudo-remainder sequence (``_prs_gcd``) run.  The scale is
+    left as it falls: ``RationalExpr`` makes its denominator monic once.
     """
     if not f or not g:
-        return _monic(f or g)
-    lo_f, lo_g = tuple(map(min, zip(*f))), tuple(map(min, zip(*g)))
-    f, g = _term_mul(f, tuple(map(neg, lo_f)), 1), _term_mul(g, tuple(map(neg, lo_g)), 1)
+        return f or g
+    (lo_f, f), (lo_g, g) = _unshift(f), _unshift(g)
     if len(f) == 1 or len(g) == 1:
-        h = {(0,) * nvars: 1}
+        h = {(0,) * len(lo_f): 1}
     else:
-        h = _heu_gcd(f, g, slot, nvars) or _prs_gcd(f, g, slot, nvars)
+        h = _heu(_integral(f)[1], _integral(g)[1], tuple(range(slot, len(lo_f)))) or _prs_gcd(f, g, slot)
     return _term_mul(h, tuple(map(min, lo_f, lo_g)), 1)
 
 
@@ -634,27 +631,20 @@ def _heu(f: dict, g: dict, slots: tuple):
     return None
 
 
-def _heu_gcd(f: dict, g: dict, slot: int, nvars: int):
-    """The monic gcd of the variables from ``slot`` on by GCDHEU, or None to fall back."""
-    h = _heu(_integral(f)[1], _integral(g)[1], tuple(range(slot, nvars)))
-    return None if h is None else _monic(h)
+def _prs_gcd(f: dict, g: dict, slot: int) -> dict:
+    """Multivariate gcd over Q via primitive pseudo-remainder sequences, up to a rational factor.
 
-
-def _prs_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
-    """Multivariate gcd over Q via primitive pseudo-remainder sequences.
-
-    Recursion is on variable slots, through ``_poly_gcd`` for the contents;
-    the result is monic under lex order.  Primitive parts are made monic,
-    since the gcd is defined up to a rational factor; otherwise the rational
-    coefficients grow at every pseudo-division.  The fallback behind the
-    heuristic: correct on every input, but its coefficients can swell in the
-    inner variables.
+    Recursion is on variable slots, through ``_poly_gcd`` for the contents.
+    Primitive parts are made monic, the kernel's only use of ``_monic``:
+    otherwise the rational coefficients grow at every pseudo-division.  The
+    fallback behind the heuristic: correct on every input, but its
+    coefficients can swell in the inner variables.
     """
 
     def content(h: dict) -> dict:
         c: dict = {}
         for d in sorted({e[slot] for e in h}):
-            c = _poly_gcd(c, _coeff_in(h, slot, d), slot + 1, nvars)
+            c = _poly_gcd(c, _coeff_in(h, slot, d), slot + 1)
         return c
 
     def primitive(h: dict):
@@ -666,7 +656,7 @@ def _prs_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
 
     cf, pf = primitive(f)
     cg, pg = primitive(g)
-    cont_gcd = _poly_gcd(cf, cg, slot + 1, nvars)
+    cont_gcd = _poly_gcd(cf, cg, slot + 1)
 
     a, b = pf, pg
     if _deg(a, slot) < _deg(b, slot):
@@ -679,14 +669,14 @@ def _prs_gcd(f: dict, g: dict, slot: int, nvars: int) -> dict:
         lc_b = _coeff_in(b, slot, db)
         # one pseudo-reduction step: lc(b)*a - lc(a)*x^(da-db)*b
         lc_a = _coeff_in(a, slot, da)
-        shift = [0] * nvars
+        shift = [0] * len(next(iter(a)))
         shift[slot] = da - db
         r = _poly_add(_poly_mul(lc_b, a), _poly_mul(_term_mul(lc_a, tuple(shift), -1), b))
         if r:
             _, r = primitive(r)
         a, b = b, r
     _, pp = primitive(a)
-    return _monic(_poly_mul(cont_gcd, pp))
+    return _poly_mul(cont_gcd, pp)
 
 
 def exact_div(f: LaurentExpr, g: LaurentExpr) -> LaurentExpr:
@@ -700,13 +690,11 @@ def exact_div(f: LaurentExpr, g: LaurentExpr) -> LaurentExpr:
         raise ZeroDivisionError("division by zero expression")
     if f.is_zero():
         return f.ring.zero()
-    shift_f, (fp,) = _shift_to_poly(f)
-    shift_g, (gp,) = _shift_to_poly(g)
+    (lo_f, fp), (lo_g, gp) = _unshift(f.terms), _unshift(g.terms)
     q = _poly_div_exact(fp, gp)
     if q is None:
         raise NonExactDivision(f"{g.render()} does not divide {f.render()} exactly")
-    delta = tuple(a - b for a, b in zip(shift_f, shift_g))
-    return _laurent(f.ring, _term_mul(q, delta, 1))
+    return _laurent(f.ring, _term_mul(q, tuple(map(sub, lo_f, lo_g)), 1))
 
 
 class RationalExpr:
@@ -716,7 +704,10 @@ class RationalExpr:
     honest polynomial touching exponent 0 in every variable (its monomial
     content is absorbed into the numerator), and the denominator is monic
     under the lex order.  A value that is itself a Laurent polynomial
-    therefore always has denominator 1.
+    therefore always has denominator 1.  The constructor is the kernel's one
+    monic scaling: the gcd it divides out is known only up to a rational
+    factor, and one division by the denominator's leading coefficient fixes
+    the scale.
     """
 
     __slots__ = ("num", "den")
@@ -730,25 +721,17 @@ class RationalExpr:
             self.num = ctx.zero()
             self.den = ctx.one()
             return
-        _, (np_, dp) = _shift_to_poly(num, den)
-        g = _poly_gcd(np_, dp, 0, ctx.nvars)
-        if g != {(0,) * ctx.nvars: 1}:
-            np2 = _poly_div_exact(np_, g)
-            dp2 = _poly_div_exact(dp, g)
-            if np2 is None or dp2 is None:
+        # the denominator's monomial content moves to the numerator, which may stay Laurent
+        (lo_n, np_), (lo_d, dp) = _unshift(num.terms), _unshift(den.terms)
+        g = _poly_gcd(np_, dp, 0)
+        if len(g) > 1:
+            # lowest exponents add in each variable, so dp / g keeps exponent 0 in each
+            np_, dp = _poly_div_exact(np_, g), _poly_div_exact(dp, g)
+            if np_ is None or dp is None:
                 raise NonExactDivision("the gcd does not divide numerator and denominator")
-            np_, dp = np2, dp2
-        # anchor the denominator at exponent 0 per slot; the numerator absorbs
-        # the shift and may legitimately stay Laurent
-        down = tuple(-m for m in map(min, zip(*dp)))
-        if any(down):
-            np_, dp = _term_mul(np_, down, 1), _term_mul(dp, down, 1)
-        lead = dp[max(dp)]
-        if lead != 1:
-            np_ = {e: _div(c, lead) for e, c in np_.items()}
-            dp = {e: _div(c, lead) for e, c in dp.items()}
-        self.num = _laurent(ctx, np_)
-        self.den = _laurent(ctx, dp)
+        shift, lead = tuple(map(sub, lo_n, lo_d)), dp[max(dp)]
+        self.num = _laurent(ctx, {tuple(map(add, e, shift)): _div(c, lead) for e, c in np_.items()})
+        self.den = _laurent(ctx, dp if lead == 1 else {e: _div(c, lead) for e, c in dp.items()})
 
     @property
     def ring(self) -> RingContext:
@@ -854,7 +837,7 @@ def eval_unit_circle_zeros(f: RationalExpr, var: str) -> set:
     """
     num = f.num if isinstance(f, RationalExpr) else f
     slot = num.ring._slot(var)
-    _, (poly,) = _shift_to_poly(num)
+    poly = _unshift(num.terms)[1]
     return {s for s in (1, -1) if not (poly and _eval_slot(poly, slot, s))}
 
 

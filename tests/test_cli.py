@@ -805,6 +805,24 @@ def test_a_usage_error_raised_inside_a_part_fails_that_part_alone(monkeypatch, c
     assert parts == ["tables"] * 4 + ["hecke"] + ["blocks"] * 4 + ["extquot"] * 2
 
 
+def test_a_missing_packaged_golden_table_fails_the_tables_part_alone(monkeypatch, capsys):
+    # the packaged tables are read inside the tables part, so a missing file is
+    # that part's fault: no traceback, and the other four parts still report
+    def missing(family):
+        raise FileNotFoundError(f"no golden table for {family}")
+
+    monkeypatch.setattr(blocks, "_read_golden", missing)
+    code, out, err = run(capsys, "check", "--all", "--format", "json")
+    assert code == EXIT_CHECK_FAILED and err == ""
+    doc = strict_json(out)
+    error = {"name": "tables/error", "ok": False,
+             "detail": "raised FileNotFoundError: no golden table for long-depth-zero"}
+    assert [r for r in doc["results"] if not r["ok"]] == [error] and doc["failures"] == 1
+    names = [r["name"] for r in doc["results"]]
+    assert [n.split("/")[0] for n in names] == ["tables"] + ["hecke"] * 4 + ["blocks"] * 4 + ["extquot"] * 2
+    assert names[-1] == "extquot/matching-corpus"
+
+
 def test_a_bad_degree_bound_ends_check_before_any_part(capsys):
     for bound in ("0", "33"):
         code, out, err = run(capsys, "check", "--all", "--degree-bound", bound)

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from g2hecke import exactalg
+from g2hecke import blocks, exactalg
 from g2hecke.exactalg import (
     LaurentExpr,
     NonExactDivision,
@@ -18,6 +18,7 @@ from g2hecke.exactalg import (
     parse_expr,
     ring,
 )
+from g2hecke.plancherel import MuFunction, PlancherelError, labels
 
 
 def make_ring():
@@ -209,7 +210,7 @@ def test_gcd_divides_both():
     X, one = R.var("X"), R.one()
     f = (one - X) * (one + X)
     g = (one - X) * (one - X ** -1)
-    d = LaurentExpr(R, exactalg._poly_gcd(f.terms, g.terms, 0, R.nvars))
+    d = LaurentExpr(R, exactalg._poly_gcd(f.terms, g.terms, 0))
     assert exact_div(f, d) is not None
     assert exact_div(g, d) is not None
     assert not d.is_constant()
@@ -253,15 +254,15 @@ def test_gcd_that_does_not_divide_raises(monkeypatch, depth, match):
     honest = exactalg._poly_gcd
     calls = []
 
-    def non_divisor(f, g, slot, nvars):
+    def non_divisor(f, g, slot):
         calls.append(slot)
         if len(calls) <= depth:
-            return honest(f, g, slot, nvars)
+            return honest(f, g, slot)
         return {(1, 0): Fraction(1), (0, 0): Fraction(3)}
 
     monkeypatch.setattr(exactalg, "_poly_gcd", non_divisor)
     if depth:
-        monkeypatch.setattr(exactalg, "_heu_gcd", lambda f, g, slot, nvars: None)
+        monkeypatch.setattr(exactalg, "_heu", lambda f, g, slots: None)
     R = make_ring()
     v, X, one = R.var("v"), R.var("X"), R.one()
     with pytest.raises(NonExactDivision, match=match):
@@ -277,9 +278,9 @@ def test_gcd_work_on_the_long_i_measure(monkeypatch):
     honest = exactalg._poly_gcd
     calls = []
 
-    def counting(f, g, slot, nvars):
+    def counting(f, g, slot):
         calls.append(slot)
-        return honest(f, g, slot, nvars)
+        return honest(f, g, slot)
 
     monkeypatch.setattr(exactalg, "_poly_gcd", counting)
     mu(PlancherelCase.from_id("long-I", 2)).expr
@@ -291,9 +292,9 @@ def _count_prs(monkeypatch) -> list:
     honest = exactalg._prs_gcd
     calls = []
 
-    def counting(f, g, slot, nvars):
+    def counting(f, g, slot):
         calls.append(slot)
-        return honest(f, g, slot, nvars)
+        return honest(f, g, slot)
 
     monkeypatch.setattr(exactalg, "_prs_gcd", counting)
     return calls
@@ -302,7 +303,7 @@ def _count_prs(monkeypatch) -> list:
 def _count_gcd_work(monkeypatch) -> list:
     """Record every call of GCDHEU or the PRS; GCDHEU then answers None, so the PRS follows."""
     calls = _count_prs(monkeypatch)
-    monkeypatch.setattr(exactalg, "_heu_gcd", lambda *a: calls.append("heu"))
+    monkeypatch.setattr(exactalg, "_heu", lambda *a: calls.append("heu"))
     return calls
 
 
@@ -315,11 +316,11 @@ def _gcd_budget(monkeypatch) -> dict:
     honest = exactalg._poly_gcd
     budget = {"left": 0}
 
-    def budgeted(f, g, slot, nvars):
+    def budgeted(f, g, slot):
         budget["left"] -= 1
         if budget["left"] < 0:
             raise _OverBudget
-        return honest(f, g, slot, nvars)
+        return honest(f, g, slot)
 
     monkeypatch.setattr(exactalg, "_poly_gcd", budgeted)
     return budget
@@ -513,9 +514,9 @@ def test_heuristic_gcd_agrees_with_the_prs_on_a_seeded_corpus(monkeypatch):
     # budget of _poly_gcd calls, and an item past it (the PRS swelling the
     # heuristic is there to avoid) is checked by cross-multiplication only
     rings = [(ring(["v", "X", "c"], {"v": "q"}), 240), (make_ring(), 40), (ring(["x"]), 40)]
-    honest_heu = exactalg._heu_gcd
+    honest_heu = exactalg._heu
     heu_on = [True]
-    monkeypatch.setattr(exactalg, "_heu_gcd", lambda *a: honest_heu(*a) if heu_on[0] else None)
+    monkeypatch.setattr(exactalg, "_heu", lambda *a: honest_heu(*a) if heu_on[0] else None)
     budget = _gcd_budget(monkeypatch)
     rng = random.Random(1989)
     compared = over = 0
@@ -609,7 +610,7 @@ def test_parsed_texts_agree_with_their_values_and_are_reduced(monkeypatch, heuri
     # every variable, and no common factor in any one variable at a random point;
     # GCDHEU answers every gcd here, so a second pass switches it off for the PRS
     if not heuristic:
-        monkeypatch.setattr(exactalg, "_heu_gcd", lambda *a: None)
+        monkeypatch.setattr(exactalg, "_heu", lambda *a: None)
     R = ring(["v", "X", "c"], {"v": "q"})
     rng = random.Random(2024)
     compared = 0
@@ -815,3 +816,40 @@ def test_substitute():
     assert g == one - X + X ** -1
     with pytest.raises(NonExactDivision):
         (X ** -1).substitute("X", one + v)
+
+
+def _half_integer_labels(monkeypatch):
+    half = Fraction(1, 2)
+    return labels(MuFunction("long-I", (), (), ((-1, half, 1), (-1, half, -1))))
+
+
+def _ambiguous_descriptor(monkeypatch):
+    rows = blocks.table_rows("short-positive")
+    monkeypatch.setattr(blocks, "table_rows", lambda family: [*rows, rows[0]])
+    return blocks.classify(rows[0].descriptor)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        # the polynomial-only early return that GCDHEU's trial division relies on
+        (lambda mp: exactalg._poly_div_exact({(0,): 1, (1,): 1}, {(1,): 1, (2,): 1}), None),
+        (lambda mp: ring(["v"], {"w": "q"}), (RingError, "unknown variable 'w'")),
+        (lambda mp: make_ring().monomial((1,)), (RingError, "wrong length")),
+        (lambda mp: make_ring().var("X") ** 1.5, (TypeError, "must be an integer")),
+        (lambda mp: (1 + make_ring().var("X")) ** -1, (NonExactDivision, "non-monomial")),
+        (_half_integer_labels, (PlancherelError, "not integer powers of q")),
+        (lambda mp: RationalExpr(make_ring().zero(), make_ring().one()).is_zero(), True),
+        (_ambiguous_descriptor, (blocks.BlocksError, r"ambiguous across rows \[1, 1\]")),
+    ],
+    ids=["div-bottom-degree", "alias-unknown", "vector-length", "float-power", "negative-power",
+         "half-integer-labels", "rational-is-zero", "ambiguous-descriptor"],
+)
+def test_each_refusal_and_rare_answer(monkeypatch, call, expected):
+    # branches no other test runs: each refusal must raise, each answer must hold
+    if not isinstance(expected, tuple):
+        assert call(monkeypatch) is expected
+        return
+    error, match = expected
+    with pytest.raises(error, match=match):
+        call(monkeypatch)

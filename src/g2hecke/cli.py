@@ -289,7 +289,7 @@ def _read_json(path: str, what: str):
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
-    except (OSError, ValueError) as e:  # ValueError covers bad JSON and bad UTF-8
+    except (OSError, ValueError, RecursionError) as e:  # bad JSON and bad UTF-8 are ValueErrors, deep nesting recurses
         raise UsageError(f"unreadable {what}: {e}")
 
 

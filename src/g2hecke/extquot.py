@@ -60,7 +60,7 @@ class ExtQuotError(ValueError):
 
 
 # extquot's work and memory are linear in the points: at this level the command
-# takes about 2 s and 155 MB (see README, "Sizes have bounded work")
+# takes about 0.8 s and 100 MB (see README, "Sizes have bounded work")
 MAX_TORSION_LEVEL = 100_000
 
 
@@ -103,7 +103,7 @@ class FiniteOrbitModel:
         if not self.points:
             raise ExtQuotError("a model needs at least one point")
         try:
-            sorted(self.points)  # orbit representatives are minimal labels
+            sorted(self.points + self.points[:1])  # representatives are minimal; one label meets itself too
         except TypeError:
             raise ExtQuotError("point labels must be comparable with each other")
         self.translation = dict(translation)
@@ -256,15 +256,17 @@ def crossed_product_irr_count(m: FiniteOrbitModel) -> int:
 
     The algebra has basis e_x u_g with product
     (e_x u_g)(e_y u_h) = [x = g(y)] e_x u_{gh}; the center is the kernel of
-    the commutator map z -> (z*b - b*z) over all basis elements b.  For a
-    fixed b, each coordinate of z*b - b*z involves at most one coefficient of
-    z from each side, so every nonzero row of that system is e_i - e_j or
-    +-e_i.  Over the rationals such a system is the incidence matrix of a
-    graph on the basis plus one ground vertex (e_i read as e_i - e_ground),
-    whose rank is the number of vertices minus the number of components.
-    The center dimension is therefore the number of components without the
-    ground vertex, which union-find counts directly.  A row of any other
-    shape raises :class:`ExtQuotError`.
+    the commutator map z -> (z*b - b*z) over all basis elements b.  For
+    b = e_y u_h and each g, z*b puts z[e_{g(y)} u_g] at e_{g(y)} u_{gh} and
+    b*z puts -z[e_{h(y)} u_g] at e_y u_{hg}.  The coordinates of different g
+    differ in their u-part, so no coordinate mixes two g: when g fixes y the
+    two are one coordinate, whose row is e_a - e_b (empty when h fixes y
+    too), and otherwise each is a one-entry row.  Over the rationals such a
+    system is the incidence matrix of a graph on the basis plus one ground
+    vertex (e_a read as e_a - e_ground), whose rank is the number of
+    vertices minus the number of components.  The center dimension is
+    therefore the number of components without the ground vertex, which
+    union-find counts directly.
     """
     # e_x u_g is basis element order * (position of x) + g, and gamma is read
     # from the positions of the images
@@ -283,31 +285,13 @@ def crossed_product_irr_count(m: FiniteOrbitModel) -> int:
 
     for j in range(n):
         for h in range(order):
-            # z*b - b*z for b = e_y u_h, one sparse row per output basis element:
-            # a*b is nonzero only for a = e_{g(y)} u_g, giving e_{g(y)} u_{gh}, and
-            # b*a only for a = e_{h(y)} u_g, giving e_y u_{hg} since h is an involution
-            rows: dict = {}
-            for g in range(order):
-                i, gh = act[g][j], (g + h) % order
+            for g in range(order):  # b = e_y u_h with y point j
+                i = act[g][j]
                 left, right = order * i + g, order * act[h][j] + g
-                for out, a, sign in ((order * i + gh, left, 1), (order * j + gh, right, -1)):
-                    row = rows.setdefault(out, {})
-                    c = row.get(a, 0) + sign
-                    if c:
-                        row[a] = c
-                    else:
-                        del row[a]
-            for row in rows.values():
-                if not row:
-                    continue
-                coeffs = sorted(row.values())
-                if coeffs == [-1, 1]:
-                    i, k = row
-                elif coeffs in ([-1], [1]):
-                    i, k = next(iter(row)), dim
-                else:
-                    raise ExtQuotError(f"commutator row {row} is not an incidence row")
-                parent[find(i)] = find(k)
+                if i == j:  # one coordinate: the row e_left - e_right
+                    parent[find(left)] = find(right)
+                else:  # two one-entry rows, each read against the ground
+                    parent[find(left)] = parent[find(right)] = find(dim)
     ground = find(dim)
     return len({find(i) for i in range(dim)} - {ground})
 

@@ -291,6 +291,15 @@ def test_extquot_model_cocycles_must_be_empty(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_extquot_model_with_one_incomparable_label_is_refused(tmp_path, capsys):
+    # one point makes sorted() compare nothing, so the label must also meet itself
+    path = tmp_path / "model.json"
+    path.write_text('{"points": [null], "translation": {"None": null}, "gamma": {"None": null}}')
+    code, out, err = run(capsys, "extquot", "--model", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: point labels must be comparable with each other\n"
+
+
 def test_torsion_level_above_cap(capsys):
     # only the level above the cap: it is refused before any point is built
     code, out, err = run(capsys, "extquot", "--torsion-level", str(extquot.MAX_TORSION_LEVEL + 1))
@@ -340,6 +349,20 @@ def test_input_file_not_utf8(tmp_path, capsys, argv):
     bad.write_bytes(b"\xff\xfe")
     code, _, err = run(capsys, *(a.format(file=bad) for a in argv))
     assert code == EXIT_USAGE
+    assert err.startswith("error: unreadable") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["extquot", "--model", "{file}"], ["check", "--part", "blocks", "--allowed-lusztig", "{file}"]],
+    ids=["model", "allowed-lusztig"],
+)
+def test_input_file_nested_too_deep(tmp_path, capsys, argv):
+    # the JSON decoder recurses once per level and raises RecursionError, not ValueError
+    deep = tmp_path / "input.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run(capsys, *(a.format(file=deep) for a in argv))
+    assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: unreadable") and err.count("\n") == 1
 
 

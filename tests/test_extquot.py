@@ -107,6 +107,17 @@ def test_crossed_product_count_matches_dense_rank():
         assert crossed_product_irr_count(m) == dense_center_dim(m), label
 
 
+def test_crossed_product_count_reads_no_extended_quotient(monkeypatch):
+    # the oracle is independent: it never reads the route it checks
+    def refuse(m):
+        raise AssertionError("the oracle read the extended quotient")
+
+    monkeypatch.setattr(extquot, "extended_quotient", refuse)
+    monkeypatch.setattr(extquot, "_quotient_pairs", refuse)
+    for label, m in _oracle_sweep(8):
+        assert crossed_product_irr_count(m) == dense_center_dim(m), label
+
+
 def test_crossed_product_count_scales():
     # 800 basis elements; the dense elimination above grows as their cube
     m = torsion_model(400, "inversion", offset=2)
@@ -146,11 +157,12 @@ def test_model_validation():
 
 @pytest.mark.parametrize(
     "points, translation",
-    [([[0]], {}), ([0, {1: 1}], {0: 0}), ([0, 0], {0: 0}), ([0, "a"], {0: "a", "a": 0})],
-    ids=["list-label", "dict-label", "repeated", "unordered"],
+    [([[0]], {}), ([0, {1: 1}], {0: 0}), ([0, 0], {0: 0}), ([0, "a"], {0: "a", "a": 0}), ([None], {None: None})],
+    ids=["list-label", "dict-label", "repeated", "unordered", "one-unordered"],
 )
 def test_model_rejects_bad_point_labels(points, translation):
-    # the library constructor refuses these like from_json does, without a raw TypeError
+    # the library constructor refuses these like from_json does, without a raw TypeError;
+    # a lone label is compared with itself, or None would reach the quotient's p <= gamma(p)
     with pytest.raises(ExtQuotError):
         FiniteOrbitModel(points, translation)
 

@@ -14,29 +14,43 @@ Modules:
 * ``extquot``    - extended quotients on finite orbit models, the
   crossed-product counting oracle, equivariant transfers;
 * ``cli``        - the ``g2hecke`` command line.
+
+``import g2hecke`` loads none of them.  The names below, and the six library
+modules themselves, are looked up on first use (PEP 562): the first access
+to ``g2hecke.mu`` imports ``g2hecke.plancherel`` and binds ``mu`` here, so
+later accesses are plain attribute reads.
 """
 
-from .blocks import BlockClassification, BlockDescriptor, classify, emit_table
-from .exactalg import LaurentExpr, RationalExpr, eval_unit_circle_zeros, exact_div, parse_expr, ring
-from .extquot import (
-    FiniteOrbitModel,
-    check_property,
-    crossed_product_irr_count,
-    depth_zero_transfer,
-    extended_quotient,
-    matching_bijection,
-    torsion_model,
-)
-from .hecke import (
-    AffineHeckePresentation,
-    HeckeElement,
-    RGroup,
-    WeightFunction,
-    check_lusztig,
-    multiply,
-    verify_relations,
-)
-from .plancherel import MuFunction, PlancherelCase, labels, mu, solve_matching, weyl_from_zeros
-from .rootdata import BasedRootDatum, bad_primes, g2_datum, generate_weyl
-
 __version__ = "0.1.0"
+
+# each exported name, by the module that defines it
+_HOMES = {
+    "blocks": ("BlockClassification", "BlockDescriptor", "classify", "emit_table"),
+    "exactalg": ("LaurentExpr", "RationalExpr", "eval_unit_circle_zeros", "exact_div", "parse_expr", "ring"),
+    "extquot": ("FiniteOrbitModel", "check_property", "crossed_product_irr_count", "depth_zero_transfer",
+                "extended_quotient", "matching_bijection", "torsion_model"),
+    "hecke": ("AffineHeckePresentation", "HeckeElement", "RGroup", "WeightFunction", "check_lusztig", "multiply",
+              "verify_relations"),
+    "plancherel": ("MuFunction", "PlancherelCase", "labels", "mu", "solve_matching", "weyl_from_zeros"),
+    "rootdata": ("BasedRootDatum", "bad_primes", "g2_datum", "generate_weyl"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOMES:
+        # the import statement's own machinery (so -X importtime reports it) binds the submodule here
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(__getattr__(module), name)
+    globals()[name] = value  # later reads find it without calling __getattr__
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOMES) | set(__all__))

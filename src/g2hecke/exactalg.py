@@ -883,12 +883,17 @@ def parse_expr(ctx: RingContext, text: str):
     Returns a :class:`LaurentExpr` when the parsed value has denominator 1,
     else a :class:`RationalExpr`.  The grammar is the printer's output:
     ``+ - * / ^``, integer literals, parentheses, declared variable names and
-    square aliases.
+    square aliases.  Every value it returns prints back to itself, so a value
+    with a coefficient past ``sys.get_int_max_str_digits()`` digits, which
+    ``str`` refuses, is refused with ``ValueError``.
     """
     toks = _Tokens(text)
 
+    def sides(node) -> tuple:  # a polynomial, or a fraction's numerator and denominator
+        return (node.num, node.den) if isinstance(node, RationalExpr) else (node,)
+
     def size(node) -> int:  # the term count of a polynomial, or of a fraction's larger side
-        return max(len(p.terms) for p in ((node.num, node.den) if isinstance(node, RationalExpr) else (node,)))
+        return max(len(p.terms) for p in sides(node))
 
     def parse_sum():
         node = parse_product()
@@ -940,9 +945,8 @@ def parse_expr(ctx: RingContext, text: str):
             terms = comb(max(t, 1) - 1 + abs(e), abs(e))
             if terms > MAX_POWER_TERMS:
                 raise ValueError(f"a power of a {t}-term base expands past {MAX_POWER_TERMS} terms")
-            sides = (base.num, base.den) if isinstance(base, RationalExpr) else (base,)
-            bits = max((c.numerator.bit_length() + c.denominator.bit_length() for p in sides for c in p.terms.values()),
-                       default=0)
+            bits = max((c.numerator.bit_length() + c.denominator.bit_length()
+                        for p in sides(base) for c in p.terms.values()), default=0)
             if terms * abs(e) * bits > MAX_POWER_BITS:
                 raise ValueError(f"a power of a base with {bits}-bit coefficients writes past {MAX_POWER_BITS} bits")
             if isinstance(base, RationalExpr):
@@ -973,6 +977,15 @@ def parse_expr(ctx: RingContext, text: str):
     kind, val = toks.peek()
     if kind is not None:
         raise ValueError(f"trailing input at {val!r}")
+    # a value must print back: str() refuses an int past the interpreter's digit
+    # limit (0 for none; Python before 3.10.7 has no limit and no getter)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        widest = max((abs(n) for p in sides(node) for c in p.terms.values() for n in (c.numerator, c.denominator)),
+                     default=0)
+        # 2^(3 * limit) < 10^limit, so only a wider coefficient needs the exact test
+        if widest.bit_length() > 3 * limit and widest >= 10 ** limit:
+            raise ValueError(f"a coefficient passes {limit} digits, the limit of integer string conversion")
     if isinstance(node, RationalExpr) and node.is_laurent():
         return node.as_laurent()
     return node

@@ -5,16 +5,19 @@ good and bad, unknown tokens, input files that are missing or malformed), and
 ``extquot --model`` reads random orbit models, some of them corrupted.  Every
 case must end with exit 0, 1 or 2 and no traceback; exit 2 is one ``error:``
 line and no output; JSON output parses strictly; an ``extquot`` run that
-succeeds has equal counts from its two routes.
+succeeds has equal counts from its two routes.  A ``--golden-dir`` copy of
+the packaged tables with one file damaged fails that family's table alone.
 """
 
 import json
 import random
 import re
+import shutil
+from pathlib import Path
 
 import pytest
 
-from g2hecke import cli
+from g2hecke import blocks, cli
 
 JUNK = ["", "x", "-", "--", "=", "-1", "1.5", "1e3", "0x10", "nan", "None", "é", "9" * 30, " 2", "3,1"]
 SMALL_INTS = {"torsion_level": range(-1, 65), "degree_bound": range(-1, 5), "seed": range(-3, 10),
@@ -197,3 +200,34 @@ def test_fuzzed_model_files(capsys, tmp_path):
         fmt = rng.choice(["json", "text"])
         codes.append(check_case(capsys, ["extquot", "--model", str(path), "--format", fmt]))
     assert codes.count(0) > 50 and codes.count(2) > 50
+
+
+def damaged(rng, data: bytes) -> bytes:
+    """``data`` with one byte flipped, cut short, or with whitespace appended."""
+    damage = rng.choice(["flip", "cut", "whitespace"])
+    if damage == "flip":
+        at = rng.randrange(len(data))
+        return data[:at] + bytes([data[at] ^ rng.randrange(1, 256)]) + data[at + 1:]
+    if damage == "cut":
+        return data[: rng.randrange(len(data))]
+    return data + "".join(rng.choice(" \t\r\n") for _ in range(rng.randint(1, 3))).encode()
+
+
+def test_fuzzed_golden_directories(capsys, tmp_path):
+    packaged = Path(blocks.__file__).parent / "data" / "tables"
+    for family in blocks.FAMILIES:
+        shutil.copy(packaged / blocks._golden_name(family), tmp_path)
+    argv = ["check", "--part", "tables", "--golden-dir", str(tmp_path), "--format", "json"]
+    code, out, err = outcome(capsys, argv)
+    assert code == 0 and err == "" and strict_json(out)["failures"] == 0
+    rng = random.Random(34)
+    for _ in range(40):
+        family = rng.choice(blocks.FAMILIES)
+        path = tmp_path / blocks._golden_name(family)
+        honest = path.read_bytes()
+        path.write_bytes(damaged(rng, honest))
+        code, out, err = outcome(capsys, argv)
+        path.write_bytes(honest)
+        assert code == 1 and err == "", (family, code, err)
+        doc = strict_json(out)
+        assert [r["name"] for r in doc["results"] if not r["ok"]] == [f"tables/{family}"] and doc["failures"] == 1

@@ -1,6 +1,8 @@
 import operator
 import random
 import re
+import signal
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -793,6 +795,83 @@ def test_parse_refuses_a_product_past_the_squared_term_cap():
     with pytest.raises(ValueError, match=f"^a product of 500 and 501 terms passes {cap}$"):
         parse_expr(R, "(1 + X)^499 / ((1 + v)^499 + X^1000)")
     assert len(parse_expr(R, "(1+v+X)^30*(1+v+X)^30").terms) == 1891  # 496 * 496 pairs: inside the cap
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="Python before 3.10.7 has no digit limit")
+def test_parse_refuses_a_value_it_cannot_print():
+    # str() refuses an int past sys.get_int_max_str_digits() digits, so these parsed
+    # and then failed in render() and repr(); each power lies inside MAX_POWER_BITS,
+    # and the product of two powers that each print passes the limit too
+    R = make_ring()
+    limit = sys.get_int_max_str_digits()
+    for text in ("103^3210", "q*10^-7177", "7^3000*7^3000", f"10^{limit}"):
+        with pytest.raises(ValueError, match=f"^a coefficient passes {limit} digits, the limit of integer string "
+                                             f"conversion$"):
+            parse_expr(R, text)
+    for text in (f"10^{limit - 1}", f"-10^{limit - 1}*X", "7^3000*7^3000/7^3000", f"q/10^{limit - 1}"):
+        e = parse_expr(R, text)
+        assert parse_expr(R, e.render()) == e and repr(e)
+    sys.set_int_max_str_digits(0)  # no limit: every value prints
+    try:
+        e = parse_expr(R, "q*10^-7177")
+        assert parse_expr(R, e.render()) == e and len(e.render()) > 7177
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+FUZZ_TOKENS = ["v", "X", "c", "q", "0", "1", "2", "3", "7", "10", "+", "-", "*", "/", "^", "(", ")", "^-", " "]
+
+
+class _Slow(Exception):
+    pass
+
+
+def _too_slow(signum, frame):
+    raise _Slow
+
+
+def _parse_outcome(R, text):
+    """The parsed value of ``text``, or the name of the error parsing it raised."""
+    try:
+        return parse_expr(R, text)
+    except ZeroDivisionError:
+        return "zero-division"
+    except ValueError:
+        return "refused"
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+def test_seeded_token_fuzz_of_the_parser():
+    # texts of 1 to 24 tokens, joined without separators so that digits run
+    # together ("10" "3" reads 103); each text parses or raises ValueError
+    # (RingError among them) or ZeroDivisionError, within a time limit set in
+    # process; a parsed value prints back to itself.  Among this seed's texts is
+    # one whose value passes the digit limit of integer string conversion
+    R = ring(["v", "X", "c"], {"v": "q"})
+    rng = random.Random(1)
+    outcomes = {"parsed": 0, "refused": 0, "zero-division": 0}
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    try:
+        for _ in range(5000):
+            text = "".join(rng.choice(FUZZ_TOKENS) for _ in range(rng.randint(1, 24)))
+            signal.setitimer(signal.ITIMER_REAL, 2.0)
+            try:
+                e = _parse_outcome(R, text)
+                if not isinstance(e, str):  # printing and parsing back may raise nothing
+                    printed = e.render()
+                    back = parse_expr(R, printed)
+            except _Slow:
+                pytest.fail(f"parsing {text!r} and printing it back took longer than 2 s")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            if isinstance(e, str):
+                outcomes[e] += 1
+                continue
+            outcomes["parsed"] += 1
+            assert back == e and back.render() == printed, text
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert outcomes["parsed"] > 100 and outcomes["zero-division"] > 10, outcomes
 
 
 @pytest.mark.parametrize("exponent", [0.5, True, Fraction(1, 2), Fraction(2)])

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 SOURCES = sorted((SRC / "g2hecke").glob("*.py"))
 
@@ -76,19 +78,61 @@ def test_every_annotation_resolves():
     assert checked > 300 and not broken, broken
 
 
+def fresh(code: str, *flags: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter, stripped."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    return out.stdout.strip()
+
+
 def test_import_path_stays_lean():
     # every CLI command is a fresh process, so what `import g2hecke` pulls in
     # is paid on each one; -S keeps site hooks from loading these first.
     # fractions (with decimal and numbers, about 4 ms) loads only once a quotient
-    # is not integral, and json (about 3 ms) only where a file is decoded
+    # is not integral, and json (about 3 ms) only where a file is decoded; the
+    # package namespace is lazy, so no g2hecke submodule loads either
     heavy = ["dataclasses", "inspect", "typing", "importlib.resources", "argparse", "random",
              "fractions", "decimal", "numbers", "json"]
-    code = f"import sys, g2hecke; print([m for m in {heavy!r} if m in sys.modules])"
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
-    )
-    assert out.stdout.strip() == "[]", f"import g2hecke loads {out.stdout.strip()}"
+    code = f"import sys, g2hecke; print([m for m in sys.modules if m in {heavy!r} or m.startswith('g2hecke.')])"
+    loaded = fresh(code, "-S")
+    assert loaded == "[]", f"import g2hecke loads {loaded}"
+
+
+def test_each_exported_name_is_its_home_modules_object():
+    # the namespace maps each name to a module by hand, so a name bound to the
+    # wrong module, or to a private name there, would still resolve
+    import g2hecke
+
+    assert g2hecke.__all__
+    for name in g2hecke.__all__:
+        value = getattr(g2hecke, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("g2hecke.") and name in home.__all__, name
+        assert getattr(home, name) is value and vars(g2hecke)[name] is value, name
+
+
+def test_lazy_names_are_listed_star_imported_and_resolved():
+    code = """if True:
+        import sys, g2hecke
+        listed = set(g2hecke.__all__) <= set(dir(g2hecke)) and {"hecke", "__version__"} <= set(dir(g2hecke))
+        untouched = sorted(m for m in sys.modules if m.startswith("g2hecke"))
+        hecke = g2hecke.hecke  # a submodule, with no import statement of its own
+        ns = {}
+        exec("from g2hecke import *", ns)
+        starred = all(ns[n] is getattr(g2hecke, n) for n in g2hecke.__all__) and "hecke" not in ns
+        print(listed, untouched, hecke is sys.modules["g2hecke.hecke"], hecke.multiply.__name__, starred)
+    """
+    assert fresh(code, "-S") == "True ['g2hecke'] True multiply True"
+
+
+def test_an_unknown_attribute_is_the_standard_error():
+    import g2hecke
+
+    with pytest.raises(AttributeError, match="^module 'g2hecke' has no attribute 'nope'$"):
+        g2hecke.nope
+    assert not hasattr(g2hecke, "nope") and "nope" not in vars(g2hecke)
 
 
 def test_command_path_loads_no_argparse():

@@ -18,7 +18,9 @@ Modules:
 ``import g2hecke`` loads none of them.  The names below, and the six library
 modules themselves, are looked up on first use (PEP 562): the first access
 to ``g2hecke.mu`` imports ``g2hecke.plancherel`` and binds ``mu`` here, so
-later accesses are plain attribute reads.
+later accesses are plain attribute reads.  A library caller loads only the
+home modules of the names it uses (``from g2hecke import parse_expr`` loads
+``exactalg`` alone); a command loads what ``cli`` imports, which is all six.
 """
 
 __version__ = "0.1.0"

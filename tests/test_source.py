@@ -100,6 +100,20 @@ def test_import_path_stays_lean():
     assert loaded == "[]", f"import g2hecke loads {loaded}"
 
 
+def test_one_name_loads_its_home_module_alone():
+    # a library caller that uses part of the package pays only for that part:
+    # these are the callers whose start-up the lazy namespace shortens
+    code = """if True:
+        import sys
+        from g2hecke import {}
+        print(sorted(m for m in sys.modules if m.startswith("g2hecke")))
+    """
+    assert fresh(code.format("parse_expr"), "-S") == "['g2hecke', 'g2hecke.exactalg']"
+    assert fresh(code.format("g2_datum"), "-S") == "['g2hecke', 'g2hecke._record', 'g2hecke.rootdata']"
+    assert fresh(code.format("extended_quotient"), "-S") == "['g2hecke', 'g2hecke._record', 'g2hecke.extquot']"
+    assert "g2hecke.blocks" not in fresh(code.format("mu"), "-S")
+
+
 def test_each_exported_name_is_its_home_modules_object():
     # the namespace maps each name to a module by hand, so a name bound to the
     # wrong module, or to a private name there, would still resolve

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import gc
 import math
-import re
 import sys
 from types import SimpleNamespace
 
@@ -307,14 +306,10 @@ def _load_allowed(path: str | None):
     return {tuple(p) for p in pairs}
 
 
-# json's own escape rule for ensure_ascii, its [\\"]|[^ -~] as one class, which
-# searches faster: a quote, a backslash or anything outside printable ASCII
-_ESCAPE = re.compile(r"[^ !#-\[\]-~]")
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
 
-def _escape(match) -> str:
-    c = match.group()
+def _escape(c: str) -> str:
     n = ord(c) - 0x10000
     if n >= 0:  # outside the BMP: a UTF-16 surrogate pair
         return "\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF)
@@ -322,7 +317,10 @@ def _escape(match) -> str:
 
 
 def _quote(s: str) -> str:
-    return '"' + (_ESCAPE.sub(_escape, s) if _ESCAPE.search(s) else s) + '"'
+    # json's ensure_ascii rule: a quote, a backslash and all but printable ASCII are escaped
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    return '"' + "".join(c if " " <= c <= "~" and c not in '"\\' else _escape(c) for c in s) + '"'
 
 
 def _json_key(k) -> str:

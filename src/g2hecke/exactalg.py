@@ -41,7 +41,6 @@ of order 1 or 2, which are the rational constants +1 and -1.
 
 from __future__ import annotations
 
-import re
 import sys
 from collections.abc import Iterable, Mapping
 from math import comb, gcd, isqrt, lcm
@@ -120,14 +119,16 @@ class RingContext:
         names = tuple(names)
         if not names:
             raise RingError("a ring needs at least one variable")
-        if len(set(names)) != len(names):
-            raise RingError(f"duplicate variable name in {names!r}")
+        if len(set(names)) != len(names) or "" in names:
+            raise RingError(f"duplicate or empty variable name in {names!r}")
         square_aliases = dict(square_aliases or {})
+        aliases = list(square_aliases.values())
         for var, alias in square_aliases.items():
             if var not in names:
                 raise RingError(f"square alias declared for unknown variable {var!r}")
-            if alias in names or alias in square_aliases:
-                raise RingError(f"alias name {alias!r} collides with a declared variable")
+            # an empty alias would print v^2 as 1, and a shared one reads back as the wrong variable
+            if not alias or alias in names or aliases.count(alias) > 1:
+                raise RingError(f"alias name {alias!r} is empty or collides with a variable or another alias")
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
         self.square_aliases = square_aliases
@@ -187,7 +188,7 @@ class RingContext:
 
 
 def ring(variables: Iterable[str], square_aliases: Mapping[str, str] | None = None) -> RingContext:
-    """Create a ring context; variable names must be distinct and nonempty."""
+    """Create a ring context; variable and alias names must be distinct and nonempty."""
     return RingContext(variables, square_aliases)
 
 
@@ -361,26 +362,16 @@ class LaurentExpr:
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            mono = self._render_monomial(e)
-            parts.append((c, mono))
         out = []
-        for i, (c, mono) in enumerate(parts):
-            neg = c < 0
-            mag = -c if neg else c
-            if mono:
-                body = mono if mag == 1 else f"{mag}*{mono}"
-            else:
-                body = f"{mag}"
-            if i == 0:
-                out.append(f"-{body}" if neg else body)
-            else:
-                out.append(f" - {body}" if neg else f" + {body}")
-        return "".join(out)
+        for e in sorted(self.terms, reverse=True):
+            c, mono = self.terms[e], self._render_monomial(e)
+            if out:
+                out.append(" - " if c < 0 else " + ")
+            elif c < 0:
+                out.append("-")
+            mag = abs(c)
+            out.append(f"{mag}*{mono}" if mono and mag != 1 else mono or f"{mag}")
+        return "".join(out) or "0"
 
     def _render_monomial(self, e: tuple) -> str:
         factors = []
@@ -396,7 +387,17 @@ class LaurentExpr:
         return "*".join(factors)
 
     def __repr__(self):
-        return f"<LaurentExpr {self.render()}>"
+        return _repr(self, self.terms.values())
+
+
+def _repr(value, coeffs) -> str:
+    """``<Type text>``; where ``render`` raises, since ``str`` refuses a coefficient past
+    ``sys.get_int_max_str_digits()`` digits, the widest coefficient's bit length instead."""
+    try:
+        return f"<{type(value).__name__} {value.render()}>"
+    except ValueError:
+        bits = max(n.bit_length() for c in coeffs for n in (c.numerator, c.denominator))
+        return f"<{type(value).__name__} with a {bits}-bit coefficient>"
 
 
 def _laurent(ring_ctx: RingContext, terms: dict) -> LaurentExpr:
@@ -818,7 +819,7 @@ class RationalExpr:
         return f"({self.num.render()}) / ({self.den.render()})"
 
     def __repr__(self):
-        return f"<RationalExpr {self.render()}>"
+        return _repr(self, [*self.num.terms.values(), *self.den.terms.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -855,14 +856,14 @@ MAX_POWER_TERMS = 500
 # work of a power grows about as the square of that estimate
 MAX_POWER_BITS = 10 ** 6
 
-# an integer literal, a name, an operator, or any other non-space character
-_TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^()])|(\S)")
-
 
 class _Tokens:
     def __init__(self, text: str):
+        import re  # only the parser reads text, so no command loads re
+
         self.toks = []
-        for num, name, op, bad in _TOKEN.findall(text):
+        # an integer literal, a name, an operator, or any other non-space character
+        for num, name, op, bad in re.findall(r"(\d+)|([^\W\d]\w*)|([-+*/^()])|(\S)", text):
             if bad:
                 raise ValueError(f"unexpected character {bad!r} in expression")
             self.toks.append(("int", num) if num else ("name", name) if name else (op, op))

@@ -53,7 +53,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from ._record import record
-from .exactalg import LaurentExpr, _div, _exact, _is_number, exact_div, ring
+from .exactalg import LaurentExpr, _div, _exact, _is_number, _repr, exact_div, ring
 from .rootdata import affine_mul
 
 __all__ = [
@@ -240,7 +240,7 @@ class HeckeElement:
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"<HeckeElement {self.render()}>"
+        return _repr(self, self.terms.values())
 
 
 def _is_scalar(c) -> bool:
@@ -537,10 +537,11 @@ def verify_relations(pres: AffineHeckePresentation, degree_bound: int = 3) -> Re
                 return False
         return True
 
-    # the basis-pair stream: each product is formed once, x = 0 first
+    # the basis-pair stream: each product is formed once, x = 0 first; a check's
+    # first failure is its detail, and a failed check does none of its work again
     xs = [0] + [x for x in range(-b, b + 1) if x]
-    degen_ok = rep_ok = True
-    degen_detail = rep_detail = ""
+    degen, rep = "group-algebra-degeneration", "representation"
+    first: dict = {}
     for w, y, u in [(w, y, u) for w in ws for y in range(-b, b + 1) for u in ws]:
         right = basis[y, u]
         for x in xs:
@@ -548,30 +549,26 @@ def verify_relations(pres: AffineHeckePresentation, degree_bound: int = 3) -> Re
             if x == 0:
                 base, shifted = product.terms, True
                 base_degenerates = degenerates(product, 0, w, y, u)
-                if rep_ok and not represents(product, w, y, u):
-                    rep_ok = False
-                    rep_detail = f"rho(product) is not rho(left) rho(right) on {(0, w)}*{(y, u)}"
+                if rep not in first and not represents(product, w, y, u):
+                    first[rep] = f"rho(product) is not rho(left) rho(right) on {(0, w)}*{(y, u)}"
                 # v is central: a right operand v^d theta_y T_u gives the v^d-shift
                 for d in (-1, 1):
-                    scaled = multiply(basis[0, w], elem(y, u, d)).terms
-                    if rep_ok and scaled != {(z, t, e + d): c for (z, t, e), c in base.items()}:
-                        rep_ok = False
-                        rep_detail = f"{(0, w)}*v^{d}{(y, u)} is not the v^{d}-shift of {(0, w)}*{(y, u)}"
+                    if rep not in first and multiply(basis[0, w], elem(y, u, d)).terms != {
+                            (z, t, e + d): c for (z, t, e), c in base.items()}:
+                        first[rep] = f"{(0, w)}*v^{d}{(y, u)} is not the v^{d}-shift of {(0, w)}*{(y, u)}"
             else:
                 shifted = product.terms == {(z + x, t, e): c for (z, t, e), c in base.items()}
-                if rep_ok and not shifted:
-                    rep_ok = False
-                    rep_detail = f"{(x, w)}*{(y, u)} is not the x-shift of {(0, w)}*{(y, u)}"
+                if not shifted:
+                    first.setdefault(rep, f"{(x, w)}*{(y, u)} is not the x-shift of {(0, w)}*{(y, u)}")
             # at q = 1 the x-shift of the x = 0 product is the x-shift of its value,
             # as in the group algebra, so it degenerates exactly when that one does
-            if degen_ok and not (base_degenerates if shifted else degenerates(product, x, w, y, u)):
-                degen_ok = False
-                degen_detail = f"q->1 failed on {(x, w)}*{(y, u)}"
+            if degen not in first and not (base_degenerates if shifted else degenerates(product, x, w, y, u)):
+                first[degen] = f"q->1 failed on {(x, w)}*{(y, u)}"
 
     # 2. q -> 1 degeneration to the group algebra of the affine Weyl group,
     # and 3. the representation check, both from the stream above
-    checks.append(CheckResult("group-algebra-degeneration", degen_ok, degen_detail))
-    checks.append(CheckResult("representation", rep_ok, rep_detail or f"{len(basis) ** 2} pairs"))
+    for name, detail in ((degen, ""), (rep, f"{len(basis) ** 2} pairs")):
+        checks.append(CheckResult(name, name not in first, first.get(name, detail)))
     return RelationReport(pres, checks)
 
 

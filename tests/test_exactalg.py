@@ -5,7 +5,7 @@ import signal
 import sys
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -36,6 +36,10 @@ def test_ring_constructor():
         ring([])
     with pytest.raises(RingError):
         ring(["v"], {"v": "v"})
+    # an empty name prints as nothing, and a shared alias parses back as one of its variables
+    for names, aliases in ((["v", ""], None), (["v"], {"v": ""}), (["v", "X"], {"v": "q", "X": "q"})):
+        with pytest.raises(RingError):
+            ring(names, aliases)
 
 
 def test_difference_of_squares():
@@ -819,6 +823,31 @@ def test_parse_refuses_a_value_it_cannot_print():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="Python before 3.10.7 has no digit limit")
+def test_repr_names_the_width_of_a_coefficient_str_refuses():
+    # arithmetic, unlike parse_expr, can build a value whose coefficient str() refuses;
+    # render() cannot carry it and raises, repr() gives the widest coefficient's bits
+    from g2hecke.hecke import HeckeElement
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        R = ring(["v", "X"])
+        big = R.const(7) ** 6000
+        assert (7 ** 6000).bit_length() == 16845
+        assert repr(big) == "<LaurentExpr with a 16845-bit coefficient>"
+        assert repr(1 / (R.var("X") - big)) == "<RationalExpr with a 16845-bit coefficient>"
+        h = HeckeElement(blocks._noncomm(1, 1), {(0, 0, 0): 7 ** 6000})
+        assert repr(h) == "<HeckeElement with a 16845-bit coefficient>"
+        for value in (big, big / 3, h):
+            with pytest.raises(ValueError, match="^Exceeds the limit \\(4300 digits\\) for integer string conversion"):
+                value.render()
+        assert repr(big / 3) == "<LaurentExpr with a 16845-bit coefficient>"  # a Fraction: numerator and 2 bits
+        assert repr(R.var("X") / 3 - 7) == "<LaurentExpr 1/3*X - 7>"  # a value that prints is unchanged
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 FUZZ_TOKENS = ["v", "X", "c", "q", "0", "1", "2", "3", "7", "10", "+", "-", "*", "/", "^", "(", ")", "^-", " "]
 
 
@@ -872,6 +901,116 @@ def test_seeded_token_fuzz_of_the_parser():
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert outcomes["parsed"] > 100 and outcomes["zero-division"] > 10, outcomes
+
+
+FUZZ_NAMES = ["v", "X", "c", "q", "t", ""]
+
+
+def _fuzz_exponent(rng):
+    """A random exponent: mostly a small int, sometimes a large one, a bool, a float or a Fraction."""
+    return rng.choice([rng.randint(-6, 6)] * 6 + [rng.randint(-10 ** 9, 10 ** 9), True, 1.0, Fraction(3, 2)])
+
+
+def _fuzz_coefficient(rng):
+    return rng.choice([rng.randint(-9, 9), rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                       rng.randint(-10 ** 30, 10 ** 30), False, True, 0.5])
+
+
+def _fuzz_call(rng, names, aliases):
+    """A random constructor call on a ring, as (kind, args), and what it must give:
+    {exponent vector: coefficient}, or the error it must raise."""
+    kind = rng.choice(["var", "mapping", "vector", "const"])
+    coeff = 1 if kind == "var" else _fuzz_coefficient(rng)
+    exps, wrong = [0] * len(names), False  # wrong: an unknown name or a vector of the wrong length
+    if kind == "const":
+        args, given = (coeff,), []
+    elif kind == "vector":
+        given = [_fuzz_exponent(rng) for _ in range(len(names) + rng.choice([0, 0, 0, -1, 1]))]
+        args, exps, wrong = (given, coeff), given, len(given) != len(names)
+    else:
+        by_alias = {a: v for v, a in aliases.items()}
+        pool = (names + list(by_alias)) * 3 + [n for n in FUZZ_NAMES if n not in names and n not in by_alias]
+        mapping = {rng.choice(pool): _fuzz_exponent(rng) for _ in range(1 if kind == "var" else rng.randint(0, 3))}
+        args, given = (mapping, coeff) if kind == "mapping" else next(iter(mapping.items())), list(mapping.values())
+        for name, e in mapping.items():
+            var, k = (by_alias[name], 2) if name in by_alias else (name, 1)
+            if var in names and type(e) is int:
+                exps[names.index(var)] += k * e
+            wrong = wrong or var not in names
+    if wrong or any(type(e) is not int for e in given):  # a bool or a float is no exponent
+        return kind, args, RingError
+    if type(coeff) is not int and not isinstance(coeff, Fraction):  # nor is it a coefficient
+        return kind, args, TypeError
+    return kind, args, ({tuple(exps): coeff} if coeff else {})
+
+
+def _fuzz_value(rng, leaves, depth=3):
+    """A random sum, difference, product or small power of leaves (value, model) and scalars,
+    with its model: the value at a point, in Fraction."""
+    if depth == 0 or rng.random() < 0.35:
+        if rng.random() < 0.2:
+            c = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 3))])
+            return c, lambda point: Fraction(c)
+        return rng.choice(leaves)
+    op = rng.choice(["+", "-", "*", "^"])
+    a, fa = _fuzz_value(rng, leaves, depth - 1)
+    if op == "^":
+        # a negative power only of a nonzero single term, the one case a Laurent polynomial allows
+        k = rng.randint(-2 if isinstance(a, LaurentExpr) and len(a.terms) == 1 else 0, 3)
+        return a ** k, lambda point: fa(point) ** k
+    b, fb = _fuzz_value(rng, leaves, depth - 1)
+    f = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
+    return f(a, b), lambda point: f(fa(point), fb(point))
+
+
+def test_seeded_fuzz_of_ring_declarations_and_constructors():
+    # random declarations (duplicate, empty and colliding names included) and random
+    # var/monomial/const calls: each builds exactly the expected single term, with an
+    # alias exponent doubled and an integral coefficient stored as an int, or raises
+    # RingError or TypeError; sums, products and small powers of the built values
+    # agree with Python's own Fraction arithmetic at seeded integer points
+    rng = random.Random(7)
+    counts = {"rings": 0, "refused rings": 0, "terms": 0, "RingError": 0, "TypeError": 0, "values": 0}
+    for _ in range(400):
+        names = rng.sample(FUZZ_NAMES[:-1], rng.randint(1, 4))
+        if rng.random() < 0.25:  # a duplicate name, an empty one, or none at all
+            names = rng.choice([names + names[:1], names + [""], []])
+        free = [n for n in FUZZ_NAMES if n not in names]  # the empty name among them
+        aliases = {rng.choice(names or FUZZ_NAMES): rng.choice(free if rng.random() < 0.8 else FUZZ_NAMES)
+                   for _ in range(rng.choice([0, 1, 1, 2]))}
+        valid = (names and len(set(names)) == len(names) and "" not in names and len(set(aliases.values())) ==
+                 len(aliases) and all(v in names and a and a not in names for v, a in aliases.items()))
+        if not valid:
+            with pytest.raises(RingError):
+                ring(names, aliases)
+            counts["refused rings"] += 1
+            continue
+        R = ring(names, aliases)
+        counts["rings"] += 1
+        leaves = []
+        for _ in range(rng.randint(3, 12)):
+            kind, args, expected = _fuzz_call(rng, names, aliases)
+            method = {"var": R.var, "mapping": R.monomial, "vector": R.monomial, "const": R.const}[kind]
+            if isinstance(expected, type):
+                with pytest.raises(expected):
+                    method(*args)
+                counts[expected.__name__] += 1
+                continue
+            got = method(*args)
+            assert isinstance(got, LaurentExpr) and got.ring is R and got.terms == expected, (kind, args)
+            assert all(type(c) is int for c in got.terms.values() if Fraction(c).denominator == 1), (kind, args)
+            counts["terms"] += 1
+            if all(abs(k) <= 6 for e in expected for k in e):  # the points below are powered exactly
+                leaves.append((got, lambda point, t=expected: sum(
+                    c * prod(Fraction(x) ** k for x, k in zip(point, e)) for e, c in t.items())))
+        for _ in range(4 if leaves else 0):
+            value, model = _fuzz_value(rng, leaves)
+            for _ in range(3):
+                point = [rng.choice([-3, -2, -1, 1, 2, 3, 5]) for _ in names]
+                got = _at(value, point) if isinstance(value, LaurentExpr) else Fraction(value)
+                assert got == model(point)
+            counts["values"] += 1
+    assert min(counts.values()) > 50, counts
 
 
 @pytest.mark.parametrize("exponent", [0.5, True, Fraction(1, 2), Fraction(2)])

@@ -155,21 +155,27 @@ def test_command_path_loads_no_argparse():
     # golden tables are read through the package's loader, since
     # importlib.resources alone loads typing, pathlib, tempfile and zipfile
     # no command here makes a Fraction; check compares the golden tables as
-    # bytes, and JSON is written by cli's own writer, so none loads json
+    # bytes, and JSON is written by cli's own writer, so none loads json; JSON
+    # strings are escaped with str methods and only parse_expr reads text, so
+    # none loads re (with enum, about 7 ms of -X importtime)
     heavy = {"argparse", "gettext", "locale", "importlib.resources", "pathlib", "tempfile", "zipfile", "typing",
-             "fractions", "decimal", "numbers", "json"}
+             "fractions", "decimal", "numbers", "json", "re", "enum"}
+    # sys.modules at exit holds every module the command loaded, also those that
+    # importlib.import_module loads, which -X importtime does not report
+    code = """if True:
+        import atexit, runpy, sys
+        atexit.register(lambda: sys.stderr.write(repr(sorted(sys.modules))))
+        sys.argv = ["g2hecke"] + sys.argv[1:]
+        runpy.run_module("g2hecke", run_name="__main__")
+    """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for command in (["tables", "--family", "all", "--format", "json"], ["check", "--part", "blocks"],
-                    ["check", "--all"]):
-        proc = subprocess.run(
-            [sys.executable, "-S", "-X", "importtime", "-m", "g2hecke"] + command,
-            env=env, capture_output=True, text=True, check=True, timeout=60,
-        )
-        # -X importtime reports every module the command imports, one per line
-        lines = proc.stderr.splitlines()
-        loaded = {line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")}
-        assert "g2hecke.cli" in loaded
-        assert not loaded & heavy, command
+                    ["check", "--all"], ["mu", "--case", "long-I"], ["hecke", "--weights", "3,1"], ["extquot"]):
+        proc = subprocess.run([sys.executable, "-S", "-c", code] + command,
+                              env=env, capture_output=True, text=True, check=True, timeout=60)
+        loaded = set(ast.literal_eval(proc.stderr))
+        assert "g2hecke.cli" in loaded and "runpy" in loaded
+        assert not loaded & heavy, (command, sorted(loaded & heavy))
 
 
 def test_a_fraction_made_after_import_is_accepted():

@@ -15,13 +15,9 @@ def constant_term_flipped(monkeypatch):
     commutation coefficient has the wrong sign, and nothing else changes."""
     from g2hecke import hecke
 
-    honest = hecke._structure_constants
-    monkeypatch.setattr(hecke, "_TABLE", (None, None))
-    monkeypatch.setattr(
-        hecke,
-        "_structure_constants",
-        lambda p: [(s, e, -sign if (s, e) == (0, 0) else sign) for s, e, sign in honest(p)],
-    )
+    monkeypatch.setattr(hecke, "_TABLE", hecke._ProductTable())
+    monkeypatch.setattr(hecke, "_G", tuple(
+        (s, i, j, -sign if (s, i, j) == (0, 0, 0) else sign) for s, i, j, sign in hecke._G))
 
 
 @pytest.fixture

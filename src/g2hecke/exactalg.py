@@ -105,6 +105,13 @@ def _div(a, b):
     return q.numerator if q.denominator == 1 else q
 
 
+def _is_name(s) -> bool:
+    """Whether ``s`` is one name token of ``parse_expr``, ``[^\\W\\d]\\w*``: every character
+    alphanumeric or ``_``, and the first not a decimal digit.  ``ring`` runs at import, so the
+    rule is written with ``str`` methods and loads no ``re``."""
+    return type(s) is str and s != "" and not s[0].isdecimal() and all(c.isalnum() or c == "_" for c in s)
+
+
 class RingContext:
     """An ordered set of variable names shared by a family of expressions.
 
@@ -119,16 +126,18 @@ class RingContext:
         names = tuple(names)
         if not names:
             raise RingError("a ring needs at least one variable")
-        if len(set(names)) != len(names) or "" in names:
-            raise RingError(f"duplicate or empty variable name in {names!r}")
+        # every name is printed verbatim, so it must read back as one name token
+        if len(set(names)) != len(names) or not all(map(_is_name, names)):
+            raise RingError(f"duplicate variable name, or one that does not parse as a name, in {names!r}")
         square_aliases = dict(square_aliases or {})
         aliases = list(square_aliases.values())
         for var, alias in square_aliases.items():
             if var not in names:
                 raise RingError(f"square alias declared for unknown variable {var!r}")
-            # an empty alias would print v^2 as 1, and a shared one reads back as the wrong variable
-            if not alias or alias in names or aliases.count(alias) > 1:
-                raise RingError(f"alias name {alias!r} is empty or collides with a variable or another alias")
+            # a shared alias reads back as the wrong variable
+            if not _is_name(alias) or alias in names or aliases.count(alias) > 1:
+                raise RingError(f"alias name {alias!r} does not parse as a name, or collides with a variable "
+                                f"or another alias")
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
         self.square_aliases = square_aliases
@@ -188,7 +197,7 @@ class RingContext:
 
 
 def ring(variables: Iterable[str], square_aliases: Mapping[str, str] | None = None) -> RingContext:
-    """Create a ring context; variable and alias names must be distinct and nonempty."""
+    """Create a ring context; variable and alias names must be distinct names ``parse_expr`` reads."""
     return RingContext(variables, square_aliases)
 
 

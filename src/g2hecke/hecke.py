@@ -22,10 +22,10 @@ Multiplication uses three rules:
       (theta_{-y} - theta_y) / (1 - X^{-2}) = -sgn(y) sum_{k<|y|} theta_{|y|-2k}.
 
 The product works directly on that flat storage; coefficients stay int
-unless a caller supplied a Fraction.  It reads T_s theta_y T_u from a product
-table of the presentation, whose entries are expanded from these rules on
-first use; the table of the last presentation multiplied over is kept, so a
-product does only its term loop.
+unless a caller supplied a Fraction.  It reads T_s theta_y T_u from one
+product table for every label pair, whose entries are expanded from these
+rules on first use, with v-shifts stored as (i, j) for v^{i lam + j lam_star};
+a product specializes them to its pair in its term loop.
 
 The relation harness keeps one independent check per fact: the quadratic
 relation of the second affine reflection T_s1 = v^{lam+lam_star} theta_1
@@ -43,9 +43,9 @@ product must be the x-shift of one at x = 0.  Checking rho on the x = 0
 pairs and the shift on all pairs covers every basis pair up to the bound;
 as v is central, a v-power on the right operand must shift the product's
 v-exponents, which is compared at x = 0.  The operator is built from g's own
-formula and from exact division, not from the product's structure constants
-or closed-form quotient, so the closed form is checked against exact division
-on every T_s theta_y product with |y| up to the bound.
+formula and from exact division, not from the product's ``_G`` or closed-form
+quotient, so the closed form is checked against exact division on every
+T_s theta_y product with |y| up to the bound.
 """
 
 from __future__ import annotations
@@ -267,73 +267,42 @@ def _commutation_quotient(y: int) -> list:
     return [(abs(y) - 2 * k, sign) for k in range(abs(y))]
 
 
-def _structure_constants(pres: AffineHeckePresentation) -> list:
-    """The commutation coefficient g as (X-shift, v-exponent, sign) triples.
-
-    g = q^lam - 1 + X^{-1} (v^{lam+lam_star} - v^{lam-lam_star}); a pair of
-    terms that cancels (lam = 0 or lam_star = 0) is left out.
-    """
-    lam, lam_star = pres.weights.pair()
-    g = []
-    if lam:
-        g += [(0, 2 * lam, 1), (0, 0, -1)]
-    if lam_star:
-        g += [(-1, lam + lam_star, 1), (-1, lam - lam_star, -1)]
-    return g
+# g = q^lam - 1 + X^{-1} (v^{lam+lam_star} - v^{lam-lam_star}) as (X-shift, i, j,
+# sign) terms, where (i, j) stands for v^{i lam + j lam_star}
+_G = ((0, 2, 0, 1), (0, 0, 0, -1), (-1, 1, 1, 1), (-1, 1, -1, -1))
 
 
 class _ProductTable(dict):
-    """(y, u) -> T_s theta_y T_u as (X-shift, w', v-shift, sign) terms, filled on first use.
+    """(y, u) -> T_s theta_y T_u as (X-shift, w', i, j, sign) terms, filled on first use.
 
     T_s theta_y T_u = theta_{-y} T_s T_u - g Q(y) T_u, with
-    T_s T_s = (q^lam - 1) T_s + q^lam, g from ``_structure_constants`` and the
-    quotient Q(y) from ``_commutation_quotient``.
+    T_s T_s = (q^lam - 1) T_s + q^lam, g from ``_G`` and the quotient Q(y)
+    from ``_commutation_quotient``.  A v-shift (i, j) is v^{i lam + j lam_star},
+    so one table serves every label pair, and it grows only with the distinct
+    y that products reach.  At lam = 0 or lam_star = 0 a pair of terms lands on
+    one key with opposite signs; the product drops it once summed.
     """
-
-    __slots__ = ("g", "two_lam")
-
-    def __init__(self, pres: AffineHeckePresentation):
-        self.g, self.two_lam = [], 0
-        if pres.weyl_order == 2:
-            self.g, self.two_lam = _structure_constants(pres), 2 * pres.weights.pair()[0]
 
     def __missing__(self, key):
         y, u = key
-        two_lam = self.two_lam
-        # T_s T_u as (w', v-shift, sign)
-        ts_u = [(1, 0, 1)] if u == 0 else [(1, two_lam, 1), (1, 0, -1), (0, two_lam, 1)]
+        # T_s T_u as (w', i, j, sign)
+        ts_u = [(1, 0, 0, 1)] if u == 0 else [(1, 2, 0, 1), (1, 0, 0, -1), (0, 2, 0, 1)]
         quotient = _commutation_quotient(y)
-        entry = [(-y, wu, de, sign) for wu, de, sign in ts_u]
-        entry += [(s + k, u, ge, -gs * ks) for s, ge, gs in self.g for k, ks in quotient]
+        entry = [(-y, wu, i, j, sign) for wu, i, j, sign in ts_u]
+        entry += [(s + k, u, i, j, -gs * ks) for s, i, j, gs in _G for k, ks in quotient]
         self[key] = entry
         return entry
 
 
-# the last presentation multiplied over and its product table; the strong
-# reference keeps the presentation alive, so the identity test cannot be fooled
-# by a reused id
-_TABLE = (None, None)
-
-
-def _product_table(pres: AffineHeckePresentation) -> _ProductTable:
-    """The product table of ``pres``, built on the first product over it.
-
-    One table is kept, for the last presentation used; an equal but distinct
-    presentation builds its own.
-    """
-    global _TABLE
-    cached, table = _TABLE
-    if cached is not pres:
-        table = _ProductTable(pres)
-        _TABLE = pres, table
-    return table
+_TABLE = _ProductTable()
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product of two elements over the same presentation, in the theta-T basis."""
     _check_pres(a, b)
     pres = a.pres
-    table = _product_table(pres)
+    lam, lam_star = (0, 0) if pres.weights is None else pres.weights.pair()
+    table = _TABLE
     out: dict = {}
     get = out.get
     right = b.terms.items()
@@ -345,8 +314,8 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
                 out[key] = get(key, 0) + c
                 continue
             # theta_x T_s theta_y T_u = theta_x (T_s theta_y T_u)
-            for dx, wu, de, sign in table[y, u]:
-                key = x + dx, wu, e + de
+            for dx, wu, i, j, sign in table[y, u]:
+                key = x + dx, wu, e + i * lam + j * lam_star
                 out[key] = get(key, 0) + sign * c
     if 0 in out.values():  # drop cancelled terms; most products have none
         out = {k: c for k, c in out.items() if c}
@@ -424,7 +393,7 @@ def _demazure_lusztig(pres: AffineHeckePresentation, quotients: dict):
     Polynomials are {(X-exponent, v-exponent): c} dicts, and
     T_s X^k = q^lam X^{-k} + g D(k) with D(k) = (X^k - X^{-k}) / (1 - X^{-2})
     read from ``quotients`` (k -> {X-exponent: c}).  g is built here from its
-    formula, not from the structure constants the product uses.
+    formula, not from the ``_G`` the product reads.
     """
     lam, lam_star = pres.weights.pair()
     # g = q^lam - 1 + X^-1 (v^(lam+lam*) - v^(lam-lam*)) as (X-shift, v-exponent) -> c

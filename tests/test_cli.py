@@ -794,31 +794,31 @@ def test_flag_values_that_start_with_a_dash(capsys):
 def test_a_check_part_that_raises_fails_alone(monkeypatch, capsys):
     # a fault that makes the Hecke harness raise is a failed result, not a
     # traceback: the other parts still report and the exit code is 1
-    def broken(pres):
-        raise TypeError("no structure constants")
+    def broken(y):
+        raise TypeError("no commutation quotient")
 
-    monkeypatch.setattr(hecke, "_TABLE", (None, None))
-    monkeypatch.setattr(hecke, "_structure_constants", broken)
+    monkeypatch.setattr(hecke, "_TABLE", hecke._ProductTable())
+    monkeypatch.setattr(hecke, "_commutation_quotient", broken)
     code, out, err = run(capsys, "check", "--all", "--format", "json")
     assert code == EXIT_CHECK_FAILED and err == ""
     doc = strict_json(out)
-    error = {"name": "hecke/error", "ok": False, "detail": "raised TypeError: no structure constants"}
+    error = {"name": "hecke/error", "ok": False, "detail": "raised TypeError: no commutation quotient"}
     assert [r for r in doc["results"] if not r["ok"]] == [error] and doc["failures"] == 1
     parts = [r["name"].split("/")[0] for r in doc["results"]]
     assert parts == ["tables"] * 4 + ["hecke"] + ["blocks"] * 4 + ["extquot"] * 2
     code, out, _ = run(capsys, "check", "--part", "hecke")
     assert code == EXIT_CHECK_FAILED
-    assert out == "[FAIL] hecke/error: raised TypeError: no structure constants\n1 failures\n"
+    assert out == "[FAIL] hecke/error: raised TypeError: no commutation quotient\n1 failures\n"
 
 
 def test_a_usage_error_raised_inside_a_part_fails_that_part_alone(monkeypatch, capsys):
     # HeckeError is what bad input raises, but raised from inside the harness it
     # is a fault of the hecke part: only an unreadable --golden-dir file ends the suite
-    def broken(pres):
+    def broken(y):
         raise hecke.HeckeError("internal")
 
-    monkeypatch.setattr(hecke, "_TABLE", (None, None))
-    monkeypatch.setattr(hecke, "_structure_constants", broken)
+    monkeypatch.setattr(hecke, "_TABLE", hecke._ProductTable())
+    monkeypatch.setattr(hecke, "_commutation_quotient", broken)
     code, out, err = run(capsys, "check", "--all", "--format", "json")
     assert code == EXIT_CHECK_FAILED and err == ""
     doc = strict_json(out)

@@ -40,6 +40,32 @@ def test_ring_constructor():
     for names, aliases in ((["v", ""], None), (["v"], {"v": ""}), (["v", "X"], {"v": "q", "X": "q"})):
         with pytest.raises(RingError):
             ring(names, aliases)
+    # names are printed verbatim: (a b)^2 + X would print as a b^2 + X, and v^2 as 2q
+    for names, aliases in ((["a b", "X"], None), (["v", "X"], {"v": "2q"}), (["v", 1], None)):
+        with pytest.raises(RingError, match="does not parse as a name"):
+            ring(names, aliases)
+
+
+NAME = r"[^\W\d]\w*"  # a name token of the parser
+
+
+def _one_name_token(s):
+    try:
+        return exactalg._Tokens(s).toks == [("name", s)]
+    except ValueError:  # a character the parser reads as no token
+        return False
+
+
+def test_name_rule_is_the_parsers_name_token():
+    # ring checks names with str methods, as it runs at import where re is not loaded
+    for cp in range(0x10000):
+        c = chr(cp)
+        assert exactalg._is_name(c) == bool(re.fullmatch(NAME, c)) == _one_name_token(c), hex(cp)
+    rng = random.Random(11)
+    alphabet = "aZ_0९٣²½ é\u0301-*x\u00aa\u2167"
+    for _ in range(5000):
+        s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+        assert exactalg._is_name(s) == bool(re.fullmatch(NAME, s)) == _one_name_token(s), s
 
 
 def test_difference_of_squares():
@@ -903,7 +929,8 @@ def test_seeded_token_fuzz_of_the_parser():
     assert outcomes["parsed"] > 100 and outcomes["zero-division"] > 10, outcomes
 
 
-FUZZ_NAMES = ["v", "X", "c", "q", "t", ""]
+# valid names, names that do not read back as one token, and the empty name last
+FUZZ_NAMES = ["v", "X", "c", "q", "t", "x_1", "é", "²", "a b", "2q", "٣", ""]
 
 
 def _fuzz_exponent(rng):
@@ -968,7 +995,8 @@ def test_seeded_fuzz_of_ring_declarations_and_constructors():
     # var/monomial/const calls: each builds exactly the expected single term, with an
     # alias exponent doubled and an integral coefficient stored as an int, or raises
     # RingError or TypeError; sums, products and small powers of the built values
-    # agree with Python's own Fraction arithmetic at seeded integer points
+    # agree with Python's own Fraction arithmetic at seeded integer points, and each
+    # of them prints text that parses back to it
     rng = random.Random(7)
     counts = {"rings": 0, "refused rings": 0, "terms": 0, "RingError": 0, "TypeError": 0, "values": 0}
     for _ in range(400):
@@ -978,8 +1006,9 @@ def test_seeded_fuzz_of_ring_declarations_and_constructors():
         free = [n for n in FUZZ_NAMES if n not in names]  # the empty name among them
         aliases = {rng.choice(names or FUZZ_NAMES): rng.choice(free if rng.random() < 0.8 else FUZZ_NAMES)
                    for _ in range(rng.choice([0, 1, 1, 2]))}
-        valid = (names and len(set(names)) == len(names) and "" not in names and len(set(aliases.values())) ==
-                 len(aliases) and all(v in names and a and a not in names for v, a in aliases.items()))
+        valid = (names and len(set(names)) == len(names) and all(re.fullmatch(NAME, n) for n in names) and
+                 len(set(aliases.values())) == len(aliases) and
+                 all(v in names and re.fullmatch(NAME, a) and a not in names for v, a in aliases.items()))
         if not valid:
             with pytest.raises(RingError):
                 ring(names, aliases)
@@ -1001,10 +1030,13 @@ def test_seeded_fuzz_of_ring_declarations_and_constructors():
             assert all(type(c) is int for c in got.terms.values() if Fraction(c).denominator == 1), (kind, args)
             counts["terms"] += 1
             if all(abs(k) <= 6 for e in expected for k in e):  # the points below are powered exactly
+                assert parse_expr(R, got.render()) == got, (kind, args)
                 leaves.append((got, lambda point, t=expected: sum(
                     c * prod(Fraction(x) ** k for x, k in zip(point, e)) for e, c in t.items())))
         for _ in range(4 if leaves else 0):
             value, model = _fuzz_value(rng, leaves)
+            if isinstance(value, LaurentExpr):
+                assert parse_expr(R, value.render()) == value, value.render()
             for _ in range(3):
                 point = [rng.choice([-3, -2, -1, 1, 2, 3, 5]) for _ in names]
                 got = _at(value, point) if isinstance(value, LaurentExpr) else Fraction(value)

@@ -19,6 +19,9 @@ from g2hecke.hecke import (
 )
 
 TABLE_PAIRS = [(0, 0), (1, 1), (2, 2), (3, 1)]
+# lam_star = 0 < lam and lam = 0 < lam_star, where a pair of the terms of g
+# cancels in the product, and more pairs that no golden table row has
+MORE_PAIRS = [(2, 0), (6, 0), (0, 2), (4, 2), (3, 3), (5, 1)]
 
 
 def pres(lam, lam_star):
@@ -122,12 +125,15 @@ def with_lambda_star(lam_star):
     return mul
 
 
+def fresh_table(monkeypatch):
+    """An empty product table, so entries are built from the rules as patched."""
+    monkeypatch.setattr(hecke, "_TABLE", hecke._ProductTable())
+
+
 def negate_rule_sign(monkeypatch):
-    """Flip the sign of the X-shift of every structure-constant triple."""
-    honest = hecke._structure_constants
-    monkeypatch.setattr(
-        hecke, "_structure_constants", lambda p: [(-s, e, sign) for s, e, sign in honest(p)]
-    )
+    """Flip the sign of the X-shift of every term of g."""
+    fresh_table(monkeypatch)
+    monkeypatch.setattr(hecke, "_G", tuple((-s, i, j, sign) for s, i, j, sign in hecke._G))
 
 
 def rule_sign_flipped(a, b):
@@ -155,7 +161,7 @@ WRONG_PRODUCTS = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.parametrize("pair", TABLE_PAIRS)
+@pytest.mark.parametrize("pair", TABLE_PAIRS + MORE_PAIRS)
 def test_products_match_basic_representation(pair):
     assert first_representation_mismatch(pres(*pair), multiply) is None
 
@@ -187,7 +193,7 @@ def test_length_additive_t_products():
 HARNESS_CHECKS = ["quadratic-s1", "group-algebra-degeneration", "representation"]
 
 
-@pytest.mark.parametrize("pair", TABLE_PAIRS)
+@pytest.mark.parametrize("pair", TABLE_PAIRS + MORE_PAIRS)
 def test_verify_relations_all_pairs(pair):
     rep = verify_relations(pres(*pair), 3)
     assert rep.ok, rep.summary()
@@ -291,6 +297,7 @@ def test_product_uses_the_one_closed_form(monkeypatch):
     # negate every sign of the closed form; a product carrying its own copy of
     # it would pass both the representation check and the T_s1 relation
     honest = hecke._commutation_quotient
+    fresh_table(monkeypatch)
     monkeypatch.setattr(hecke, "_commutation_quotient", lambda y: [(k, -s) for k, s in honest(y)])
     assert first_representation_mismatch(pres(3, 1), multiply) is not None
     rep = verify_relations(pres(3, 1), 3)
@@ -381,6 +388,7 @@ def test_warm_divisions_still_catch_a_wrong_closed_form(monkeypatch):
     # sabotaged closed form
     assert verify_relations(pres(3, 1), 3).ok
     honest = hecke._commutation_quotient
+    fresh_table(monkeypatch)
     monkeypatch.setattr(hecke, "_commutation_quotient", lambda y: [(k, -s) for k, s in honest(y)])
     failed = {c.name for c in verify_relations(pres(3, 1), 3).failures}
     assert {"quadratic-s1", "representation"} <= failed
@@ -401,9 +409,8 @@ def random_pairs(p, seed, count=40):
 
 
 def test_product_tables_of_interleaved_presentations_agree_with_fresh_ones():
-    # the kept table follows the presentation of each product; products over
-    # (1, 1), (3, 1) and (1, 1) again, interleaved, equal those over fresh
-    # presentations, which start a table of their own
+    # one table serves every presentation; products over (1, 1), (3, 1) and
+    # (1, 1) again, interleaved, equal those over fresh presentations
     first, second = pres(1, 1), pres(3, 1)
     work = {0: first, 1: second, 2: first}
     pairs = {seed: random_pairs(p, seed) for seed, p in work.items()}
@@ -417,23 +424,19 @@ def test_product_tables_of_interleaved_presentations_agree_with_fresh_ones():
         assert interleaved[seed] == fresh
 
 
-def test_equal_but_distinct_presentations_build_their_own_tables(monkeypatch):
-    built = []
-    honest = hecke._structure_constants
-    monkeypatch.setattr(hecke, "_structure_constants", lambda p: built.append(p) or honest(p))
+def test_equal_but_distinct_presentations_give_equal_products():
     a, b = pres(3, 1), pres(3, 1)
     assert a == b and a is not b
     over_a = [multiply(x, y) for x, y in random_pairs(a, 5)]
     over_b = [multiply(x, y) for x, y in random_pairs(b, 5)]
     assert [x.terms for x in over_a] == [x.terms for x in over_b]
     assert all(x.pres is b for x in over_b)
-    assert len(built) == 2 and built[0] is a and built[1] is b
 
 
 @pytest.mark.parametrize("bound, calls", [(1, 6), (3, 14), (8, 34)])
 def test_verify_relations_takes_each_quotient_once_per_table_entry(monkeypatch, bound, calls):
     # one call per (y, u) entry the products reach; the 62, 254 and 1,294
-    # products add none
+    # products of each pair add none, and the entries serve every pair
     seen = []
     honest = hecke._commutation_quotient
 
@@ -441,15 +444,16 @@ def test_verify_relations_takes_each_quotient_once_per_table_entry(monkeypatch, 
         seen.append(y)
         return honest(y)
 
+    fresh_table(monkeypatch)
     monkeypatch.setattr(hecke, "_commutation_quotient", counted)
     for pair in TABLE_PAIRS:
-        seen.clear()
         assert verify_relations(pres(*pair), bound).ok
         assert len(seen) == calls
 
 
 def test_verify_relations_reports_sabotaged_quotient(monkeypatch):
     honest = hecke._commutation_quotient
+    fresh_table(monkeypatch)
     monkeypatch.setattr(hecke, "_commutation_quotient", lambda y: honest(y)[1:])
     rep = verify_relations(pres(3, 1), 2)
     failed = {c.name for c in rep.failures}

@@ -248,7 +248,7 @@ class TableRow:
 
 def _measure(case_id: str, desc: BlockDescriptor) -> MuFunction:
     """The factored measure of a row's case at the descriptor's residue degree."""
-    return mu(PlancherelCase.from_id(case_id, residue_degree=desc.residue_degree))
+    return mu(PlancherelCase(case_id, residue_degree=desc.residue_degree))
 
 
 def _classify_row(

@@ -470,7 +470,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_mu(args) -> int:
-    case = plancherel.PlancherelCase.from_id(args.case, residue_degree=args.residue_degree)
+    case = plancherel.PlancherelCase(args.case, residue_degree=args.residue_degree)
     m = plancherel.mu(case)
     lab = plancherel.labels(m)
     a, b = m.extracted()

@@ -862,7 +862,8 @@ def eval_unit_circle_zeros(f: RationalExpr, var: str) -> set:
 MAX_POWER_TERMS = 500
 # the most coefficient bits a power may write, estimated as its terms times |e|
 # times the base's widest coefficient (numerator plus denominator bits): the
-# work of a power grows about as the square of that estimate
+# work of a power grows about as the square of that estimate.  A one-term base
+# with coefficient +-1 is exempt: its power is one term with coefficient +-1
 MAX_POWER_BITS = 10 ** 6
 
 
@@ -894,8 +895,8 @@ def parse_expr(ctx: RingContext, text: str):
     else a :class:`RationalExpr`.  The grammar is the printer's output:
     ``+ - * / ^``, integer literals, parentheses, declared variable names and
     square aliases.  Every value it returns prints back to itself, so a value
-    with a coefficient past ``sys.get_int_max_str_digits()`` digits, which
-    ``str`` refuses, is refused with ``ValueError``.
+    with a coefficient or an exponent past ``sys.get_int_max_str_digits()``
+    digits, which ``str`` refuses, is refused with ``ValueError``.
     """
     toks = _Tokens(text)
 
@@ -955,9 +956,9 @@ def parse_expr(ctx: RingContext, text: str):
             terms = comb(max(t, 1) - 1 + abs(e), abs(e))
             if terms > MAX_POWER_TERMS:
                 raise ValueError(f"a power of a {t}-term base expands past {MAX_POWER_TERMS} terms")
-            bits = max((c.numerator.bit_length() + c.denominator.bit_length()
-                        for p in sides(base) for c in p.terms.values()), default=0)
-            if terms * abs(e) * bits > MAX_POWER_BITS:
+            coeffs = [c for p in sides(base) for c in p.terms.values()]
+            bits = max((c.numerator.bit_length() + c.denominator.bit_length() for c in coeffs), default=0)
+            if not (t == 1 and all(abs(c) == 1 for c in coeffs)) and terms * abs(e) * bits > MAX_POWER_BITS:
                 raise ValueError(f"a power of a base with {bits}-bit coefficients writes past {MAX_POWER_BITS} bits")
             if isinstance(base, RationalExpr):
                 return base ** e
@@ -991,11 +992,15 @@ def parse_expr(ctx: RingContext, text: str):
     # limit (0 for none; Python before 3.10.7 has no limit and no getter)
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit:
-        widest = max((abs(n) for p in sides(node) for c in p.terms.values() for n in (c.numerator, c.denominator)),
-                     default=0)
-        # 2^(3 * limit) < 10^limit, so only a wider coefficient needs the exact test
-        if widest.bit_length() > 3 * limit and widest >= 10 ** limit:
-            raise ValueError(f"a coefficient passes {limit} digits, the limit of integer string conversion")
+        items = [t for p in sides(node) for t in p.terms.items()]
+        # the powers of a one-term base with coefficient +-1 have no size guard, so
+        # nested ones can write an exponent that is wider than any literal
+        for what, ints in (("a coefficient", (n for _, c in items for n in (c.numerator, c.denominator))),
+                           ("an exponent", (k for key, _ in items for k in key))):
+            widest = max(map(abs, ints), default=0)
+            # 2^(3 * limit) < 10^limit, so only a wider int needs the exact test
+            if widest.bit_length() > 3 * limit and widest >= 10 ** limit:
+                raise ValueError(f"{what} passes {limit} digits, the limit of integer string conversion")
     if isinstance(node, RationalExpr) and node.is_laurent():
         return node.as_laurent()
     return node

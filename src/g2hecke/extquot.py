@@ -199,7 +199,7 @@ def torsion_model(n: int, gamma: str = "trivial", offset: int = 0) -> FiniteOrbi
     (order-2 group acting trivially), "inversion" (x -> offset - x), or
     "shift-half" (x -> x + n/2, n even).
     """
-    if not 1 <= n <= MAX_TORSION_LEVEL:
+    if type(n) is not int or not 1 <= n <= MAX_TORSION_LEVEL:
         raise ExtQuotError(f"torsion level must be between 1 and {MAX_TORSION_LEVEL}")
     pts = list(range(n))
     tr = {x: (x + 1) % n for x in pts}

@@ -90,7 +90,7 @@ class WeightFunction:
     lam_star: int
 
     def __post_init__(self):
-        if any(not isinstance(x, int) or x < 0 for x in (self.lam, self.lam_star)):
+        if any(type(x) is not int or x < 0 for x in (self.lam, self.lam_star)):
             raise HeckeError("weight labels must be nonnegative integers")
 
     def pair(self) -> tuple:
@@ -427,7 +427,7 @@ def _act(terms: dict, images: dict) -> dict:
 
 
 def _check_bound(degree_bound: int):
-    if not 1 <= degree_bound <= MAX_DEGREE_BOUND:
+    if type(degree_bound) is not int or not 1 <= degree_bound <= MAX_DEGREE_BOUND:
         raise HeckeError(f"degree bound must be between 1 and {MAX_DEGREE_BOUND}")
 
 
@@ -437,7 +437,8 @@ def verify_relations(pres: AffineHeckePresentation, degree_bound: int = 3) -> Re
     Checks, in order: ``quadratic-s1``, the quadratic relation of
     T_s1 = v^{lam+lam_star} theta_1 T_s^{-1} (label lam_star);
     ``group-algebra-degeneration``, the q -> 1 limit; and ``representation``.
-    The degree bound b is 1 to ``MAX_DEGREE_BOUND``, else :class:`HeckeError`.
+    The degree bound b is an ``int`` from 1 to ``MAX_DEGREE_BOUND``, else
+    :class:`HeckeError`.
 
     Each basis product theta_x T_w * theta_y T_u with |x|, |y| <= b is formed
     once and shared by the q -> 1 check and ``representation``.
@@ -455,9 +456,12 @@ def verify_relations(pres: AffineHeckePresentation, degree_bound: int = 3) -> Re
     relation of T_s (label lam) is checked there, and so is the closed-form
     quotient Q(y) that T_s theta_y reads, against exact division, for
     |y| <= b.  v is central, so at x = 0 a right operand
-    v^e theta_y T_u (e = -1, 1) must give the v^e-shift of the basis product;
-    ``representation`` compares that too, and ``quadratic-s1`` multiplies
-    operands of several terms, where ``multiply`` must also be bilinear.
+    3 v^e theta_y T_u (e = -1, 1) must give 3 times the v^e-shift of the basis
+    product; ``representation`` compares that too.  Every other operand has
+    coefficients +-1, so the 3 is what shows a product that mishandles
+    coefficients, such as one that divides them where it should multiply.
+    ``quadratic-s1`` multiplies operands of several terms, where ``multiply``
+    must also be bilinear.
     At q = 1 the x-shift of a product specializes to the x-shift of its value,
     as in the group algebra, so a product that passed the shift comparison
     degenerates exactly when its x = 0 product does; only the x = 0 products
@@ -520,11 +524,12 @@ def verify_relations(pres: AffineHeckePresentation, degree_bound: int = 3) -> Re
                 base_degenerates = degenerates(product, 0, w, y, u)
                 if rep not in first and not represents(product, w, y, u):
                     first[rep] = f"rho(product) is not rho(left) rho(right) on {(0, w)}*{(y, u)}"
-                # v is central: a right operand v^d theta_y T_u gives the v^d-shift
+                # v is central: a right operand 3 v^d theta_y T_u gives 3 times the
+                # v^d-shift; the 3 makes a product that mishandles coefficients fail
                 for d in (-1, 1):
-                    if rep not in first and multiply(basis[0, w], elem(y, u, d)).terms != {
-                            (z, t, e + d): c for (z, t, e), c in base.items()}:
-                        first[rep] = f"{(0, w)}*v^{d}{(y, u)} is not the v^{d}-shift of {(0, w)}*{(y, u)}"
+                    if rep not in first and multiply(basis[0, w], elem(y, u, d, 3)).terms != {
+                            (z, t, e + d): 3 * c for (z, t, e), c in base.items()}:
+                        first[rep] = f"{(0, w)}*3v^{d}{(y, u)} is not 3 times the v^{d}-shift of {(0, w)}*{(y, u)}"
             else:
                 shifted = product.terms == {(z + x, t, e): c for (z, t, e), c in base.items()}
                 if not shifted:

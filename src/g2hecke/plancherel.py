@@ -1,10 +1,12 @@
 """The six explicit Plancherel-measure case formulas for maximal-Levi blocks.
 
 Which of the six formulas (four for the long-root Levi, two for the
-short-root Levi) gives the measure is fixed by the ramification switches;
-``case_of`` is the one map from switches to case: the depth-zero block rows
-take their case from it, and ``PlancherelCase.from_id`` takes the first
-switches it maps to a case.  The six formulas are the rows of one table,
+short-root Levi) gives the measure is fixed by the ramification switches of
+a block descriptor; ``case_of`` is the one map from switches to case, and
+the depth-zero block rows take their case from it.  A formula depends only
+on its case and on the residue degree f, so a ``PlancherelCase`` holds no
+switch: it carries the case, f and the two unit values that
+``solve_matching`` reads.  The six formulas are the rows of one table,
 ``_CASES``, of factor pairs and substitutions.  The measure is assembled
 symbolically in a single variable X, normalized so that one X is one unit
 step of the unramified twist; the recorded substitutions say what X means
@@ -85,6 +87,8 @@ MU_RING = ring(["v", "X", "c"], {"v": "q"})
 def case_of(root_kind: str, omega_ramified, sigma_induced=None, chi2chiprime_ramified=None) -> str:
     """The case id that the ramification switches (each True, False or None) select.
 
+    This is the one reader of the switches; they belong to the block
+    descriptor, and the ``PlancherelCase`` built from the id holds none.
     An absent central-character switch reads as unramified.  A long root needs
     the sigma = sigma(tau) flag, and an induced sigma the chi^2 chi'^-1 flag;
     a short root takes neither.
@@ -112,14 +116,12 @@ class PlancherelCase:
     to the block; its ramification index is 2 / f.  ``omega_unit`` is the value
     of the central character at a uniformizer when unramified;  ``chi_unit``
     the value of the twisted character chi^2 chi'^{-1} at a uniformizer of
-    the extension when unramified.  Both are +-1.  The switches must select
-    ``case_id`` through ``case_of``.
+    the extension when unramified.  Both are +-1 and only ``solve_matching``
+    reads them.  f and the unit values are ``int``; a ``bool`` or ``float`` is
+    refused.
     """
 
     case_id: str
-    omega_ramified: bool | None
-    sigma_induced: bool | None = None  # sigma = sigma(tau) for the long root
-    chi2chiprime_ramified: bool | None = None
     residue_degree: int = 2
     omega_unit: int = 1
     chi_unit: int = -1
@@ -127,34 +129,10 @@ class PlancherelCase:
     def __post_init__(self):
         if self.case_id not in CASE_IDS:
             raise PlancherelError(f"unknown case {self.case_id!r}")
-        if self.residue_degree not in (1, 2):
+        if type(self.residue_degree) is not int or self.residue_degree not in (1, 2):
             raise PlancherelError("a quadratic extension has residue degree 1 or 2")
-        if self.omega_unit not in (1, -1) or self.chi_unit not in (1, -1):
+        if any(type(u) is not int or u not in (1, -1) for u in (self.omega_unit, self.chi_unit)):
             raise PlancherelError("unit values are restricted to +1 and -1")
-        selected = case_of(self.root_kind, self.omega_ramified, self.sigma_induced, self.chi2chiprime_ramified)
-        if selected != self.case_id:
-            raise PlancherelError(f"the ramification switches select {selected}, not {self.case_id}")
-
-    @property
-    def root_kind(self) -> str:
-        return _root_kind(self.case_id)
-
-    @staticmethod
-    def from_id(case_id: str, residue_degree: int = 2, omega_unit: int = 1, chi_unit: int = -1) -> "PlancherelCase":
-        """The canonical descriptor: the first switches that ``case_of`` maps to ``case_id``."""
-        if case_id not in _CASES:
-            raise PlancherelError(f"unknown case {case_id!r}")
-        root_kind = _root_kind(case_id)
-        # omega unramified first; for a long root, an induced sigma with unramified chi^2 chi'^-1 first
-        rest = ((True, False), (False, None)) if root_kind == "long" else ((None, None),)
-        switches = next(
-            (omega, *more) for more in rest for omega in (False, True) if case_of(root_kind, omega, *more) == case_id
-        )
-        return PlancherelCase(case_id, *switches, residue_degree, omega_unit, chi_unit)
-
-
-def _root_kind(case_id: str) -> str:
-    return "long" if case_id.startswith("long") else "short"
 
 
 @record(frozen=True)

@@ -79,7 +79,7 @@ def test_criterion_2_label_pipeline():
         ("short-II", 2): (0, 0),
     }
     for (case_id, f), want in expected.items():
-        got = labels(mu(PlancherelCase.from_id(case_id, residue_degree=f))).pair()
+        got = labels(mu(PlancherelCase(case_id, residue_degree=f))).pair()
         assert got == want, f"{case_id}: {got} != {want}"
     _report(2, "labels(mu(case)) gives (3,1),(2,2),(1,1),(0,0) / (1,1),(0,0)", t0, 1.0)
 

@@ -120,10 +120,7 @@ def test_label_pipeline_agreement():
             c = r.classification
             if c.mu_case is None:
                 continue
-            case = PlancherelCase.from_id(
-                c.mu_case, residue_degree=r.descriptor.residue_degree
-            )
-            pipeline_pair = labels(mu(case)).pair()
+            pipeline_pair = labels(mu(PlancherelCase(c.mu_case, r.descriptor.residue_degree))).pair()
             table_pair = c.h_g.weights.pair() if c.h_g.weights else (0, 0)
             assert pipeline_pair == table_pair, (fam, r.index)
 

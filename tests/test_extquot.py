@@ -155,6 +155,13 @@ def test_model_validation():
         )
 
 
+@pytest.mark.parametrize("n", [True, 4.0], ids=["bool", "float"])
+def test_torsion_model_takes_only_an_int_level(n):
+    # True == 1 would build a one-point model, and 4.0 would reach range()
+    with pytest.raises(ExtQuotError):
+        torsion_model(n)
+
+
 @pytest.mark.parametrize(
     "points, translation",
     [([[0]], {}), ([0, {1: 1}], {0: 0}), ([0, 0], {0: 0}), ([0, "a"], {0: "a", "a": 0}), ([None], {None: None})],

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -214,6 +215,29 @@ def test_verify_relations_reports_sabotage(monkeypatch):
     rep = verify_relations(pres(1, 1), 2)
     assert not rep.ok
     assert any(c.name == "representation" for c in rep.failures)
+
+
+def mutated_multiply(old, new):
+    """``multiply`` compiled from its own source with ``old`` replaced by ``new``."""
+    source = inspect.getsource(hecke.multiply)
+    assert source.count(old) == 1
+    namespace = dict(vars(hecke))
+    exec(source.replace(old, new), namespace)
+    return namespace["multiply"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("c1 * c2", "c1 // c2"), ("sign * c", "sign // c")],
+    ids=["c1-floordiv-c2", "sign-floordiv-c"],
+)
+@pytest.mark.parametrize("pair", TABLE_PAIRS)
+def test_representation_sees_a_product_that_mishandles_coefficients(monkeypatch, pair, old, new):
+    # on coefficients +-1 both mutants agree with the product, so only the
+    # representation check's 3 v^d operands can show them
+    monkeypatch.setattr(hecke, "multiply", mutated_multiply(old, new))
+    rep = verify_relations(pres(*pair), 1)
+    assert "representation" in {c.name for c in rep.failures}
 
 
 @pytest.mark.parametrize("pair", TABLE_PAIRS)
@@ -572,6 +596,21 @@ def test_rank_restrictions():
         AffineHeckePresentation(3, WeightFunction(1, 1), RGroup.trivial())
     with pytest.raises(AttributeError):
         pres(1, 1).weyl_order = 3
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WeightFunction(True, False),
+        lambda: verify_relations(pres(1, 1), True),
+        lambda: verify_relations(pres(1, 1), 2.0),
+    ],
+    ids=["bool-weights", "bool-bound", "float-bound"],
+)
+def test_only_ints_are_labels_and_bounds(build):
+    # True == 1 and 2.0 == 2, so the range tests alone would take them
+    with pytest.raises(HeckeError):
+        build()
 
 
 def test_presentation_invariants():

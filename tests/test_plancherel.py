@@ -58,7 +58,7 @@ def test_expected_pairs_are_the_table_pairs():
 
 @pytest.mark.parametrize("case_id,f", sorted(EXPECTED))
 def test_extraction_and_labels(case_id, f):
-    m = mu(PlancherelCase.from_id(case_id, residue_degree=f))
+    m = mu(PlancherelCase(case_id, residue_degree=f))
     want_extract, want_labels = EXPECTED[(case_id, f)]
     assert m.extracted() == want_extract
     assert labels(m).pair() == want_labels
@@ -66,23 +66,23 @@ def test_extraction_and_labels(case_id, f):
 
 def test_mu_matches_silberger_normal_form():
     for case_id, f in sorted(EXPECTED):
-        m = mu(PlancherelCase.from_id(case_id, residue_degree=f))
+        m = mu(PlancherelCase(case_id, residue_degree=f))
         assert m.expr == silberger_form(*m.extracted()), (case_id, f)
 
 
 def test_mu_symmetric_under_inverting_x():
     for case_id in CASE_IDS:
-        m = mu(PlancherelCase.from_id(case_id))
+        m = mu(PlancherelCase(case_id))
         assert m.expr.invert_variable("X") == m.expr, case_id
 
 
 def test_weyl_verdicts():
-    assert weyl_from_zeros(mu(PlancherelCase.from_id("long-IV"))) == W_TRIVIAL
-    assert weyl_from_zeros(mu(PlancherelCase.from_id("short-II"))) == W_TRIVIAL
-    assert weyl_from_zeros(mu(PlancherelCase.from_id("short-I"))) == W_ORDER_2
-    assert weyl_from_zeros(mu(PlancherelCase.from_id("long-I"))) == W_ORDER_2
-    assert weyl_from_zeros(mu(PlancherelCase.from_id("long-II"))) == W_ORDER_2
-    assert weyl_from_zeros(mu(PlancherelCase.from_id("long-III"))) == W_ORDER_2
+    assert weyl_from_zeros(mu(PlancherelCase("long-IV"))) == W_TRIVIAL
+    assert weyl_from_zeros(mu(PlancherelCase("short-II"))) == W_TRIVIAL
+    assert weyl_from_zeros(mu(PlancherelCase("short-I"))) == W_ORDER_2
+    assert weyl_from_zeros(mu(PlancherelCase("long-I"))) == W_ORDER_2
+    assert weyl_from_zeros(mu(PlancherelCase("long-II"))) == W_ORDER_2
+    assert weyl_from_zeros(mu(PlancherelCase("long-III"))) == W_ORDER_2
 
 
 def test_weyl_verdict_matches_labels():
@@ -90,14 +90,14 @@ def test_weyl_verdict_matches_labels():
         for f in (1, 2):
             if case_id in ("long-I", "long-II") and f == 1:
                 continue
-            m = mu(PlancherelCase.from_id(case_id, residue_degree=f))
+            m = mu(PlancherelCase(case_id, residue_degree=f))
             nonzero = labels(m).pair() != (0, 0)
             assert (weyl_from_zeros(m) == W_ORDER_2) == nonzero
 
 
 def test_zero_locations_case_by_case():
     for case_id, f in sorted(EXPECTED):
-        m = mu(PlancherelCase.from_id(case_id, residue_degree=f))
+        m = mu(PlancherelCase(case_id, residue_degree=f))
         assert eval_unit_circle_zeros(m.expr, "X") == ZEROS[case_id], (case_id, f)
         assert m.zeros() == ZEROS[case_id], (case_id, f)
 
@@ -112,35 +112,25 @@ def test_silberger_zeros_on_a_wide_parameter_grid():
 
 
 def test_solve_matching():
-    good = PlancherelCase.from_id("long-I", omega_unit=1, chi_unit=-1)
+    good = PlancherelCase("long-I", omega_unit=1, chi_unit=-1)
     assert solve_matching(good)
-    same_sign = PlancherelCase.from_id("long-I", omega_unit=1, chi_unit=1)
+    same_sign = PlancherelCase("long-I", omega_unit=1, chi_unit=1)
     assert not solve_matching(same_sign)
-    ramified = PlancherelCase.from_id("long-I", residue_degree=1)
+    ramified = PlancherelCase("long-I", residue_degree=1)
     assert not solve_matching(ramified)
     with pytest.raises(PlancherelError):
-        solve_matching(PlancherelCase.from_id("long-II"))
+        solve_matching(PlancherelCase("long-II"))
 
 
 def test_descriptor_validation():
-    with pytest.raises(PlancherelError):
-        PlancherelCase("long-I", omega_ramified=True, sigma_induced=True, chi2chiprime_ramified=False)
-    with pytest.raises(PlancherelError):
-        PlancherelCase("long-III", omega_ramified=False, sigma_induced=True, chi2chiprime_ramified=False)
-    with pytest.raises(PlancherelError):
-        PlancherelCase("short-I", omega_ramified=True)
     with pytest.raises(PlancherelError, match="residue degree 1 or 2"):
-        PlancherelCase("short-I", omega_ramified=False, residue_degree=3)
+        PlancherelCase("short-I", residue_degree=3)
     with pytest.raises(PlancherelError):
-        PlancherelCase("nope", omega_ramified=False)
-    with pytest.raises(PlancherelError, match="an induced sigma needs"):
-        PlancherelCase("long-III", omega_ramified=False, sigma_induced=True, chi2chiprime_ramified=None)
-    # ramified chi^2 chi'^-1 with induced sigma is a valid long-III descriptor
-    PlancherelCase("long-III", omega_ramified=False, sigma_induced=True, chi2chiprime_ramified=True)
+        PlancherelCase("nope")
 
 
 # The (case, omega_ramified, sigma_induced, chi2chiprime_ramified) points of
-# SWITCH_GRID that PlancherelCase accepts.  An absent central-character
+# SWITCH_GRID that case_of maps to the case.  An absent central-character
 # switch reads as unramified for every case; a short root takes neither
 # long-root switch.
 ACCEPTED = {
@@ -173,45 +163,30 @@ def test_accepted_switch_grid():
     accepted = set()
     for case_id, omega, sigma, chi in SWITCH_GRID:
         try:
-            case = PlancherelCase(case_id, omega_ramified=omega, sigma_induced=sigma, chi2chiprime_ramified=chi)
+            selected = case_of(case_id.split("-")[0], omega, sigma, chi)
         except PlancherelError:
             continue
-        accepted.add((case_id, omega, sigma, chi))
-        assert case_of(case.root_kind, omega, sigma, chi) == case_id
+        if selected == case_id:
+            accepted.add((case_id, omega, sigma, chi))
     assert accepted == ACCEPTED
 
 
-# the switches of each canonical descriptor: unramified omega first, and for
-# the long root an induced sigma with unramified chi^2 chi'^-1 first
-CANONICAL_SWITCHES = {
-    "long-I": (False, True, False),
-    "long-II": (True, True, False),
-    "long-III": (False, False, None),
-    "long-IV": (True, False, None),
-    "short-I": (False, None, None),
-    "short-II": (True, None, None),
-}
-
-
-@pytest.mark.parametrize("f", (1, 2))
-@pytest.mark.parametrize("case_id", CASE_IDS)
-def test_from_id_takes_the_first_switches_that_select_the_case(case_id, f):
-    case = PlancherelCase.from_id(case_id, residue_degree=f)
-    assert case == PlancherelCase(case_id, *CANONICAL_SWITCHES[case_id], residue_degree=f)
-    assert (case.omega_unit, case.chi_unit) == (1, -1)
-
-
 @pytest.mark.parametrize(
-    "build, message",
+    "kwargs, message",
     [
-        (lambda: PlancherelCase.from_id("long-I", omega_unit=2), "unit values are restricted to +1 and -1"),
-        (lambda: PlancherelCase.from_id("long-V"), "unknown case 'long-V'"),
+        ({"omega_unit": 2}, "unit values are restricted to +1 and -1"),
+        ({"case_id": "long-V"}, "unknown case 'long-V'"),
+        ({"residue_degree": True}, "a quadratic extension has residue degree 1 or 2"),
+        ({"residue_degree": 2.0}, "a quadratic extension has residue degree 1 or 2"),
+        ({"omega_unit": True}, "unit values are restricted to +1 and -1"),
+        ({"chi_unit": -1.0}, "unit values are restricted to +1 and -1"),
     ],
-    ids=["unit-value", "unknown-case"],
+    ids=["unit-value", "unknown-case", "bool-degree", "float-degree", "bool-unit", "float-unit"],
 )
-def test_from_id_refusals(build, message):
+def test_constructor_refusals(kwargs, message):
+    # only ints go, so True (== 1) and 2.0 (== 2) are refused where 1 and 2 are taken
     with pytest.raises(PlancherelError) as err:
-        build()
+        PlancherelCase(**{"case_id": "long-I", **kwargs})
     assert str(err.value) == message
 
 
@@ -220,10 +195,10 @@ def test_case_of_refusals():
         case_of("long", False)
     with pytest.raises(PlancherelError, match="bad root kind"):
         case_of("medium", False)
-    with pytest.raises(PlancherelError, match="the ramification switches select long-I, not long-II"):
-        PlancherelCase("long-II", omega_ramified=False, sigma_induced=True, chi2chiprime_ramified=False)
+    with pytest.raises(PlancherelError, match="an induced sigma needs"):
+        case_of("long", False, True)
     with pytest.raises(PlancherelError, match="switches belong to the long root"):
-        PlancherelCase("short-I", omega_ramified=False, sigma_induced=True, chi2chiprime_ramified=True)
+        case_of("short", False, True, True)
 
 
 def test_depth_zero_rows_take_their_case_from_the_selector():
@@ -237,14 +212,14 @@ def test_depth_zero_rows_take_their_case_from_the_selector():
 
 
 def test_prefactor_is_opaque_and_positive_symbol():
-    m = mu(PlancherelCase.from_id("long-IV"))
+    m = mu(PlancherelCase("long-IV"))
     assert m.expr == silberger_form(0, 0)
     assert m.expr.num == MU_RING.var("c")
     assert render_mu(m) == "c"
 
 
 def test_render_factored_form():
-    m = mu(PlancherelCase.from_id("long-III"))
+    m = mu(PlancherelCase("long-III"))
     s = render_mu(m)
     assert s.startswith("c * (1 - X)")
     assert "q^-1*X" in s

@@ -45,8 +45,8 @@ def test_records_are_not_sequences():
 
 
 def test_frozen_records_hash_by_value_and_mutable_ones_do_not_hash():
-    case = PlancherelCase("short-I", False)
-    assert hash(case) == hash(PlancherelCase(omega_ramified=False, case_id="short-I", chi_unit=-1))
+    case = PlancherelCase("short-I", 2)
+    assert hash(case) == hash(PlancherelCase(residue_degree=2, case_id="short-I", chi_unit=-1))
     assert hash(case) == hash(tuple(vars(case).values()))
     assert len({WeightFunction(1, 2), WeightFunction(1, 2), WeightFunction(2, 1)}) == 2
     pres = AffineHeckePresentation(None, RGroup.trivial())
@@ -102,21 +102,23 @@ def test_bad_constructor_arguments_raise_type_error(cls, args, kwargs):
 def test_defaults_and_keywords():
     assert CheckResult("x", True) == CheckResult(passed=True, name="x") == CheckResult("x", True, detail="")
     assert CheckResult("x", True).detail == ""
-    assert PlancherelCase("short-I", False) == PlancherelCase.from_id("short-I", residue_degree=2)
+    case = PlancherelCase("short-I")
+    assert case == PlancherelCase("short-I", 2, 1, -1) == PlancherelCase("short-I", residue_degree=2)
     assert PropertyVerdict(True).reason == "" and PropertyVerdict(True).witness is None
 
 
 def test_records_hold_only_primary_data():
     # the Weyl order, W_O/R(O) on both sides, the depth class and the
-    # ramification index are read off the fields that fix them
+    # ramification index are read off the fields that fix them; the
+    # ramification switches that pick a Plancherel case stay on the descriptor
     assert AffineHeckePresentation._record_fields == ("weights", "r_group")
     assert BlockClassification._record_fields == ("h_g", "h_g0", "xnr_order", "mu_case")
     assert "depth_class" not in BlockDescriptor._record_fields
-    assert "ramification_index" not in PlancherelCase._record_fields
+    assert PlancherelCase._record_fields == ("case_id", "residue_degree", "omega_unit", "chi_unit")
 
 
 def test_replace_copies_and_validates_again():
-    case = PlancherelCase.from_id("short-I", residue_degree=2)
+    case = PlancherelCase("short-I", residue_degree=2)
     assert replace(case, chi_unit=1) == PlancherelCase(**{**vars(case), "chi_unit": 1})
     assert replace(case) == case and replace(case) is not case
     with pytest.raises(PlancherelError):

@@ -396,17 +396,23 @@ class LaurentExpr:
         return "*".join(factors)
 
     def __repr__(self):
-        return _repr(self, self.terms.values())
+        return _repr(self, self.terms.items())
 
 
-def _repr(value, coeffs) -> str:
-    """``<Type text>``; where ``render`` raises, since ``str`` refuses a coefficient past
-    ``sys.get_int_max_str_digits()`` digits, the widest coefficient's bit length instead."""
+def _repr(value, terms) -> str:
+    """``<Type text>``; where ``render`` raises, since ``str`` refuses an int past
+    ``sys.get_int_max_str_digits()`` digits, the bit length of the widest coefficient or
+    exponent instead, whichever is wider.  ``terms`` holds (exponent tuple, coefficient) pairs."""
     try:
         return f"<{type(value).__name__} {value.render()}>"
     except ValueError:
-        bits = max(n.bit_length() for c in coeffs for n in (c.numerator, c.denominator))
-        return f"<{type(value).__name__} with a {bits}-bit coefficient>"
+        terms = list(terms)
+        bits = {
+            "coefficient": max(n.bit_length() for _, c in terms for n in (c.numerator, c.denominator)),
+            "exponent": max(e.bit_length() for key, _ in terms for e in key),
+        }
+        widest = max(bits, key=bits.get)
+        return f"<{type(value).__name__} with a {bits[widest]}-bit {widest}>"
 
 
 def _laurent(ring_ctx: RingContext, terms: dict) -> LaurentExpr:
@@ -828,7 +834,7 @@ class RationalExpr:
         return f"({self.num.render()}) / ({self.den.render()})"
 
     def __repr__(self):
-        return _repr(self, [*self.num.terms.values(), *self.den.terms.values()])
+        return _repr(self, [*self.num.terms.items(), *self.den.terms.items()])
 
 
 # ---------------------------------------------------------------------------

@@ -197,10 +197,13 @@ def torsion_model(n: int, gamma: str = "trivial", offset: int = 0) -> FiniteOrbi
 
     ``gamma`` chooses the symmetry: "trivial" (no symmetry), "identity"
     (order-2 group acting trivially), "inversion" (x -> offset - x), or
-    "shift-half" (x -> x + n/2, n even).
+    "shift-half" (x -> x + n/2, n even).  ``offset`` is an ``int``, else
+    :class:`ExtQuotError`.
     """
     if type(n) is not int or not 1 <= n <= MAX_TORSION_LEVEL:
         raise ExtQuotError(f"torsion level must be between 1 and {MAX_TORSION_LEVEL}")
+    if type(offset) is not int:
+        raise ExtQuotError(f"offset must be an integer, not {offset!r}")
     pts = list(range(n))
     tr = {x: (x + 1) % n for x in pts}
     if gamma == "trivial":

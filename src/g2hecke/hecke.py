@@ -37,15 +37,16 @@ as X^x, T_s by the Demazure-Lusztig operator
 T_s f = q^lam s(f) + g (f - s(f)) / (1 - X^{-2})) is faithful (Lusztig,
 JAMS 1989, sections 3-5; Macdonald, "Affine Hecke Algebras and Orthogonal
 Polynomials", ch. 4).  So a product at x = 0 that rho maps to the composed
-operators is the algebra's product, and since
-theta_x (theta_z T_t) = theta_{x+z} T_t in the algebra, every other basis
-product must be the x-shift of one at x = 0.  Checking rho on the x = 0
-pairs and the shift on all pairs covers every basis pair up to the bound;
-as v is central, a v-power on the right operand must shift the product's
-v-exponents, which is compared at x = 0.  The operator is built from g's own
-formula and from exact division, not from the product's ``_G`` or closed-form
-quotient, so the closed form is checked against exact division on every
-T_s theta_y product with |y| up to the bound.
+operators is the algebra's product.  Off x = 0 the harness's right operand
+is 3 v^d theta_y T_u, with d the sign of x; since
+theta_x T_w = theta_x (theta_0 T_w) and v is central, that product must be
+3 v^d times the x-shift of the one at x = 0.  Checking rho at x = 0 and the
+scaled shift elsewhere covers every basis pair up to the bound with one
+product each, and with them both v-powers d = +-1 and a coefficient that is
+not +-1.  The operator is built from g's own formula and from exact
+division, not from the product's ``_G`` or closed-form quotient, so the
+closed form is checked against exact division on every T_s theta_y product
+with |y| up to the bound.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ class HeckeElement:
         return " + ".join(parts)
 
     def __repr__(self):
-        return _repr(self, self.terms.values())
+        return _repr(self, self.terms.items())
 
 
 def _is_scalar(c) -> bool:
@@ -440,32 +441,33 @@ def verify_relations(pres: AffineHeckePresentation, degree_bound: int = 3) -> Re
     The degree bound b is an ``int`` from 1 to ``MAX_DEGREE_BOUND``, else
     :class:`HeckeError`.
 
-    Each basis product theta_x T_w * theta_y T_u with |x|, |y| <= b is formed
-    once and shared by the q -> 1 check and ``representation``.
-    ``representation`` rests on two facts.  In the algebra
-    theta_x (theta_z T_t) = theta_{x+z} T_t, so every product must be the
-    x-shift of the one at x = 0; that is compared on every pair.  And the
-    polynomial representation rho (theta_x acts as X^x, T_s by the
-    Demazure-Lusztig operator) is faithful, so on the pairs with x = 0,
-    rho(T_w * theta_y T_u) f = rho(T_w) rho(theta_y T_u) f for f in {1, X}
-    shows the product is the algebra's.  The Laurent polynomials are free on
-    {1, X} over the symmetric ones, which every rho(h) commutes with, so two
-    test vectors suffice.  Together the two parts show that ``multiply`` is
-    the algebra product on every basis pair in the range, with O(b)
-    representation work.  T_s T_s is one of those pairs, so the quadratic
-    relation of T_s (label lam) is checked there, and so is the closed-form
-    quotient Q(y) that T_s theta_y reads, against exact division, for
-    |y| <= b.  v is central, so at x = 0 a right operand
-    3 v^e theta_y T_u (e = -1, 1) must give 3 times the v^e-shift of the basis
-    product; ``representation`` compares that too.  Every other operand has
-    coefficients +-1, so the 3 is what shows a product that mishandles
-    coefficients, such as one that divides them where it should multiply.
-    ``quadratic-s1`` multiplies operands of several terms, where ``multiply``
-    must also be bilinear.
-    At q = 1 the x-shift of a product specializes to the x-shift of its value,
-    as in the group algebra, so a product that passed the shift comparison
-    degenerates exactly when its x = 0 product does; only the x = 0 products
-    and any that failed the shift are specialized.
+    Each basis pair theta_x T_w, theta_y T_u with |x|, |y| <= b gives one
+    product, shared by the q -> 1 check and ``representation``.  At x = 0 the
+    right operand is theta_y T_u; at x != 0 it is 3 v^d theta_y T_u, with d
+    the sign of x.  ``representation`` rests on two facts.  In the algebra
+    theta_x T_w = theta_x (theta_0 T_w) and v is central, so every product at
+    x != 0 must be 3 v^d times the x-shift of the one at x = 0; that is
+    compared on every pair.  And the polynomial representation rho (theta_x
+    acts as X^x, T_s by the Demazure-Lusztig operator) is faithful, so on the
+    pairs with x = 0, rho(T_w * theta_y T_u) f = rho(T_w) rho(theta_y T_u) f
+    for f in {1, X} shows the product is the algebra's.  The Laurent
+    polynomials are free on {1, X} over the symmetric ones, which every
+    rho(h) commutes with, so two test vectors suffice.  Together the two parts
+    show that ``multiply`` is the algebra product on every pair the stream
+    forms, one for each basis pair in the range, with O(b) representation
+    work.  T_s T_s is one of those pairs, so the quadratic relation of T_s
+    (label lam) is checked there, and so is the closed-form quotient Q(y)
+    that T_s theta_y reads, against exact division, for |y| <= b.  Every
+    (w, y, u) meets both d = -1 and d = 1.  The operands at x = 0 and those
+    of ``quadratic-s1`` have coefficients +-1, so the 3 is what shows a
+    product that mishandles coefficients, such as one that divides them where
+    it should multiply.  ``quadratic-s1`` multiplies operands of several
+    terms, where ``multiply`` must also be bilinear.
+    At q = 1 a product that is 3 v^d times the x-shift specializes to 3 times
+    the x-shift of the x = 0 value, as in the group algebra, so it degenerates
+    exactly when the x = 0 product does.  Only the x = 0 products and any
+    that failed the shift are specialized, the latter against 3 times the
+    group element.
     """
     _check_bound(degree_bound)
     checks = []
@@ -499,9 +501,9 @@ def verify_relations(pres: AffineHeckePresentation, degree_bound: int = 3) -> Re
         for im in images:
             im[1] = t_s(im[0])
 
-    def degenerates(product, x, w, y, u):
+    def degenerates(product, x, w, y, u, c=1):
         n, sign = affine_mul((x, 1 - 2 * w), (y, 1 - 2 * u))
-        return product.specialize_v(1) == {(n, (1 - sign) // 2): 1}
+        return product.specialize_v(1) == {(n, (1 - sign) // 2): c}
 
     def represents(product, w, y, u):
         for im in images:
@@ -511,33 +513,30 @@ def verify_relations(pres: AffineHeckePresentation, degree_bound: int = 3) -> Re
         return True
 
     # the basis-pair stream: each product is formed once, x = 0 first; a check's
-    # first failure is its detail, and a failed check does none of its work again
+    # first failure is its detail, and a failed check does none of its work again.
+    # Off x = 0 the right operand is 3 v^d theta_y T_u, d the sign of x
+    right = {(y, u, d): elem(y, u, d, 3 if d else 1) for (y, u) in basis for d in (-1, 0, 1)}
     xs = [0] + [x for x in range(-b, b + 1) if x]
     degen, rep = "group-algebra-degeneration", "representation"
     first: dict = {}
     for w, y, u in [(w, y, u) for w in ws for y in range(-b, b + 1) for u in ws]:
-        right = basis[y, u]
         for x in xs:
-            product = multiply(basis[x, w], right)
-            if x == 0:
-                base, shifted = product.terms, True
-                base_degenerates = degenerates(product, 0, w, y, u)
+            d = (x > 0) - (x < 0)
+            product = multiply(basis[x, w], right[y, u, d])
+            if not d:
+                base = product.terms
+                if degen not in first and not degenerates(product, 0, w, y, u):
+                    first[degen] = f"q->1 failed on {(0, w)}*{(y, u)}"
                 if rep not in first and not represents(product, w, y, u):
                     first[rep] = f"rho(product) is not rho(left) rho(right) on {(0, w)}*{(y, u)}"
-                # v is central: a right operand 3 v^d theta_y T_u gives 3 times the
-                # v^d-shift; the 3 makes a product that mishandles coefficients fail
-                for d in (-1, 1):
-                    if rep not in first and multiply(basis[0, w], elem(y, u, d, 3)).terms != {
-                            (z, t, e + d): 3 * c for (z, t, e), c in base.items()}:
-                        first[rep] = f"{(0, w)}*3v^{d}{(y, u)} is not 3 times the v^{d}-shift of {(0, w)}*{(y, u)}"
-            else:
-                shifted = product.terms == {(z + x, t, e): c for (z, t, e), c in base.items()}
-                if not shifted:
-                    first.setdefault(rep, f"{(x, w)}*{(y, u)} is not the x-shift of {(0, w)}*{(y, u)}")
-            # at q = 1 the x-shift of the x = 0 product is the x-shift of its value,
-            # as in the group algebra, so it degenerates exactly when that one does
-            if degen not in first and not (base_degenerates if shifted else degenerates(product, x, w, y, u)):
-                first[degen] = f"q->1 failed on {(x, w)}*{(y, u)}"
+            # theta_x T_w = theta_x (theta_0 T_w) and v is central, so the product is
+            # 3 v^d times the x-shift of the x = 0 one
+            elif product.terms != {(z + x, t, e + d): 3 * c for (z, t, e), c in base.items()}:
+                first.setdefault(rep, f"{(x, w)}*3v^{d}{(y, u)} is not 3v^{d} times the x-shift of {(0, w)}*{(y, u)}")
+                # at q = 1 a product that is that shift is 3 times the x-shift of the
+                # x = 0 value, as in the group algebra, so only this one is specialized
+                if degen not in first and not degenerates(product, x, w, y, u, 3):
+                    first[degen] = f"q->1 failed on {(x, w)}*3v^{d}{(y, u)}"
 
     # 2. q -> 1 degeneration to the group algebra of the affine Weyl group,
     # and 3. the representation check, both from the stream above

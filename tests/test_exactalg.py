@@ -878,8 +878,8 @@ def test_parse_refuses_an_exponent_it_cannot_print():
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="Python before 3.10.7 has no digit limit")
 def test_repr_names_the_width_of_a_coefficient_str_refuses():
-    # arithmetic, unlike parse_expr, can build a value whose coefficient str() refuses;
-    # render() cannot carry it and raises, repr() gives the widest coefficient's bits
+    # arithmetic, unlike parse_expr, can build a value whose coefficient or exponent str()
+    # refuses; render() cannot carry it and raises, repr() gives the widest one's bits
     from g2hecke.hecke import HeckeElement
 
     limit = sys.get_int_max_str_digits()
@@ -897,6 +897,13 @@ def test_repr_names_the_width_of_a_coefficient_str_refuses():
                 value.render()
         assert repr(big / 3) == "<LaurentExpr with a 16845-bit coefficient>"  # a Fraction: numerator and 2 bits
         assert repr(R.var("X") / 3 - 7) == "<LaurentExpr 1/3*X - 7>"  # a value that prints is unchanged
+        # where str refuses an exponent, repr names the widest exponent, not a coefficient
+        far = R.monomial({"v": 10 ** 5000})
+        assert (10 ** 5000).bit_length() == 16610
+        assert repr(far) == "<LaurentExpr with a 16610-bit exponent>"
+        assert repr(1 / (R.var("X") - far)) == "<RationalExpr with a 16610-bit exponent>"
+        assert repr(HeckeElement(h.pres, {(0, 0, 10 ** 5000): 1})) == "<HeckeElement with a 16610-bit exponent>"
+        assert repr(big * far) == "<LaurentExpr with a 16845-bit coefficient>"  # the wider of the two
     finally:
         sys.set_int_max_str_digits(limit)
 

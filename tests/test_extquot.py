@@ -162,6 +162,14 @@ def test_torsion_model_takes_only_an_int_level(n):
         torsion_model(n)
 
 
+@pytest.mark.parametrize("offset", [True, 0.5], ids=["bool", "float"])
+def test_torsion_model_takes_only_an_int_offset(offset):
+    # True == 1 would build the offset-1 model, and 0.5 would fail later as
+    # "gamma must permute the points", which does not name the argument
+    with pytest.raises(ExtQuotError, match=f"^offset must be an integer, not {offset!r}$"):
+        torsion_model(4, "inversion", offset=offset)
+
+
 @pytest.mark.parametrize(
     "points, translation",
     [([[0]], {}), ([0, {1: 1}], {0: 0}), ([0, 0], {0: 0}), ([0, "a"], {0: "a", "a": 0}), ([None], {None: None})],

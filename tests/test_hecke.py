@@ -228,13 +228,15 @@ def mutated_multiply(old, new):
 
 @pytest.mark.parametrize(
     "old, new",
-    [("c1 * c2", "c1 // c2"), ("sign * c", "sign // c")],
-    ids=["c1-floordiv-c2", "sign-floordiv-c"],
+    [("c1 * c2", "c1 // c2"), ("sign * c", "sign // c"), ("key = x + y, u, e", "key = x + y, u, e1")],
+    ids=["c1-floordiv-c2", "sign-floordiv-c", "w0-drops-right-v-power"],
 )
 @pytest.mark.parametrize("pair", TABLE_PAIRS)
 def test_representation_sees_a_product_that_mishandles_coefficients(monkeypatch, pair, old, new):
-    # on coefficients +-1 both mutants agree with the product, so only the
-    # representation check's 3 v^d operands can show them
+    # on coefficients +-1 the floor-division mutants agree with the product, and
+    # the third drops the right operand's v-power only where w = 0, which basis
+    # pairs do not carry: only the representation check's 3 v^d operands show
+    # all three on every pair
     monkeypatch.setattr(hecke, "multiply", mutated_multiply(old, new))
     rep = verify_relations(pres(*pair), 1)
     assert "representation" in {c.name for c in rep.failures}
@@ -330,11 +332,7 @@ def test_product_uses_the_one_closed_form(monkeypatch):
     assert "representation" in failed
 
 
-@pytest.mark.parametrize("pair", TABLE_PAIRS)
-def test_verify_relations_forms_core_products_once(monkeypatch, pair):
-    # each of the 196 basis products is formed once and shared by the q -> 1
-    # check and the representation check, whose v-power operands take 2 more
-    # for each of the 28 pairs at x = 0; the T_s1 relation takes 2
+def count_products(monkeypatch, p, bound):
     calls = []
     honest = hecke.multiply
 
@@ -343,8 +341,27 @@ def test_verify_relations_forms_core_products_once(monkeypatch, pair):
         return honest(a, b)
 
     monkeypatch.setattr(hecke, "multiply", counted)
-    assert verify_relations(pres(*pair), 3).ok
-    assert len(calls) == 196 + 56 + 2
+    assert verify_relations(p, bound).ok
+    return len(calls)
+
+
+@pytest.mark.parametrize("pair", TABLE_PAIRS)
+def test_verify_relations_forms_core_products_once(monkeypatch, pair):
+    # one product for each of the 196 basis pairs, shared by the q -> 1 check
+    # and the representation check (off x = 0 its right operand carries
+    # 3 v^+-1); the T_s1 relation takes 2
+    assert count_products(monkeypatch, pres(*pair), 3) == 196 + 2
+
+
+@pytest.mark.parametrize(
+    "pair, bound, products",
+    [(pair, 1, 36 + 2) for pair in TABLE_PAIRS] + [(None, 1, 9), (None, 3, 49)],
+)
+def test_verify_relations_forms_one_product_per_basis_pair(monkeypatch, pair, bound, products):
+    # (2b + 1)^2 basis pairs for each (w, u), and the T_s1 relation's 2; a
+    # trivial finite part has one (w, u) and no T_s1
+    p = AffineHeckePresentation(None, RGroup.trivial()) if pair is None else pres(*pair)
+    assert count_products(monkeypatch, p, bound) == products
 
 
 @pytest.mark.parametrize("bound", [1, 3, 8])
@@ -459,7 +476,7 @@ def test_equal_but_distinct_presentations_give_equal_products():
 
 @pytest.mark.parametrize("bound, calls", [(1, 6), (3, 14), (8, 34)])
 def test_verify_relations_takes_each_quotient_once_per_table_entry(monkeypatch, bound, calls):
-    # one call per (y, u) entry the products reach; the 62, 254 and 1,294
+    # one call per (y, u) entry the products reach; the 38, 198 and 1,158
     # products of each pair add none, and the entries serve every pair
     seen = []
     honest = hecke._commutation_quotient

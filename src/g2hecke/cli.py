@@ -56,26 +56,15 @@ _USAGE_ERRORS = (UsageError, blocks.BlocksError, plancherel.PlancherelError, ext
 # ---------------------------------------------------------------------------
 
 
-def _golden_bytes(golden_dir: str, family: str) -> bytes:
-    """The bytes of one family's golden table in ``--golden-dir``; an unreadable file is a usage error."""
-    try:
-        with open(f"{golden_dir}/{blocks._golden_name(family)}", "rb") as f:
-            return f.read()
-    except OSError as e:
-        raise UsageError(f"unreadable golden table: {e}")
+def _check_tables() -> list:
+    """Each regenerated table, as ``_print_json`` writes it, against the bytes of its packaged golden file.
 
-
-def _check_tables(goldens: dict | None) -> list:
-    """Each regenerated table, as ``_print_json`` writes it, against the bytes of its golden file.
-
-    ``goldens`` holds the ``--golden-dir`` bytes; None reads the packaged
-    files here, so that a missing one fails this part alone.
+    The files are read here, so that a missing one fails this part alone.
     """
     results = []
     for family in blocks.FAMILIES:
-        golden = blocks._read_golden(family) if goldens is None else goldens[family]
         emitted = blocks.emit_table(family)
-        ok = (_json_text(emitted, "\n") + "\n").encode() == golden
+        ok = (_json_text(emitted, "\n") + "\n").encode() == blocks._read_golden(family)
         detail = f"{len(emitted['rows'])} rows" if ok else "regenerated table differs from golden"
         results.append({"name": f"tables/{family}", "ok": ok, "detail": detail})
     return results
@@ -227,20 +216,10 @@ def _check_matching(seed: int) -> list:
     return [{"name": "extquot/matching-corpus", "ok": ok, "detail": detail}]
 
 
-def run_check_suite(
-    degree_bound: int = 3,
-    seed: int = 0,
-    allowed=None,
-    golden_dir: str | None = None,
-    parts: set | None = None,
-) -> dict:
+def run_check_suite(degree_bound: int = 3, seed: int = 0, allowed=None, parts: set | None = None) -> dict:
     parts = parts or set(_PARTS)
-    # bad input is a usage error, raised before any part runs: a bad bound or an unreadable --golden-dir file
-    if "hecke" in parts:
-        hecke._check_bound(degree_bound)
-    read = golden_dir is not None and "tables" in parts
-    goldens = {f: _golden_bytes(golden_dir, f) for f in blocks.FAMILIES} if read else None
-    checks = {"tables": lambda: _check_tables(goldens), "hecke": lambda: _check_hecke(degree_bound),
+    hecke._check_bound(degree_bound)  # a bad bound is a usage error, whatever parts run
+    checks = {"tables": _check_tables, "hecke": lambda: _check_hecke(degree_bound),
               "blocks": lambda: _check_blocks(allowed), "extquot": _check_extquot,
               "matching": lambda: _check_matching(seed)}
     results = []
@@ -457,7 +436,7 @@ def _cmd_tables(args) -> int:
 def _cmd_check(args) -> int:
     if args.all and args.part:
         raise UsageError("--all and --part exclude each other")
-    report = run_check_suite(degree_bound=args.degree_bound, seed=args.seed, golden_dir=args.golden_dir,
+    report = run_check_suite(degree_bound=args.degree_bound, seed=args.seed,
                              allowed=_load_allowed(args.allowed_lusztig), parts=set(args.part) or None)
     if args.format == "json":
         _print_json(report)
@@ -555,8 +534,7 @@ _COMMANDS = {
         "format": (("--format",), "text", ("json", "text"), "output format"),
         "seed": (("--seed",), 0, int, "seed of the sampled matching corpus"),
         "degree_bound": (("--degree-bound",), 3, int, f"lattice degree bound, 1 to {hecke.MAX_DEGREE_BOUND}"),
-        "allowed_lusztig": (("--allowed-lusztig",), None, str, "JSON file of the allowed label pairs"),
-        "golden_dir": (("--golden-dir",), None, str, "directory of golden tables (default: packaged data)")}),
+        "allowed_lusztig": (("--allowed-lusztig",), None, str, "JSON file of the allowed label pairs")}),
     "mu": (_cmd_mu, "print the factored measure of one case", {
         "case": (("--case",), ..., plancherel.CASE_IDS, "the Plancherel case"),
         "residue_degree": (("--residue-degree",), 2, (1, 2), "residue degree of the extension"),
@@ -567,7 +545,7 @@ _COMMANDS = {
         "format": (("--format",), "text", ("json", "text"), "output format")}),
     "extquot": (_cmd_extquot, "evaluate a finite orbit model", {
         "model": (("--model",), None, str, "JSON model file (default: the built-in model)"),
-        "torsion_level": (("--torsion-level", "--size"), 6, int,
+        "torsion_level": (("--torsion-level",), 6, int,
                           f"torsion level of the built-in model, 1 to {extquot.MAX_TORSION_LEVEL}"),
         "gamma": (("--gamma",), "inversion", ("trivial", "identity", "inversion", "shift-half"), "involution"),
         "offset": (("--offset",), 0, int, "offset of the built-in inversion"),

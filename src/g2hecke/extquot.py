@@ -64,9 +64,9 @@ class ExtQuotError(ValueError):
 MAX_TORSION_LEVEL = 100_000
 
 
-def _permutes(perm: Mapping, points: set) -> bool:
+def _maps_onto(f: Mapping, domain: set, image: set) -> bool:
     try:
-        return perm.keys() == points and set(perm.values()) == points
+        return f.keys() == domain and set(f.values()) == image
     except TypeError:  # an unhashable value is not a point
         return False
 
@@ -115,7 +115,7 @@ class FiniteOrbitModel:
     def _validate(self):
         pts = set(self.points)
         tr = self.translation
-        if not _permutes(tr, pts):
+        if not _maps_onto(tr, pts, pts):
             raise ExtQuotError("translation must permute the points")
         # simple transitivity of a cyclic group = the generator is one n-cycle;
         # a permutation returns to the start within n steps unless the start is
@@ -130,7 +130,7 @@ class FiniteOrbitModel:
             raise ExtQuotError("translation generator must act as a single cycle")
         if self.gamma is not None:
             g = self.gamma
-            if not _permutes(g, pts):
+            if not _maps_onto(g, pts, pts):
                 raise ExtQuotError("gamma must permute the points")
             # lists compare items by identity before ==, as dict lookups match
             # keys, so a NaN label that gamma fixes counts as fixed here too
@@ -325,7 +325,7 @@ def check_property(
     groups.  The verdict carries the first violated pair.
     """
     # verdicts are built with all three fields, which skips _record's keyword binding
-    if point_map.keys() != set(m_group.points) or set(point_map.values()) != set(m_galois.points):
+    if not _maps_onto(point_map, set(m_group.points), set(m_galois.points)):
         return PropertyVerdict(False, "map is not a bijection of point sets", None)
     if m_group.size != m_galois.size:
         return PropertyVerdict(False, "models have different sizes", None)

@@ -2,10 +2,8 @@ import hashlib
 import json
 import os
 import random
-import shutil
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -95,20 +93,18 @@ def test_check_blocks_fails_on_a_measure_that_is_not_w_invariant(monkeypatch, ca
     assert "labels False" in out
 
 
-def test_check_fails_on_tampered_golden(tmp_path, capsys):
-    src = resources.files("g2hecke").joinpath("data/tables")
-    for fam in ("long_depth_zero", "long_positive", "short_depth_zero", "short_positive"):
-        shutil.copy(str(src / f"{fam}.json"), tmp_path / f"{fam}.json")
-    doc = json.loads((tmp_path / "long_depth_zero.json").read_text())
+def test_check_fails_on_tampered_golden(monkeypatch, capsys):
+    # one W_O cell changed, the file otherwise laid out as the packaged one
+    honest = blocks._read_golden
+    doc = json.loads(honest("long-depth-zero"))
+    assert (json.dumps(doc, indent=2) + "\n").encode() == honest("long-depth-zero")
     doc["rows"][0]["classification"]["W_O"] = "trivial"
-    (tmp_path / "long_depth_zero.json").write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "check", "--part", "tables", "--golden-dir", str(tmp_path))
+    tampered = (json.dumps(doc, indent=2) + "\n").encode()
+    monkeypatch.setattr(blocks, "_read_golden", lambda f: tampered if f == "long-depth-zero" else honest(f))
+    code, out, _ = run(capsys, "check", "--part", "tables")
     assert code == EXIT_CHECK_FAILED
-    assert "FAIL" in out
-    (tmp_path / "short_positive.json").unlink()
-    code, _, err = run(capsys, "check", "--part", "tables", "--golden-dir", str(tmp_path))
-    assert code == EXIT_USAGE
-    assert err.startswith("error:")
+    assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+        "[FAIL] tables/long-depth-zero: regenerated table differs from golden"]
 
 
 def test_tables_check_sees_booleans_written_as_numbers(monkeypatch, capsys):
@@ -366,14 +362,12 @@ def test_input_file_nested_too_deep(tmp_path, capsys, argv):
     assert err.startswith("error: unreadable") and err.count("\n") == 1
 
 
-def test_golden_file_not_utf8_is_a_differing_table(tmp_path, capsys):
+def test_golden_file_not_utf8_is_a_differing_table(monkeypatch, capsys):
     # check compares the golden tables as bytes without decoding them, so a
     # non-UTF-8 file among three valid ones is one table that differs
-    src = resources.files("g2hecke").joinpath("data/tables")
-    for fam in ("long_positive", "short_depth_zero", "short_positive"):
-        shutil.copy(str(src / f"{fam}.json"), tmp_path / f"{fam}.json")
-    (tmp_path / "long_depth_zero.json").write_bytes(b"\xff\xfe")
-    code, out, err = run(capsys, "check", "--part", "tables", "--golden-dir", str(tmp_path), "--format", "json")
+    honest = blocks._read_golden
+    monkeypatch.setattr(blocks, "_read_golden", lambda f: b"\xff\xfe" if f == "long-depth-zero" else honest(f))
+    code, out, err = run(capsys, "check", "--part", "tables", "--format", "json")
     assert code == EXIT_CHECK_FAILED and err == ""
     doc = json.loads(out)
     assert [r["name"] for r in doc["results"] if not r["ok"]] == ["tables/long-depth-zero"]
@@ -659,7 +653,7 @@ def test_unknown_flag_before_a_command_keeps_its_message(capsys):
 DEFAULTS = {
     "tables": {"family": "all", "format": "json"},
     "check": {"all": False, "part": (), "format": "text", "seed": 0, "degree_bound": 3,
-              "allowed_lusztig": None, "golden_dir": None},
+              "allowed_lusztig": None},
     "mu": {"residue_degree": 2, "format": "text"},
     "hecke": {"degree_bound": 3, "format": "text"},
     "extquot": {"model": None, "torsion_level": 6, "gamma": "inversion", "offset": 0, "format": "json"},
@@ -680,8 +674,7 @@ DEFAULTS = {
         (["check", "--part", "tables", "--part=hecke", "--part", "tables"],
          {"part": ("tables", "hecke", "tables")}),
         (["check", "--seed", "-1", "--degree", "5"], {"seed": -1, "degree_bound": 5}),
-        (["check", "--allowed-lusztig", "a.json", "--golden-dir=gold"],
-         {"allowed_lusztig": "a.json", "golden_dir": "gold"}),
+        (["check", "--allowed-lusztig=a.json", "--all"], {"allowed_lusztig": "a.json", "all": True}),
         (["mu", "--case", "long-I"], {"case": "long-I"}),
         (["mu", "--case=short-II", "--residue-degree", "1", "--format", "json"],
          {"case": "short-II", "residue_degree": 1, "format": "json"}),
@@ -691,8 +684,8 @@ DEFAULTS = {
         (["extquot", "--model", "m.json", "--torsion-level", "9", "--gamma", "shift-half", "--offset", "-7",
           "--format", "text"],
          {"model": "m.json", "torsion_level": 9, "gamma": "shift-half", "offset": -7, "format": "text"}),
-        (["extquot", "--size", "4"], {"torsion_level": 4}),
-        (["extquot", "--size=5", "--gam", "identity"], {"torsion_level": 5, "gamma": "identity"}),
+        (["extquot", "--tors", "4"], {"torsion_level": 4}),
+        (["extquot", "--torsion-level=5", "--gam", "identity"], {"torsion_level": 5, "gamma": "identity"}),
     ],
 )
 def test_option_table_parses_every_flag(argv, given):
@@ -731,11 +724,14 @@ def test_config_values_replace_flags(tmp_path):
         ["tables", "extra"],
         ["check", "--all=yes"],
         ["tables", "--config", "run.cfg"],
+        ["check", "--golden-dir", "x"],
+        ["extquot", "--size", "4"],
     ],
     ids=[
         "unknown-flag", "ambiguous-prefix", "bad-choice", "bad-case", "bad-int", "bad-int-choice",
         "missing-value", "missing-required", "missing-weights", "missing-config-value", "no-command",
         "empty", "unknown-command", "stray-argument", "switch-with-value", "config-after-command",
+        "no-golden-dir", "no-size-alias",
     ],
 )
 def test_malformed_command_line_is_one_error_line(capsys, argv):
@@ -752,11 +748,10 @@ def test_malformed_command_line_is_one_error_line(capsys, argv):
     [
         (None, {"--config"}),
         ("tables", {"--family", "--format"}),
-        ("check", {"--all", "--part", "--format", "--seed", "--degree-bound", "--allowed-lusztig",
-                   "--golden-dir"}),
+        ("check", {"--all", "--part", "--format", "--seed", "--degree-bound", "--allowed-lusztig"}),
         ("mu", {"--case", "--residue-degree", "--format"}),
         ("hecke", {"--weights", "--degree-bound", "--format"}),
-        ("extquot", {"--model", "--torsion-level", "--size", "--gamma", "--offset", "--format"}),
+        ("extquot", {"--model", "--torsion-level", "--gamma", "--offset", "--format"}),
     ],
 )
 def test_help_names_every_command_and_flag(capsys, command, flags):
@@ -813,7 +808,7 @@ def test_a_check_part_that_raises_fails_alone(monkeypatch, capsys):
 
 def test_a_usage_error_raised_inside_a_part_fails_that_part_alone(monkeypatch, capsys):
     # HeckeError is what bad input raises, but raised from inside the harness it
-    # is a fault of the hecke part: only an unreadable --golden-dir file ends the suite
+    # is a fault of the hecke part: only bad command-line input ends the suite before any part
     def broken(y):
         raise hecke.HeckeError("internal")
 
@@ -847,10 +842,12 @@ def test_a_missing_packaged_golden_table_fails_the_tables_part_alone(monkeypatch
 
 
 def test_a_bad_degree_bound_ends_check_before_any_part(capsys):
-    for bound in ("0", "33"):
-        code, out, err = run(capsys, "check", "--all", "--degree-bound", bound)
-        assert code == EXIT_USAGE and out == ""
-        assert err == "error: degree bound must be between 1 and 32\n"
+    # the bound is refused whatever parts are selected, not only when the hecke part runs
+    for parts in (["--all"], ["--part", "tables"], ["--part", "blocks"]):
+        for bound in ("0", "33", "999", "-5"):
+            code, out, err = run(capsys, "check", *parts, "--degree-bound", bound)
+            assert code == EXIT_USAGE and out == ""
+            assert err == "error: degree bound must be between 1 and 32\n"
 
 
 def test_the_measure_oracle_runs_once_per_distinct_measure(monkeypatch, capsys):

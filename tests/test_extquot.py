@@ -345,6 +345,19 @@ def test_matching_wraps_each_pair_once(monkeypatch):
     assert len(built) == 2 * size
 
 
+def test_an_unhashable_image_is_not_a_bijection_of_point_sets():
+    # a list is not a point, as in FiniteOrbitModel: a verdict and a refusal, not a TypeError
+    m = torsion_model(3)
+    listed = {0: [0], 1: 1, 2: 2}
+    verdict = check_property(m, m, listed)
+    assert not verdict and verdict.reason == "map is not a bijection of point sets"
+    for construct, prefix in ((matching_bijection, "refusing to construct the matching"),
+                              (depth_zero_transfer, "transfer rejected")):
+        with pytest.raises(ExtQuotError) as caught:
+            construct(m, m, listed)
+        assert str(caught.value) == f"{prefix}: map is not a bijection of point sets"
+
+
 def test_a_target_short_of_one_point_is_not_a_bijection(monkeypatch):
     m1 = torsion_model(6, "inversion")
     m2 = torsion_model(6, "inversion", offset=2)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -254,3 +255,15 @@ def test_readme_names_the_relation_checks():
     assert [n for n in names if f"`{n}`" not in readme] == []
     gone = ("associativity", "bernstein-center", "braid-length", "`quadratic`", "bernstein-exact-division", "ro-reduction")
     assert [n for n in gone if n in readme] == []
+
+
+def test_readme_names_every_flag():
+    # an option that README does not document cannot come back unnoticed,
+    # and the removed ones stay out of it
+    from g2hecke.cli import _COMMANDS
+
+    readme = (SRC.parent / "README.md").read_text()
+    named = set(re.findall(r"--[a-z][a-z-]*", readme))
+    flags = {name for _, _, spec in _COMMANDS.values() for names, *_ in spec.values() for name in names}
+    assert sorted(flags - named) == []
+    assert sorted({"--golden-dir", "--size"} & named) == []

@@ -358,15 +358,11 @@ def table_rows(family: str) -> list:
     return _CACHE[family]
 
 
-def _golden_name(family: str) -> str:
-    """The file name of one family's golden table."""
-    return f"{family.replace('-', '_')}.json"
-
-
 def _read_golden(family: str) -> bytes:
     """The bytes of the packaged golden JSON file for one family."""
     # the package's own loader reads a directory or a zip archive alike
-    return __loader__.get_data(os.path.join(os.path.dirname(__file__), "data", "tables", _golden_name(family)))
+    name = f"{family.replace('-', '_')}.json"
+    return __loader__.get_data(os.path.join(os.path.dirname(__file__), "data", "tables", name))
 
 
 def emit_table(family: str) -> dict:

@@ -12,9 +12,8 @@ Subcommands:
 * ``extquot`` - evaluate a finite orbit model (built in or from a JSON file).
 
 Exit codes: 0 success, 1 check failure, 2 usage error, reported as one
-``error:`` line.  One option table, ``_COMMANDS``, drives parsing, ``-h`` and
-``--config`` (one ``key = value`` per line, ``#`` comments; its values win
-over flags).  Output is deterministic for a fixed configuration and seed.
+``error:`` line.  One option table, ``_COMMANDS``, drives parsing and ``-h``.
+Output is deterministic for a fixed command line and seed.
 A ``check`` part that raises reports one failed ``PART/error`` result.  JSON
 is written by ``_print_json``, byte for byte as ``json.dumps(doc, indent=2,
 allow_nan=False)``; ``json`` itself is imported only where a file is decoded,
@@ -242,24 +241,6 @@ def run_check_suite(degree_bound: int = 3, seed: int = 0, allowed=None, parts: s
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str) -> dict:
-    """Single table-like text format: one ``key = value`` per line."""
-    out = {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, raw in enumerate(f, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = (s.strip() for s in line.split("=", 1))
-                out[key.replace("-", "_")] = value
-    except (OSError, UnicodeDecodeError) as e:
-        raise UsageError(f"unreadable config file: {e}")
-    return out
-
-
 def _read_json(path: str, what: str):
     """The JSON document in a user-named file; any failure is a usage error."""
     import json  # the decoder is loaded only where a file is read
@@ -343,10 +324,11 @@ def _fail(message: str):
 
 def _help(command: str | None) -> str:
     _, about, flags = _COMMANDS[command]
-    lines = [f"usage: g2hecke {command or '[--config FILE] COMMAND'} [OPTIONS]", "", about]
+    lines = [f"usage: g2hecke {command or 'COMMAND'} [OPTIONS]", "", about]
     if command is None:
         lines += ["", "commands:"] + [f"  {name:<8} {text}" for name, (_, text, _) in _COMMANDS.items() if name]
-    lines += ["", "options:"]
+    if flags:
+        lines += ["", "options:"]
     for dest, (names, default, values, text) in flags.items():
         arg = "{%s}" % ",".join(map(str, values)) if isinstance(values, tuple) else dest.upper() if values else ""
         note = " (required)" if default is ... else ""
@@ -370,8 +352,8 @@ def _store(opts: dict, dest: str, flag: tuple, text: str):
 
 
 def _parse(argv: list) -> tuple:
-    """(command, options) from argv; config values win.  A bad config file is a UsageError, bad input exits 2."""
-    command, opts, tokens = None, {"config": None}, iter(argv)
+    """(command, options) from argv; bad input exits 2."""
+    command, opts, tokens = None, {}, iter(argv)
     commands = ", ".join(filter(None, _COMMANDS))
     for token in tokens:
         if command is None and token in _COMMANDS:
@@ -398,14 +380,7 @@ def _parse(argv: list) -> tuple:
         _store(opts, dest, flags[dest], text)
     if command is None:
         _fail(f"expected a command: {commands}")
-    flags, path = _COMMANDS[command][2], opts.pop("config")
-    for key, text in (_load_config(path) if path else {}).items():
-        if key == "config" or not any(key in spec[2] for spec in _COMMANDS.values()):
-            raise UsageError(f"unknown config key {key!r}")
-        if key in flags:  # keys that only another command defines are skipped
-            opts[key] = flags[key][1]  # a config value replaces what the flags gave
-            _store(opts, key, flags[key], text)
-    for dest, flag in flags.items():
+    for dest, flag in _COMMANDS[command][2].items():
         if opts[dest] is ...:
             _fail(f"{command} requires {flag[0][0]}")
     return command, opts
@@ -518,13 +493,12 @@ def _cmd_extquot(args) -> int:
     return EXIT_OK
 
 
-# One table drives parsing, the -h text and --config: each command (None: the top level) maps to
+# One table drives parsing and the -h text: each command (None: the top level) maps to
 # its handler, its help line and its flags by dest.  A flag is (names, default, values, help), where
 # ``values`` is the converter (int, str), a tuple of choices, or None for a switch that takes no
 # value; a tuple default makes the flag repeatable and a default of ``...`` makes it required.
 _COMMANDS = {
-    None: (None, "Block tables, Hecke relation checks and Plancherel cases of split G2.", {
-        "config": (("--config",), None, str, "key = value file whose values override the flags")}),
+    None: (None, "Block tables, Hecke relation checks and Plancherel cases of split G2.", {}),
     "tables": (_cmd_tables, "emit a block-table family", {
         "family": (("--family",), "all", ("all",) + blocks.FAMILIES, "the family to emit"),
         "format": (("--format",), "json", ("json", "text"), "output format")}),

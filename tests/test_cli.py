@@ -333,12 +333,8 @@ def test_check_extquot_builds_no_records(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["--config", "{file}", "tables"],
-        ["extquot", "--model", "{file}"],
-        ["check", "--part", "blocks", "--allowed-lusztig", "{file}"],
-    ],
-    ids=["config", "model", "allowed-lusztig"],
+    [["extquot", "--model", "{file}"], ["check", "--part", "blocks", "--allowed-lusztig", "{file}"]],
+    ids=["model", "allowed-lusztig"],
 )
 def test_input_file_not_utf8(tmp_path, capsys, argv):
     bad = tmp_path / "input.json"
@@ -372,35 +368,6 @@ def test_golden_file_not_utf8_is_a_differing_table(monkeypatch, capsys):
     doc = json.loads(out)
     assert [r["name"] for r in doc["results"] if not r["ok"]] == ["tables/long-depth-zero"]
     assert doc["failures"] == 1
-
-
-def test_config_file_overrides_flags(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("family = short-depth-zero\nformat = json\n")
-    code, out, _ = run(capsys, "--config", str(cfg), "tables", "--family", "long-positive", "--format", "text")
-    assert code == EXIT_OK
-    doc = json.loads(out)  # json because config overrides the flag
-    assert doc["tables"][0]["family"] == "short-depth-zero"
-
-
-def test_config_errors(tmp_path, capsys):
-    code, _, err = run(capsys, "--config", str(tmp_path / "missing.cfg"), "tables")
-    assert code == EXIT_USAGE
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("no equals sign here\n")
-    code, _, err = run(capsys, "--config", str(bad), "tables")
-    assert code == EXIT_USAGE
-    unknown = tmp_path / "unknown.cfg"
-    unknown.write_text("mystery = 1\n")
-    code, _, err = run(capsys, "--config", str(unknown), "tables")
-    assert code == EXIT_USAGE
-    # config values pass the same type and choice checks as flags
-    for entry, command in (("seed = abc", "check"), ("format = xml", "tables")):
-        invalid = tmp_path / "invalid.cfg"
-        invalid.write_text(entry + "\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["--config", str(invalid), command])
-        assert exc.value.code == EXIT_USAGE
 
 
 def test_usage_error_exit_code():
@@ -694,17 +661,6 @@ def test_option_table_parses_every_flag(argv, given):
     assert opts == {**DEFAULTS[command], **given}
 
 
-def test_config_values_replace_flags(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    # family is a tables flag, so check skips it
-    cfg.write_text("part = blocks\nformat = json\nfamily = long-positive\n")
-    argv = ["check", "--part", "tables", "--part", "hecke", "--format", "text"]
-    for config in (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)]):
-        command, opts = cli._parse(config + argv)
-        assert command == "check"
-        assert opts == {**DEFAULTS["check"], "part": ("blocks",), "format": "json"}
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -726,12 +682,13 @@ def test_config_values_replace_flags(tmp_path):
         ["tables", "--config", "run.cfg"],
         ["check", "--golden-dir", "x"],
         ["extquot", "--size", "4"],
+        ["--config", "run.cfg", "tables"],
     ],
     ids=[
         "unknown-flag", "ambiguous-prefix", "bad-choice", "bad-case", "bad-int", "bad-int-choice",
         "missing-value", "missing-required", "missing-weights", "missing-config-value", "no-command",
         "empty", "unknown-command", "stray-argument", "switch-with-value", "config-after-command",
-        "no-golden-dir", "no-size-alias",
+        "no-golden-dir", "no-size-alias", "no-config",
     ],
 )
 def test_malformed_command_line_is_one_error_line(capsys, argv):
@@ -741,12 +698,14 @@ def test_malformed_command_line_is_one_error_line(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    if "--config" in argv:  # flags are the only input path
+        assert out.err == "error: unrecognized argument --config\n"
 
 
 @pytest.mark.parametrize(
     "command,flags",
     [
-        (None, {"--config"}),
+        (None, set()),
         ("tables", {"--family", "--format"}),
         ("check", {"--all", "--part", "--format", "--seed", "--degree-bound", "--allowed-lusztig"}),
         ("mu", {"--case", "--residue-degree", "--format"}),
@@ -763,6 +722,7 @@ def test_help_names_every_command_and_flag(capsys, command, flags):
     assert out.startswith("usage: g2hecke")
     entries = [line.split() for line in out.splitlines() if line[:2] == "  " and line[2:3] != " "]
     assert {w.rstrip(",") for words in entries for w in words if w.startswith("--")} == flags
+    assert ("\noptions:\n" in out) == bool(flags)
     if command is None:
         assert {words[0] for words in entries} - flags == set(DEFAULTS)
 

@@ -127,10 +127,6 @@ def input_files(tmp_path):
            write("deep", "[" * 50_000)]
     model = json.dumps({"points": [0, 1, 2], "translation": {"0": 1, "1": 2, "2": 0}, "gamma": {"0": 0, "1": 2, "2": 1}})
     return {
-        "config": bad + [write("good.cfg", "format = json\ndegree-bound = 2\n# comment\n"),
-                         write("part.cfg", "part = extquot\nfamily = long-positive\n"),
-                         write("unknown.cfg", "bogus = 1\n"), write("nokey.cfg", "format json\n"),
-                         write("switch.cfg", "all = yes\n"), write("size.cfg", "torsion-level = 99999999\n")],
         "model": bad + [write("model.json", model), write("list.json", "[0, 1]")],
         "allowed_lusztig": bad + [write("allowed.json", '{"allowed_pairs": [[1, 1], [2, 2], [3, 1]]}'),
                                   write("pairs.json", '{"allowed_pairs": [[true, 1]]}')],
@@ -150,19 +146,17 @@ def flag_value(rng, dest, values, files):
 
 
 def random_argv(rng, files) -> list:
-    argv = []
-    if rng.random() < 0.2:
-        argv += ["--config", rng.choice(files["config"])]
     commands = [c for c in cli._COMMANDS if c]
     command = rng.choice(commands + ["tabels", "-h", ""]) if rng.random() < 0.1 else rng.choice(commands)
-    argv.append(command)
+    argv = [command]
     flags = cli._COMMANDS.get(command, cli._COMMANDS[None])[2]
     for _ in range(rng.randrange(5)):
         r = rng.random()
         if r < 0.08:
             argv.append(rng.choice(["--bogus", "-x", "--help", "-h", "extra", "--", "--=1", "--config"]))
             continue
-        flags_from = cli._COMMANDS[rng.choice(commands)][2] if r < 0.15 else flags  # perhaps another command's
+        # perhaps another command's, and always when the command has none
+        flags_from = cli._COMMANDS[rng.choice(commands)][2] if r < 0.15 or not flags else flags
         dest = rng.choice(list(flags_from))
         names, _, values, _ = flags_from[dest]
         name = rng.choice(names)

@@ -266,4 +266,4 @@ def test_readme_names_every_flag():
     named = set(re.findall(r"--[a-z][a-z-]*", readme))
     flags = {name for _, _, spec in _COMMANDS.values() for names, *_ in spec.values() for name in names}
     assert sorted(flags - named) == []
-    assert sorted({"--golden-dir", "--size"} & named) == []
+    assert sorted({"--config", "--golden-dir", "--size"} & named) == []

@@ -374,6 +374,9 @@ class RelationReport:
 # of verify_relations grows about cubically in it
 MAX_DEGREE_BOUND = 32
 
+# (M^2, M) with M = 2^10: a label pair at which verify_relations checks every pair
+_GENERIC_PAIR = (1 << 20, 1 << 10)
+
 # k -> D(k) = (X^k - X^-k) / (1 - X^-2) as {X-exponent: c}, by exact division on
 # the first use of k; D(k) does not depend on the presentation, and the harness
 # reads |k| <= MAX_DEGREE_BOUND + 1, so this holds at most 67 entries
@@ -468,6 +471,23 @@ def verify_relations(pres: AffineHeckePresentation, degree_bound: int = 3) -> Re
     exactly when the x = 0 product does.  Only the x = 0 products and any
     that failed the shift are specialized, the latter against 3 times the
     group element.
+
+    One run at ``_GENERIC_PAIR`` = (M^2, M), M = 2^10, checks every label
+    pair.  ``multiply`` maps each term (k, i, j) of its table, v^k A^i B^j
+    over Z[v^+-1, A^+-1, B^+-1], to the v-exponent k + i lam + j lam_star:
+    the ring map A -> v^lam, B -> v^lam_star (Lusztig 1989, section 3).
+    rho and the operands are built from such monomials too.  Every
+    v-exponent that a product, rho(T_s) or its action returns is
+    k + i lam + j lam_star with -1 <= i <= 4, |j| <= 2 and |k| <= 1,
+    measured at bounds 3 and 32; the operands and the shifted products add
+    at most 1 to |k|.  Those are far below M/2 = 512, so at the generic pair
+    distinct monomials keep distinct exponents, every comparison there is
+    one over the generic ring, and what passes there holds under every
+    specialization.  Each exponent there stays below 2^23, one CPython digit
+    (below 2^30).  The map is not injective where terms cancel: at (0, 0),
+    q^lam - 1 and v^(lam-lam_star) - v^(lam+lam_star) vanish, and the
+    product's dropping of cancelled terms is checked only by a run at such
+    a pair.
     """
     _check_bound(degree_bound)
     checks = []

@@ -22,6 +22,7 @@ from g2hecke.hecke import (
     AffineHeckePresentation,
     RGroup,
     WeightFunction,
+    _GENERIC_PAIR,
     check_lusztig,
     verify_relations,
 )
@@ -109,13 +110,13 @@ def test_criterion_4_lusztig_membership(golden_label_pairs):
 
 def test_criterion_5_hecke_relations():
     t0 = time.monotonic()
-    for lam, lam_star in [(0, 0), (1, 1), (2, 2), (3, 1)]:
+    for lam, lam_star in [(0, 0), (1, 1), (2, 2), (3, 1), _GENERIC_PAIR]:
         pres = AffineHeckePresentation(WeightFunction(lam, lam_star), RGroup.trivial())
         report = verify_relations(pres, degree_bound=3)
         assert report.ok, report.summary()
         rep = next(c for c in report.checks if c.name == "representation")
         assert rep.detail == "196 pairs"
-    _report(5, "relation suite clean for (0,0),(1,1),(2,2),(3,1) at bound 3", t0, 30.0)
+    _report(5, "relation suite clean for (0,0),(1,1),(2,2),(3,1) and the generic pair at bound 3", t0, 30.0)
 
 
 def test_criterion_6_extended_quotient_oracle():

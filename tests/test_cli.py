@@ -169,6 +169,28 @@ def test_hecke_json_reports_a_failed_relation(constant_term_flipped, capsys):
     assert strict_json(out)["ok"] is False
 
 
+def test_check_sees_a_wrong_rule_at_the_generic_pair(wrong_rule, capsys):
+    # the generic run stands for every table pair but (0,0), so it must fail on its own
+    code, out, err = run(capsys, "check", "--part", "hecke", "--format", "json")
+    assert code == EXIT_CHECK_FAILED and err == ""
+    assert "hecke/relations(generic)" in [r["name"] for r in strict_json(out)["results"] if not r["ok"]]
+
+
+def test_check_runs_the_harness_at_two_pairs(monkeypatch):
+    # (0,0) and the generic pair, 198 products each at bound 3; one run per
+    # table pair formed 792
+    calls = []
+    honest = hecke.multiply
+
+    def counted(a, b):
+        calls.append(1)
+        return honest(a, b)
+
+    monkeypatch.setattr(hecke, "multiply", counted)
+    assert cli.run_check_suite()["failures"] == 0
+    assert len(calls) == 396
+
+
 def test_hecke_negative_degree_bound(capsys):
     # bound 0 would leave the centrality check empty, so it is rejected too
     for bound in ("-1", "0"):
@@ -513,7 +535,7 @@ def test_check_output_matches_fixture_byte_for_byte(capsys):
     # the JSON suite at seeds 0, 1 and 2, then the text suite
     fixture = (Path(__file__).resolve().parent / "data" / "check_all.txt").read_bytes()
     assert hashlib.sha256(fixture).hexdigest() == (
-        "fc71a6d4558d3d1d6f68838aad4da1e6e2f6b759b9fb6099330883aff83432e5"
+        "c1b04782d20d14e59ca18ec27b768917ca71c3db743b0a65797e39c3e5c31df3"
     )
     chunks = []
     for argv in [["check", "--all", "--format", "json", "--seed", s] for s in "012"] + [["check", "--all"]]:
@@ -797,7 +819,7 @@ def test_a_missing_packaged_golden_table_fails_the_tables_part_alone(monkeypatch
              "detail": "raised FileNotFoundError: no golden table for long-depth-zero"}
     assert [r for r in doc["results"] if not r["ok"]] == [error] and doc["failures"] == 1
     names = [r["name"] for r in doc["results"]]
-    assert [n.split("/")[0] for n in names] == ["tables"] + ["hecke"] * 4 + ["blocks"] * 4 + ["extquot"] * 2
+    assert [n.split("/")[0] for n in names] == ["tables"] + ["hecke"] * 2 + ["blocks"] * 4 + ["extquot"] * 2
     assert names[-1] == "extquot/matching-corpus"
 
 

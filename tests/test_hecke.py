@@ -23,6 +23,9 @@ TABLE_PAIRS = [(0, 0), (1, 1), (2, 2), (3, 1)]
 # lam_star = 0 < lam and lam = 0 < lam_star, where a pair of the terms of g
 # cancels in the product, and more pairs that no golden table row has
 MORE_PAIRS = [(2, 0), (6, 0), (0, 2), (4, 2), (3, 3), (5, 1)]
+# (M^2, M) with M = 2^10: the run that check makes for every pair but (0, 0)
+GENERIC = hecke._GENERIC_PAIR
+M = GENERIC[1]
 
 
 def pres(lam, lam_star):
@@ -137,11 +140,26 @@ def negate_rule_sign(monkeypatch):
     monkeypatch.setattr(hecke, "_G", tuple((-s, i, j, sign) for s, i, j, sign in hecke._G))
 
 
-def rule_sign_flipped(a, b):
-    """The product with the X-shifts of the commutation coefficient negated."""
-    with pytest.MonkeyPatch.context() as mp:
-        negate_rule_sign(mp)
-        return multiply(a, b)
+def swap_labels(monkeypatch):
+    """Swap the powers i, j of lam and lam_star in every term of g."""
+    fresh_table(monkeypatch)
+    monkeypatch.setattr(hecke, "_G", tuple((s, j, i, sign) for s, i, j, sign in hecke._G))
+
+
+def product_under(patch):
+    """The product with ``_G`` patched by ``patch`` for the one call."""
+
+    def mul(a, b):
+        with pytest.MonkeyPatch.context() as mp:
+            patch(mp)
+            return multiply(a, b)
+
+    return mul
+
+
+rule_sign_flipped = product_under(negate_rule_sign)
+# at (2, 2) the swap changes nothing, so it is run where lam != lam_star
+labels_swapped = product_under(swap_labels)
 
 
 WRONG_PRODUCTS = pytest.mark.parametrize(
@@ -154,10 +172,18 @@ WRONG_PRODUCTS = pytest.mark.parametrize(
         ((3, 1), with_lambda_star(3)),
         ((1, 1), with_lambda_star(0)),
         ((2, 2), with_lambda_star(0)),
+        (GENERIC, rule_sign_flipped),
+        (GENERIC, with_lambda_star(M + 2)),
+        (GENERIC, with_lambda_star(0)),
+        (GENERIC, with_lambda_star(M * M)),
+        ((3, 1), labels_swapped),
+        (GENERIC, labels_swapped),
     ],
     ids=[
         "rule-sign-1-1", "rule-sign-2-2", "rule-sign-3-1",
         "3-2-as-3-1", "3-3-as-3-1", "1-0-as-1-1", "2-0-as-2-2",
+        "rule-sign-generic", "generic-lam-star-plus-2", "generic-lam-star-0", "generic-lam-star-lam",
+        "i-j-swap-3-1", "i-j-swap-generic",
     ],
 )
 
@@ -307,6 +333,45 @@ def test_representation_sees_a_product_that_drops_right_v_powers(monkeypatch):
     monkeypatch.setattr(hecke, "multiply", mul)
     rep = verify_relations(pres(3, 1), 3)
     assert {c.name for c in rep.failures} == {"quadratic-s1", "representation"}
+
+
+def test_generic_exponents_stay_far_from_a_collision(monkeypatch):
+    # the generic run checks every pair only while each v-exponent it meets is
+    # k + i lam + j lam_star with |j|, |k| < M/2, so that it decodes as one
+    # monomial; a harness that reaches wider exponents must fail here
+    assert GENERIC == (M * M, M)
+    seen = {"multiply": set(), "act": set(), "t_s": set()}
+
+    def keep(out, at, source):
+        seen[source].update(key[at] for key in out)
+        return out
+
+    honest_mul, honest_act, honest_op = hecke.multiply, hecke._act, hecke._demazure_lusztig
+
+    def mul(a, b):
+        product = honest_mul(a, b)
+        keep(product.terms, 2, "multiply")
+        return product
+
+    def demazure_lusztig(p, quotients):
+        t_s = honest_op(p, quotients)
+        return lambda vec: keep(t_s(vec), 1, "t_s")
+
+    monkeypatch.setattr(hecke, "multiply", mul)
+    monkeypatch.setattr(hecke, "_act", lambda terms, images: keep(honest_act(terms, images), 1, "act"))
+    monkeypatch.setattr(hecke, "_demazure_lusztig", demazure_lusztig)
+    for bound in (3, 8):
+        assert verify_relations(pres(*GENERIC), bound).ok
+    assert all(seen.values())
+    digits = set()
+    for e in set().union(*seen.values()):
+        k = (e + M // 2) % M - M // 2
+        j = ((e - k) // M + M // 2) % M - M // 2
+        digits.add(((e - k - j * M) // (M * M), j, k))
+    # the ranges measured at bounds 3 and 32
+    assert {i for i, _, _ in digits} <= set(range(-1, 5))
+    assert {j for _, j, _ in digits} <= set(range(-2, 3))
+    assert {k for _, _, k in digits} <= {-1, 0, 1}
 
 
 def test_verify_relations_over_a_trivial_finite_part():
